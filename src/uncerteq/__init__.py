@@ -10,13 +10,12 @@ __version__ = "0.1.0"
 
 from .complexspace import (ComplexVector, ExtremizerFlags,
                            InternalConsistencyError, cs_equality_residuals,
-                           extremizer_class, inner, random_vector, sgn)
+                           extremizer_class, random_vector, sgn)
 from .forms import (InequalityChain, PairSample, anticommutator_form,
                     commutator_form, decomposition_check, extremizer_parts,
                     sr_equalities, sr_inequality_chain)
 from .gaussians import GaussianSpec, exact_moments, realize
-from .grids import (GridSpec, OperatorHandle, StateField, VectorField, apply,
-                    generator_consistency, l2_inner,
+from .grids import (GridSpec, StateField, VectorField, generator_consistency,
                     pointwise_gradient_decomposition)
 from .identities import (random_smooth_state, saturation_flags,
                          verify_dilation_hamiltonian,

@@ -20,14 +20,15 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 import scipy
 
-from . import __version__, complexspace, grids, identities, radial, search
+from . import __version__, complexspace, grids, identities
 from .complexspace import cs_equality_residuals, default_angles, random_vector
 from .forms import PairSample, decomposition_check, sr_equalities, sr_inequality_chain
 from .gaussians import GaussianSpec, exact_moments, realize
 from .grids import GridSpec
 from .radial import RadialQuadrature, radial_gaussian, random_radial_state
 from .report import EqualityReport, bound, compare
-from .search import SearchOptions, minimize_product_functional, minimize_sum_functional, probe_nonattainment
+from .search import (SearchOptions, SearchResult, minimize_product_functional,
+                     minimize_sum_functional, probe_nonattainment)
 
 SUITES = ("appendix", "section2", "momentum-position", "dilation", "hardy",
           "coulomb", "search", "all")
@@ -181,12 +182,11 @@ def run_hardy(cfg: SuiteConfig) -> list[EqualityReport]:
         sides = {}
         for grid in (coarse, fine):
             psi = realize(GaussianSpec("coherent", n=n), grid)
-            rep = {r.identity_id: r for r in
-                   identities.verify_hardy(psi, tol=1.0)}["hardy.pythagoras"]
-            sides[grid.N] = (rep.lhs.real, rep.rhs.real)
-            for chain in identities.verify_hardy(psi, tol):
-                if chain.identity_id.startswith("hardy.chain."):
-                    reports.append(chain)
+            for rep in identities.verify_hardy(psi, tol):
+                if rep.identity_id == "hardy.pythagoras":
+                    sides[grid.N] = (rep.lhs.real, rep.rhs.real)
+                elif rep.identity_id.startswith("hardy.chain."):
+                    reports.append(rep)
         target = 0.5 * n
         ctx = {"grid": fine.to_dict(), "control_N": coarse.N}
         reports.append(compare("hardy.grid.value_lhs", sides[fine.N][0],
@@ -194,7 +194,7 @@ def run_hardy(cfg: SuiteConfig) -> list[EqualityReport]:
         rhs_corrected = 2.0 * sides[fine.N][1] - sides[coarse.N][1]
         reports.append(compare("hardy.grid.value_rhs", rhs_corrected,
                                target, tol, context=ctx))
-        psi = realize(GaussianSpec("coherent", n=n), fine)
+        # psi is still the fine-grid state from the last loop pass.
         reports.append(grids.pointwise_gradient_decomposition(psi, tol))
     return _aggregate(reports)
 
@@ -213,31 +213,35 @@ def run_coulomb(cfg: SuiteConfig) -> list[EqualityReport]:
     return _aggregate(reports)
 
 
+def _minimizer_reports(target: str, res: SearchResult, grid: GridSpec,
+                       tol: float) -> list[EqualityReport]:
+    extra = ({"converged": res.converged} if target == "sum"
+             else {"lambda_est": res.lambda_est})
+    return [compare(f"search.{target}.value", res.value, float(grid.n), tol,
+                    context={"iterations": res.iterations, **extra}),
+            bound(f"search.{target}.fidelity", 0.999, res.fidelity, 0.0)]
+
+
+def _nonattainment_reports(rows: list[dict]) -> list[EqualityReport]:
+    rhos = [row["rho"] for row in rows]
+    return [bound("search.nonattainment.above_one", 1.0, min(rhos), 0.0,
+                  context={"rows": rows}),
+            bound("search.nonattainment.decreasing", 0.0,
+                  min(rhos[i] - rhos[i + 1] for i in range(len(rhos) - 1)),
+                  0.0, context={"rows": rows})]
+
+
 def run_search_suite(cfg: SuiteConfig) -> list[EqualityReport]:
     tol = cfg.tol or 1e-4
     grid = _grid(cfg, cfg.n or 1, 256)
     opts = SearchOptions(max_iters=40000)
-    reports = []
     res = minimize_sum_functional(grid, cfg.seed, opts)
-    reports.append(compare("search.sum.value", res.value, float(grid.n), tol,
-                           context={"iterations": res.iterations,
-                                    "converged": res.converged}))
-    reports.append(bound("search.sum.fidelity", 0.999, res.fidelity, 0.0))
+    reports = _minimizer_reports("sum", res, grid, tol)
     res = minimize_product_functional(grid, cfg.seed, opts)
-    reports.append(compare("search.product.value", res.value, float(grid.n),
-                           tol, context={"iterations": res.iterations,
-                                         "lambda_est": res.lambda_est}))
-    reports.append(bound("search.product.fidelity", 0.999, res.fidelity, 0.0))
-
+    reports += _minimizer_reports("product", res, grid, tol)
     quad = RadialQuadrature(n=3, r_max=1000.0, points=200000)
     rows = probe_nonattainment(quad, (10.0, 100.0, 1000.0))
-    rhos = [row["rho"] for row in rows]
-    reports.append(bound("search.nonattainment.above_one", 1.0, min(rhos), 0.0,
-                         context={"rows": rows}))
-    reports.append(bound("search.nonattainment.decreasing", 0.0,
-                         min(rhos[i] - rhos[i + 1] for i in range(len(rhos) - 1)),
-                         0.0, context={"rows": rows}))
-    return reports
+    return reports + _nonattainment_reports(rows)
 
 
 RUNNERS = {
@@ -298,11 +302,10 @@ def write_outputs(payload: dict, cfg: SuiteConfig) -> None:
                                  rep["tol"], rep["passed"]])
 
 
-def refinement_study(identity_id: str, grid_specs: list[GridSpec],
-                     state_builder=None) -> dict:
+def refinement_study(identity_id: str, grid_specs: list[GridSpec]) -> dict:
     """Residual-versus-spacing table with a fitted convergence order.
 
-    The default probe state is the isotropic Gaussian.  All grids must share
+    The probe state is the isotropic Gaussian.  All grids must share
     one derivative scheme and come in at least three resolutions.
     """
     if len(grid_specs) < 3:
@@ -314,10 +317,7 @@ def refinement_study(identity_id: str, grid_specs: list[GridSpec],
         raise ValueError(f"unsupported identity {identity_id!r} for refinement")
     rows = []
     for grid in sorted(grid_specs, key=lambda g: g.h, reverse=True):
-        if state_builder is None:
-            phi = realize(GaussianSpec("coherent", n=grid.n), grid)
-        else:
-            phi = state_builder(grid)
+        phi = realize(GaussianSpec("coherent", n=grid.n), grid)
         reps = {r.identity_id: r for r in
                 identities.verify_position_momentum(phi, tol=1.0)}
         rep = reps[identity_id]
@@ -414,23 +414,22 @@ def _cmd_search(args) -> int:
         r_values = (10.0, 100.0, min(1000.0, quad.r_max))
         rows = probe_nonattainment(quad, r_values)
         print(json.dumps({"rows": rows}, indent=2))
-        ok = all(row["rho"] > 1.0 for row in rows) and all(
-            rows[i]["rho"] > rows[i + 1]["rho"] for i in range(len(rows) - 1))
-        return 0 if ok else 1
-    grid = GridSpec(n=n, N=args.N or 256, L=args.L or 12.0,
-                    offset=args.offset or 0.0,
-                    scheme=args.scheme or "spectral_periodic")
-    runner = (minimize_sum_functional if args.target == "sum"
-              else minimize_product_functional)
-    res = runner(grid, seed, opts)
-    out = {"value": res.value, "target": float(grid.n),
-           "iterations": res.iterations, "converged": res.converged,
-           "fidelity": res.fidelity}
-    if args.target == "product":
-        out["lambda_est"] = res.lambda_est
-    print(json.dumps(out, indent=2))
-    tol = args.tol or 1e-4
-    return 0 if res.value <= grid.n + tol and res.fidelity >= 0.999 else 1
+        reports = _nonattainment_reports(rows)
+    else:
+        grid = GridSpec(n=n, N=args.N or 256, L=args.L or 12.0,
+                        offset=args.offset or 0.0,
+                        scheme=args.scheme or "spectral_periodic")
+        runner = (minimize_sum_functional if args.target == "sum"
+                  else minimize_product_functional)
+        res = runner(grid, seed, opts)
+        out = {"value": res.value, "target": float(grid.n),
+               "iterations": res.iterations, "converged": res.converged,
+               "fidelity": res.fidelity}
+        if args.target == "product":
+            out["lambda_est"] = res.lambda_est
+        print(json.dumps(out, indent=2))
+        reports = _minimizer_reports(args.target, res, grid, args.tol or 1e-4)
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 def _cmd_refine(args) -> int:

@@ -85,11 +85,6 @@ class ComplexVector:
         return f"ComplexVector(dim={self.dim})"
 
 
-def inner(u: ComplexVector, v: ComplexVector) -> complex:
-    """Scalar product, linear in ``u`` and antilinear in ``v``."""
-    return u.inner(v)
-
-
 def random_vector(rng: np.random.Generator, dim: int,
                   normalize: bool = False) -> ComplexVector:
     """Rotation-invariant random vector: i.i.d. standard-normal re/im parts."""
@@ -108,6 +103,39 @@ def default_angles(rng: np.random.Generator | None = None,
     return angles
 
 
+def phase_family(a: float, b: float, p: complex,
+                 unit_combo_sq: Callable[[complex], float],
+                 angles: Sequence[float] = FIXED_ANGLES) -> dict[str, float]:
+    """Right sides of the Cauchy-Schwarz-type equality family for one pair.
+
+    ``a``, ``b`` and ``p`` are ||U||, ||V|| and (U|V), and
+    ``unit_combo_sq(w)`` returns ||U/a + w V/b||^2.  Each right side is built
+    from t(w) = 1 - ||U/a + w V/b||^2 / 2 at unit phases w, each evaluated
+    once: ``abs`` = ab t(-sgn p) equals |p|; ``re+``, ``re-``, ``im+``,
+    ``im-`` = ab t(-1), ab t(1), ab t(-i), ab t(i) equal Re p, -Re p, Im p,
+    -Im p; the quadrature forms ``pyth*`` and ``rot*@theta``, ab times the
+    hypotenuse of two t values, equal |p|.
+    """
+    ab = a * b
+    cache: dict[complex, float] = {}
+
+    def t(phase: complex) -> float:
+        if phase not in cache:
+            cache[phase] = 1.0 - 0.5 * unit_combo_sq(phase)
+        return cache[phase]
+
+    rhs = {"abs": ab * t(-sgn(p)), "re+": ab * t(-1.0), "re-": ab * t(1.0),
+           "im+": ab * t(-1j), "im-": ab * t(1j)}
+    for sig, pr, pi in (("++", 1.0, 1j), ("--", -1.0, -1j),
+                        ("+-", 1.0, -1j), ("-+", -1.0, 1j)):
+        rhs[f"pyth{sig}"] = ab * math.hypot(t(pr), t(pi))
+    for theta in angles:
+        phase = complex(math.cos(theta), math.sin(theta))
+        for sig, rot in (("+", 1j * phase), ("-", -1j * phase)):
+            rhs[f"rot{sig}@{theta:.6f}"] = ab * math.hypot(t(phase), t(rot))
+    return rhs
+
+
 def cs_equality_residuals(u: ComplexVector, v: ComplexVector,
                           angles: Sequence[float] = FIXED_ANGLES,
                           tol: float = DEFAULT_TOL) -> list[EqualityReport]:
@@ -117,7 +145,7 @@ def cs_equality_residuals(u: ComplexVector, v: ComplexVector,
     quadrature (Pythagorean) combinations, and the phase-rotated quadrature
     family at the supplied angles.  Both sides are computed independently:
     the left side from the scalar product, the right side from norms of
-    explicit vector combinations.
+    explicit vector combinations (:func:`phase_family`).
     """
     a = u.norm()
     b = v.norm()
@@ -127,43 +155,14 @@ def cs_equality_residuals(u: ComplexVector, v: ComplexVector,
     uh = u.entries / a
     vh = v.entries / b
 
-    def comb_norm_sq(phase: complex) -> float:
+    def unit_combo_sq(phase: complex) -> float:
         w = uh + phase * vh
         return float(np.real(np.vdot(w, w)))
 
-    def rhs_linear(phase: complex) -> float:
-        return a * b * (1.0 - 0.5 * comb_norm_sq(phase))
-
-    reports = []
-
-    # |(u|v)| against the sign-aligned difference.
-    reports.append(compare("cs.abs", abs(p), rhs_linear(-sgn(p)), tol,
-                           scale=a * b))
-    # Signed real and imaginary parts.
-    reports.append(compare("cs.re+", p.real, rhs_linear(-1.0), tol, scale=a * b))
-    reports.append(compare("cs.re-", -p.real, rhs_linear(1.0), tol, scale=a * b))
-    reports.append(compare("cs.im+", p.imag, rhs_linear(-1j), tol, scale=a * b))
-    reports.append(compare("cs.im-", -p.imag, rhs_linear(1j), tol, scale=a * b))
-
-    def rhs_quadrature(phase_re: complex, phase_im: complex) -> float:
-        t1 = 1.0 - 0.5 * comb_norm_sq(phase_re)
-        t2 = 1.0 - 0.5 * comb_norm_sq(phase_im)
-        return a * b * math.hypot(t1, t2)
-
-    # All four quadrature combinations of the +/- real and imaginary forms.
-    for sig, (pr, pi) in (("++", (1.0, 1j)), ("--", (-1.0, -1j)),
-                          ("+-", (1.0, -1j)), ("-+", (-1.0, 1j))):
-        reports.append(compare(f"cs.pyth{sig}", abs(p),
-                               rhs_quadrature(pr, pi), tol, scale=a * b))
-
-    # Phase-rotated quadrature family: holds for every angle.
-    for theta in angles:
-        phase = complex(math.cos(theta), math.sin(theta))
-        for sig, rot in (("+", 1j * phase), ("-", -1j * phase)):
-            reports.append(compare(f"cs.rot{sig}@{theta:.6f}", abs(p),
-                                   rhs_quadrature(phase, rot), tol,
-                                   scale=a * b))
-    return reports
+    lhs = {"re+": p.real, "re-": -p.real, "im+": p.imag, "im-": -p.imag}
+    return [compare(f"cs.{key}", lhs.get(key, abs(p)), rhs, tol, scale=a * b)
+            for key, rhs in phase_family(a, b, p, unit_combo_sq,
+                                         angles).items()]
 
 
 @dataclass(frozen=True)
@@ -263,9 +262,7 @@ def extremizer_class(u: ComplexVector, v: ComplexVector,
     """Classify which saturation parts hold for the pair (u, v)."""
     a = u.norm()
     b = v.norm()
-    p = u.inner(v) if u.dim == v.dim else None
-    if p is None:
-        raise ValueError("dimension mismatch")
+    p = u.inner(v)
 
     def combo_norm(alpha: complex, beta: complex) -> float:
         return float(np.linalg.norm(alpha * u.entries + beta * v.entries))

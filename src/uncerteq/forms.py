@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .complexspace import (DEFAULT_TOL, ExtremizerFlags, FIXED_ANGLES,
-                           classify_saturation, sgn)
+                           classify_saturation, phase_family)
 from .report import EqualityReport, compare
 
 
@@ -95,36 +95,25 @@ def sr_equalities(s: PairSample, thetas: Sequence[float] = FIXED_ANGLES,
     ab = a * b
     combo = _combo_norm(s)
 
-    def rhs_linear(phase: complex) -> float:
-        # ab * (2 - ||Ahat + phase * Bhat||^2)
+    def unit_combo_sq(phase: complex) -> float:
         w = combo(1.0 / a, phase / b)
-        return ab * (2.0 - w * w)
+        return w * w
 
+    # The Cauchy-Schwarz family of the pair (A phi, B phi): the signed
+    # commutator and anticommutator forms are twice its imaginary and real
+    # linear forms; the rotated and aligned forms carry over unchanged.
+    rhs = phase_family(a, b, p, unit_combo_sq, thetas)
     reports = [
-        compare("sr.comm+", (1j * comm).real, rhs_linear(-1j), tol, scale=ab),
-        compare("sr.comm-", (-1j * comm).real, rhs_linear(1j), tol, scale=ab),
-        compare("sr.anti+", anti, rhs_linear(-1.0), tol, scale=ab),
-        compare("sr.anti-", -anti, rhs_linear(1.0), tol, scale=ab),
+        compare("sr.comm+", (1j * comm).real, 2.0 * rhs["im+"], tol, scale=ab),
+        compare("sr.comm-", (-1j * comm).real, 2.0 * rhs["im-"], tol, scale=ab),
+        compare("sr.anti+", anti, 2.0 * rhs["re+"], tol, scale=ab),
+        compare("sr.anti-", -anti, 2.0 * rhs["re-"], tol, scale=ab),
         compare("sr.abs_quadrature", abs(p),
                 0.5 * math.hypot(abs(comm), abs(anti)), tol, scale=ab),
     ]
-
-    def rhs_quadrature(phase_re: complex, phase_im: complex) -> float:
-        w1 = combo(1.0 / a, phase_re / b)
-        w2 = combo(1.0 / a, phase_im / b)
-        t1 = 1.0 - 0.5 * w1 * w1
-        t2 = 1.0 - 0.5 * w2 * w2
-        return ab * math.hypot(t1, t2)
-
-    for theta in thetas:
-        phase = complex(math.cos(theta), math.sin(theta))
-        for sig, rot in (("+", 1j * phase), ("-", -1j * phase)):
-            reports.append(compare(f"sr.abs_rot{sig}@{theta:.6f}", abs(p),
-                                   rhs_quadrature(phase, rot), tol, scale=ab))
-
-    w = combo(1.0 / a, -sgn(p) / b)
-    reports.append(compare("sr.abs_aligned", abs(p),
-                           ab * (1.0 - 0.5 * w * w), tol, scale=ab))
+    reports += [compare(f"sr.abs_{key}", abs(p), value, tol, scale=ab)
+                for key, value in rhs.items() if key.startswith("rot")]
+    reports.append(compare("sr.abs_aligned", abs(p), rhs["abs"], tol, scale=ab))
     return reports
 
 
@@ -135,11 +124,6 @@ class InequalityChain:
     product: float
     schrodinger_bound: float
     robertson_bound: float
-
-    def ordered(self, slack: float = 1e-12) -> bool:
-        scale = max(self.product, 1.0)
-        return (self.product >= self.schrodinger_bound - slack * scale
-                and self.schrodinger_bound >= self.robertson_bound - slack * scale)
 
 
 def sr_inequality_chain(s: PairSample) -> InequalityChain:

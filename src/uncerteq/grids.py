@@ -181,15 +181,6 @@ class VectorField(_GridQuantity):
     def _expected_shape(self, grid: GridSpec) -> tuple[int, ...]:
         return (grid.n,) + grid.shape
 
-    @property
-    def components(self) -> np.ndarray:
-        return self.data
-
-
-def l2_inner(a, b) -> complex:
-    """Quadrature scalar product; vector fields are summed over components."""
-    return a.inner(b)
-
 
 def _derivative_axis(grid: GridSpec, values: np.ndarray, axis: int) -> np.ndarray:
     h = grid.h
@@ -299,42 +290,6 @@ def spherical_derivative(phi: StateField, axis: int) -> StateField:
     dr = radial_derivative(phi)
     dj = _derivative_axis(grid, phi.data, axis)
     return StateField(grid, dj - (grid.coord(axis) / r) * dr.data)
-
-
-@dataclass(frozen=True)
-class OperatorHandle:
-    """Named linear map on fields over a fixed grid."""
-
-    id: str
-    grid: GridSpec
-    axis: int = 0
-
-    _IDS = ("position", "momentum", "dilation_gen", "neg_laplacian",
-            "radial_deriv_sym", "coulomb", "radial_deriv_raw",
-            "spherical_deriv_j", "x_dot_grad")
-
-    def __post_init__(self):
-        if self.id not in self._IDS:
-            raise ValueError(f"unknown operator id {self.id!r}")
-
-
-def apply(op: OperatorHandle, phi: StateField):
-    """Apply a named operator; momentum and position return vector fields."""
-    if phi.grid != op.grid:
-        raise ValueError("state lives on a different grid")
-    table = {
-        "position": position,
-        "momentum": momentum,
-        "dilation_gen": dilation_generator,
-        "neg_laplacian": neg_laplacian,
-        "radial_deriv_sym": radial_derivative_sym,
-        "coulomb": coulomb,
-        "radial_deriv_raw": radial_derivative,
-        "x_dot_grad": x_dot_grad,
-    }
-    if op.id == "spherical_deriv_j":
-        return spherical_derivative(phi, op.axis)
-    return table[op.id](phi)
 
 
 def _resample(phi: StateField, new_coords: list[np.ndarray]) -> np.ndarray:

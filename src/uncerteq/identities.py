@@ -23,57 +23,19 @@ from .report import EqualityReport, bound, compare
 GRID_TOL = 1e-8
 
 
-def _dim(state) -> int:
+def _operators(state):
+    """Operator module, dimension and report context for the state's kind.
+
+    ``grids`` and ``radial`` expose the same operator names; this is the only
+    place where the verifiers tell the state kinds apart.
+    """
     if isinstance(state, StateField):
-        return state.grid.n
+        return grids, state.grid.n, {"grid": state.grid.to_dict()}
     if isinstance(state, RadialState):
-        return state.quad.n
+        q = state.quad
+        return radial, q.n, {"radial": {"n": q.n, "r_max": q.r_max,
+                                        "points": q.points}}
     raise TypeError(f"unsupported state type {type(state).__name__}")
-
-
-def _context(state) -> dict:
-    if isinstance(state, StateField):
-        return {"grid": state.grid.to_dict()}
-    return {"radial": {"n": state.quad.n, "r_max": state.quad.r_max,
-                       "points": state.quad.points}}
-
-
-def _x_dot_grad(state):
-    if isinstance(state, StateField):
-        return grids.x_dot_grad(state)
-    return radial.x_dot_grad(state)
-
-
-def _radial_derivative(state):
-    if isinstance(state, StateField):
-        return grids.radial_derivative(state)
-    return state.radial_derivative()
-
-
-def _coulomb(state):
-    if isinstance(state, StateField):
-        return grids.coulomb(state)
-    return radial.coulomb(state)
-
-
-def _radial_derivative_sym(state):
-    if isinstance(state, StateField):
-        return grids.radial_derivative_sym(state)
-    return radial.radial_derivative_sym(state)
-
-
-def _gradient_norm_sq(state) -> float:
-    if isinstance(state, StateField):
-        return grids.gradient(state).norm_sq()
-    # Radial profiles have no angular part: |grad psi| = |psi'|.
-    return state.radial_derivative().norm_sq()
-
-
-def _spherical_norm_sq_sum(state) -> float:
-    if isinstance(state, StateField):
-        return sum(grids.spherical_derivative(state, j).norm_sq()
-                   for j in range(state.grid.n))
-    return 0.0
 
 
 def position_momentum_sample(phi: StateField) -> PairSample:
@@ -91,7 +53,7 @@ def verify_position_momentum(phi: StateField,
     b = gphi.norm()
     if a == 0.0 or b == 0.0:
         raise ValueError("state is degenerate for the position/momentum pair")
-    ctx = _context(phi)
+    ctx = {"grid": phi.grid.to_dict()}
     lhs = phi.grid.n * phi.norm_sq()
     p = xphi.inner(gphi)
     ab = a * b
@@ -116,20 +78,12 @@ def saturation_flags(phi: StateField, tol: float = 1e-6) -> ExtremizerFlags:
     return extremizer_parts(position_momentum_sample(phi), tol)
 
 
-def dilation_gap(state) -> float:
-    """||x.grad phi + (n/2) phi||^2, the nonattainment witness."""
-    n = _dim(state)
-    d = _x_dot_grad(state)
-    return (d + (0.5 * n) * state).norm_sq()
-
-
 def verify_dilation_pythagoras(state, tol: float = GRID_TOL) -> list[EqualityReport]:
     """||x.grad phi||^2 splits into the shifted part plus (n/2)^2 ||phi||^2."""
-    n = _dim(state)
-    d = _x_dot_grad(state)
+    ops, n, ctx = _operators(state)
+    d = ops.x_dot_grad(state)
     shifted = d + (0.5 * n) * state
     gap = shifted.norm_sq()
-    ctx = _context(state)
     ctx["gap"] = gap
     return [
         compare("dil.pythagoras", d.norm_sq(),
@@ -139,19 +93,18 @@ def verify_dilation_pythagoras(state, tol: float = GRID_TOL) -> list[EqualityRep
 
 def verify_hardy(psi, tol: float = GRID_TOL) -> list[EqualityReport]:
     """Hardy-type equality with exact remainder, plus its transfer forms."""
-    n = _dim(psi)
+    ops, n, ctx = _operators(psi)
     if n < 3:
         raise ValueError("the Hardy identities require dimension >= 3")
-    ctx = _context(psi)
-    dpsi = _radial_derivative(psi)
-    q = _coulomb(psi)                      # psi / |x|
+    dpsi = ops.radial_derivative(psi)
+    q = ops.coulomb(psi)                   # psi / |x|
     shifted = dpsi + (0.5 * (n - 2)) * q   # d_r psi + (n-2)/(2|x|) psi
     dr_sq = dpsi.norm_sq()
     q_sq = q.norm_sq()
-    grad_sq = _gradient_norm_sq(psi)
+    grad_sq = ops.gradient(psi).norm_sq()
 
     # Transfer through phi = psi/|x|: x.grad phi and its (n/2) shift.
-    xg_phi = _x_dot_grad(q)
+    xg_phi = ops.x_dot_grad(q)
     xg_shifted = xg_phi + (0.5 * n) * q
 
     reports = [
@@ -179,7 +132,7 @@ def verify_dilation_hamiltonian(phi: StateField,
     b = b_phi.norm()
     if a == 0.0 or b == 0.0:
         raise ValueError("degenerate state for the scaling/Hamiltonian pair")
-    ctx = _context(phi)
+    ctx = {"grid": phi.grid.to_dict()}
     grad_sq = grids.gradient(phi).norm_sq()
     lhs = 2.0 * grad_sq
     p = a_phi.inner(b_phi)
@@ -195,25 +148,25 @@ def verify_dilation_hamiltonian(phi: StateField,
 
 def verify_radial_coulomb(state, tol: float = GRID_TOL) -> list[EqualityReport]:
     """Identities from the symmetrized radial derivative / 1/|x| pair."""
-    n = _dim(state)
+    ops, n, ctx = _operators(state)
     if n < 3:
         raise ValueError("the radial/Coulomb identities require dimension >= 3")
-    ctx = _context(state)
-    a_phi = _radial_derivative_sym(state)
-    b_phi = _coulomb(state)
+    a_phi = ops.radial_derivative_sym(state)
+    b_phi = ops.coulomb(state)
     a = a_phi.norm()
     b = b_phi.norm()
     if a == 0.0 or b == 0.0:
         raise ValueError("degenerate state for the radial/Coulomb pair")
-    dpsi = _radial_derivative(state)
+    dpsi = ops.radial_derivative(state)
     dr_sq = dpsi.norm_sq()
     b_sq = b * b
     p = a_phi.inner(b_phi)
     combo = (1.0 / a) * a_phi + (1j / b) * b_phi
     pyth = (2j) * a_phi - b_phi
     shifted = dpsi + (0.5 * (n - 2)) * b_phi
-    grad_sq = _gradient_norm_sq(state)
-    sph_sq = _spherical_norm_sq_sum(state)
+    grad_sq = ops.gradient(state).norm_sq()
+    sph_sq = sum(ops.spherical_derivative(state, j).norm_sq()
+                 for j in range(n))
     ortho = (b_phi - 2j * a_phi).inner(b_phi).real
     return [
         compare("radcoul.potential_sq", b_sq, -2.0 * p.imag, tol,

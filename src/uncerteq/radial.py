@@ -92,16 +92,10 @@ class RadialState:
         return self.quad.integrate(self.values * np.conj(other.values))
 
     def norm(self) -> float:
-        return math.sqrt(max(0.0, float(
-            np.real(self.quad.integrate(np.abs(self.values) ** 2)))))
+        return math.sqrt(max(0.0, self.norm_sq()))
 
     def norm_sq(self) -> float:
         return float(np.real(self.quad.integrate(np.abs(self.values) ** 2)))
-
-    def radial_derivative(self) -> "RadialState":
-        if self.deriv is None:
-            raise ValueError("state carries no analytic derivative")
-        return RadialState(self.quad, self.deriv)
 
     def _combine(self, other, sign):
         if other.quad != self.quad:
@@ -123,6 +117,23 @@ class RadialState:
         return RadialState(self.quad, self.values * scalar, deriv)
 
     __rmul__ = __mul__
+
+
+def radial_derivative(state: RadialState) -> RadialState:
+    """psi'(r), the derivative along x/|x|."""
+    if state.deriv is None:
+        raise ValueError("state carries no analytic derivative")
+    return RadialState(state.quad, state.deriv)
+
+
+def gradient(state: RadialState) -> RadialState:
+    """psi'(r): a radial profile has no angular part, so |grad psi| = |psi'|."""
+    return radial_derivative(state)
+
+
+def spherical_derivative(state: RadialState, axis: int) -> RadialState:
+    """L_axis psi, which vanishes for a radial profile."""
+    return RadialState(state.quad, np.zeros(state.quad.points))
 
 
 def x_dot_grad(state: RadialState) -> RadialState:

@@ -144,8 +144,9 @@ def minimize_product_functional(grid: GridSpec, seed: int,
     xnorm = grids.position(result.state).norm()
     gnorm = grids.gradient(result.state).norm()
     result.lambda_est = gnorm / xnorm
-    matched = realize(GaussianSpec("squeezed", n=grid.n,
-                                   lam=result.lambda_est), grid)
+    # fidelity normalizes; realize's boundary guard protects closed-form
+    # moments and would refuse the small lambda some starts converge to.
+    matched = StateField(grid, np.exp(-0.5 * result.lambda_est * r2))
     result.fidelity = fidelity(result.state, matched)
     return result
 

@@ -5,9 +5,11 @@ import json
 
 import pytest
 
+from uncerteq import cli, identities
 from uncerteq.cli import (SuiteConfig, main, refinement_study, run_suite,
                           write_refinement_csv)
 from uncerteq.grids import GridSpec
+from uncerteq.search import SearchResult
 
 
 def _load(path):
@@ -86,6 +88,41 @@ def test_verify_hardy_radial_fast_path(tmp_path):
     ids = {rep["identity_id"] for rep in payload["reports"]}
     assert "hardy.pythagoras" in ids
     assert all(rep["rel_residual"] <= 1e-8 for rep in payload["reports"])
+
+
+def test_run_hardy_verifies_each_grid_once(monkeypatch):
+    calls = []
+    verify_hardy = identities.verify_hardy
+
+    def counting(psi, tol):
+        calls.append(psi.grid.N)
+        return verify_hardy(psi, tol)
+
+    monkeypatch.setattr(cli.identities, "verify_hardy", counting)
+    reports = cli.run_hardy(SuiteConfig(suite="hardy", N=64, L=8.0))
+    assert calls == [32, 64]
+    assert [r.identity_id for r in reports] == [
+        "grad.pointwise_split", "hardy.chain.gradient",
+        "hardy.chain.potential", "hardy.grid.value_lhs",
+        "hardy.grid.value_rhs"]
+
+
+def test_verify_search_at_small_lambda_start():
+    # The product minimizer converges to lambda ~ 0.245 from this seed, too
+    # wide for realize's boundary guard on the default box.
+    code, payload = run_suite(SuiteConfig(suite="search", seed=8000028))
+    assert code == 0
+    assert len(payload["reports"]) == 6
+
+
+def test_search_command_uses_the_suite_checks(monkeypatch, capsys):
+    # A value below the target passed the old one-sided rule.
+    fake = SearchResult(state=None, value=0.99, iterations=1, converged=True,
+                        fidelity=1.0)
+    monkeypatch.setattr(cli, "minimize_sum_functional",
+                        lambda grid, seed, opts: fake)
+    assert main(["search", "sum"]) == 1
+    assert json.loads(capsys.readouterr().out)["value"] == 0.99
 
 
 def test_verify_coulomb_covers_both_dimensions(tmp_path):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uncerteq.complexspace import random_vector
+from uncerteq.complexspace import (cs_equality_residuals, default_angles,
+                                   random_vector)
 from uncerteq.forms import (PairSample, anticommutator_form, commutator_form,
                             decomposition_check, extremizer_parts,
                             sr_equalities, sr_inequality_chain)
@@ -76,7 +77,6 @@ def test_zero_image_rejected():
 @given(st.integers(0, 10 ** 9))
 def test_inequality_chain_is_ordered(seed):
     chain = sr_inequality_chain(_sample(seed))
-    assert chain.ordered()
     assert chain.product >= chain.schrodinger_bound - 1e-12
     assert chain.schrodinger_bound >= chain.robertson_bound - 1e-12
 
@@ -109,3 +109,24 @@ def test_real_aligned_pair_classification():
 def test_generic_pair_has_no_saturation():
     flags = extremizer_parts(_sample(21), tol=TOL)
     assert flags.as_tuple() == (False, False, False, False, False)
+
+
+def test_sr_family_is_the_cauchy_schwarz_family_of_the_images():
+    # sr.comm/anti are twice cs.im/re; the rotated and aligned forms coincide.
+    rng = np.random.default_rng(41)
+    u = random_vector(rng, 9)
+    v = random_vector(rng, 9)
+    angles = default_angles(rng, extra=4)
+    cs = {r.identity_id: r for r in cs_equality_residuals(u, v, angles)}
+    sr = {r.identity_id: r for r in
+          sr_equalities(PairSample.from_vectors(1.0, u, v), angles)}
+    pairs = [("sr.comm+", "cs.im+", 2.0), ("sr.comm-", "cs.im-", 2.0),
+             ("sr.anti+", "cs.re+", 2.0), ("sr.anti-", "cs.re-", 2.0),
+             ("sr.abs_aligned", "cs.abs", 1.0)]
+    pairs += [(f"sr.abs_rot{sig}@{t:.6f}", f"cs.rot{sig}@{t:.6f}", 1.0)
+              for t in angles for sig in "+-"]
+    for sr_id, cs_id, factor in pairs:
+        for side in ("lhs", "rhs"):
+            x = getattr(sr[sr_id], side)
+            y = factor * getattr(cs[cs_id], side)
+            assert abs(x - y) <= 1e-13 * max(abs(x), abs(y)), (sr_id, side)

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from uncerteq import identities
+from uncerteq import grids, identities, radial
+from uncerteq.complexspace import ComplexVector
 from uncerteq.gaussians import GaussianSpec, realize
-from uncerteq.grids import GridSpec, l2_inner, StateField
+from uncerteq.grids import GridSpec, StateField
 from uncerteq.identities import (_hermite_functions, random_smooth_state,
                                  verify_dilation_hamiltonian,
                                  verify_dilation_pythagoras, verify_hardy,
@@ -131,10 +132,10 @@ def test_radial_coulomb_coefficient_is_trivial_only_in_three_dimensions():
     reps3 = {r.identity_id: r for r in verify_radial_coulomb(phi3)}
     # (n-1)(n-3)/4 vanishes: the symmetrized norm equals the radial one.
     assert reps3["radcoul.sym_norm"].lhs.real == pytest.approx(
-        phi3.radial_derivative().norm_sq(), rel=1e-10)
+        radial.radial_derivative(phi3).norm_sq(), rel=1e-10)
     phi5 = random_radial_state(QUAD5, rng)
     reps5 = {r.identity_id: r for r in verify_radial_coulomb(phi5)}
-    dr_sq = phi5.radial_derivative().norm_sq()
+    dr_sq = radial.radial_derivative(phi5).norm_sq()
     from uncerteq.radial import coulomb
     b_sq = coulomb(phi5).norm_sq()
     assert reps5["radcoul.sym_norm"].lhs.real == pytest.approx(
@@ -176,3 +177,24 @@ def test_degenerate_states_rejected():
     from uncerteq.radial import RadialState
     with pytest.raises(ValueError):
         verify_radial_coulomb(RadialState(QUAD3, zeros, zeros))
+
+
+def test_radial_coulomb_on_a_non_radial_grid_state():
+    # (x + iy) e^{-|x|^2/2} has an angular part, so the spherical sum in
+    # the gradient split is nonzero on the tensor grid.
+    grid = GridSpec(3, 32, 8.0, offset=0.5)
+    phi = StateField.from_callable(
+        grid, lambda x, y, z: (x + 1j * y) * np.exp(-0.5 * (x ** 2 + y ** 2
+                                                            + z ** 2)))
+    reps = {r.identity_id: r for r in verify_radial_coulomb(phi, tol=1e-10)}
+    rep = reps["radcoul.gradient_split"]
+    assert rep.passed, rep.rel_residual
+    assert grids.gradient(phi).norm_sq() - rep.lhs.real >= 1.0
+
+
+def test_verifiers_reject_unsupported_state_types():
+    vec = ComplexVector([1.0, 2.0, 3.0])
+    for verify in (verify_dilation_pythagoras, verify_hardy,
+                   verify_radial_coulomb):
+        with pytest.raises(TypeError):
+            verify(vec)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from uncerteq.radial import (RadialQuadrature, RadialState, annulus_state,
-                             coulomb, gaussian_polynomial, radial_derivative_sym,
+                             coulomb, gaussian_polynomial, radial_derivative,
+                             radial_derivative_sym,
                              radial_gaussian, random_radial_state, sphere_area,
                              x_dot_grad)
 
@@ -44,7 +45,7 @@ def test_gaussian_norm_against_closed_form():
 def test_gaussian_derivative_norm_against_closed_form():
     # ||d/dr e^{-r^2/2}||^2 over R^3 is (3/2) pi^{3/2}.
     quad = RadialQuadrature(3, 40.0, 20000)
-    dpsi = radial_gaussian(quad).radial_derivative()
+    dpsi = radial_derivative(radial_gaussian(quad))
     assert dpsi.norm_sq() == pytest.approx(1.5 * math.pi ** 1.5, rel=1e-12)
 
 
@@ -74,7 +75,7 @@ def test_derivative_lost_when_one_operand_lacks_it():
     bare = RadialState(quad, a.values)
     assert (a + bare).deriv is None
     with pytest.raises(ValueError):
-        bare.radial_derivative()
+        radial_derivative(bare)
 
 
 def test_scaling_derivative_action():
