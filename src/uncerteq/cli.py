@@ -111,7 +111,7 @@ def run_section2(cfg: SuiteConfig) -> list[EqualityReport]:
         dim = int(rng.integers(2, cfg.dim + 1))
         u = random_vector(rng, dim)
         v = random_vector(rng, dim)
-        s = PairSample.from_vectors(1.0, u, v)
+        s = PairSample.from_vectors(u, v)
         reports.extend(sr_equalities(s, thetas=angles, tol=tol))
         reports.extend(decomposition_check(s, tol))
         chain = sr_inequality_chain(s)
@@ -391,12 +391,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_verify(args) -> int:
+def _config(args, suite: str) -> SuiteConfig:
     overrides = {k: getattr(args, k) for k in
                  ("n", "N", "L", "offset", "scheme", "tol", "trials", "dim",
                   "seed", "radial", "R", "points", "out", "csv")}
-    overrides["suite"] = args.suite
-    cfg = SuiteConfig.from_sources(args.config, overrides)
+    overrides["suite"] = suite
+    return SuiteConfig.from_sources(args.config, overrides)
+
+
+def _cmd_verify(args) -> int:
+    cfg = _config(args, args.suite)
     code, payload = run_suite(cfg)
     write_outputs(payload, cfg)
     if payload["failing"]:
@@ -405,30 +409,27 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    n = args.n or 1
-    seed = args.seed or 0
     opts = SearchOptions(max_iters=args.max_iters)
     if args.target == "nonattainment":
-        quad = RadialQuadrature(n=max(n, 3), r_max=args.R or 1000.0,
+        quad = RadialQuadrature(n=max(args.n or 1, 3), r_max=args.R or 1000.0,
                                 points=args.points or 200000)
         r_values = (10.0, 100.0, min(1000.0, quad.r_max))
         rows = probe_nonattainment(quad, r_values)
         print(json.dumps({"rows": rows}, indent=2))
         reports = _nonattainment_reports(rows)
     else:
-        grid = GridSpec(n=n, N=args.N or 256, L=args.L or 12.0,
-                        offset=args.offset or 0.0,
-                        scheme=args.scheme or "spectral_periodic")
+        cfg = _config(args, "search")
+        grid = _grid(cfg, cfg.n or 1, 256)
         runner = (minimize_sum_functional if args.target == "sum"
                   else minimize_product_functional)
-        res = runner(grid, seed, opts)
+        res = runner(grid, cfg.seed, opts)
         out = {"value": res.value, "target": float(grid.n),
                "iterations": res.iterations, "converged": res.converged,
                "fidelity": res.fidelity}
         if args.target == "product":
             out["lambda_est"] = res.lambda_est
         print(json.dumps(out, indent=2))
-        reports = _minimizer_reports(args.target, res, grid, args.tol or 1e-4)
+        reports = _minimizer_reports(args.target, res, grid, cfg.tol or 1e-4)
     return 0 if all(rep.passed for rep in reports) else 1
 
 

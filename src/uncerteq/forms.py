@@ -19,20 +19,19 @@ from .report import EqualityReport, compare
 
 @dataclass(frozen=True)
 class PairSample:
-    """A state seen through a symmetric operator pair: (||phi||^2, A phi, B phi).
+    """A state seen through a symmetric operator pair: (A phi, B phi).
 
     ``inner_ab`` is the scalar product (A phi | B phi); it is recomputed at
     construction from the vectors when not supplied.
     """
 
-    phi_norm_sq: float
     a_phi: Any
     b_phi: Any
     inner_ab: complex
 
     @classmethod
-    def from_vectors(cls, phi_norm_sq: float, a_phi, b_phi) -> "PairSample":
-        return cls(phi_norm_sq=float(phi_norm_sq), a_phi=a_phi, b_phi=b_phi,
+    def from_vectors(cls, a_phi, b_phi) -> "PairSample":
+        return cls(a_phi=a_phi, b_phi=b_phi,
                    inner_ab=complex(a_phi.inner(b_phi)))
 
     @property

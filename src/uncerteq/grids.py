@@ -220,12 +220,16 @@ def momentum(phi: StateField) -> VectorField:
     return -1j * gradient(phi)
 
 
-def x_dot_grad(phi: StateField) -> StateField:
-    grid = phi.grid
+def _coord_dot(grid: GridSpec, g: np.ndarray, r=1.0) -> np.ndarray:
+    """sum_j (x_j / r) g_j, accumulated in axis order."""
     out = np.zeros(grid.shape, dtype=np.complex128)
     for axis in range(grid.n):
-        out += grid.coord(axis) * _derivative_axis(grid, phi.data, axis)
-    return StateField(grid, out)
+        out += (grid.coord(axis) / r) * g[axis]
+    return out
+
+
+def x_dot_grad(phi: StateField) -> StateField:
+    return StateField(phi.grid, _coord_dot(phi.grid, gradient(phi).data))
 
 
 def dilation_generator(phi: StateField) -> StateField:
@@ -258,20 +262,15 @@ def radial_derivative(phi: StateField) -> StateField:
     """(x/|x|).grad phi."""
     grid = phi.grid
     _require_origin_free(grid)
-    r = _radius(grid)
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    for axis in range(grid.n):
-        out += (grid.coord(axis) / r) * _derivative_axis(grid, phi.data, axis)
-    return StateField(grid, out)
+    return StateField(grid, _coord_dot(grid, gradient(phi).data, _radius(grid)))
 
 
 def radial_derivative_sym(phi: StateField) -> StateField:
     """-i (x/|x|).grad phi - i (n-1)/(2|x|) phi."""
     grid = phi.grid
-    _require_origin_free(grid)
-    r = _radius(grid)
     dr = radial_derivative(phi)
-    return StateField(grid, -1j * (dr.data + 0.5 * (grid.n - 1) / r * phi.data))
+    return StateField(grid, -1j * (dr.data + 0.5 * (grid.n - 1) / _radius(grid)
+                                   * phi.data))
 
 
 def coulomb(phi: StateField) -> StateField:
@@ -280,16 +279,16 @@ def coulomb(phi: StateField) -> StateField:
     return StateField(grid, phi.data / _radius(grid))
 
 
-def spherical_derivative(phi: StateField, axis: int) -> StateField:
-    """L_axis phi = d_axis phi - (x_axis/|x|) (x/|x|).grad phi."""
+def spherical_derivative(phi: StateField) -> VectorField:
+    """L phi = grad phi - (x/|x|) (x/|x|).grad phi, one component per axis."""
     grid = phi.grid
     _require_origin_free(grid)
-    if not 0 <= axis < grid.n:
-        raise ValueError("axis out of range")
     r = _radius(grid)
-    dr = radial_derivative(phi)
-    dj = _derivative_axis(grid, phi.data, axis)
-    return StateField(grid, dj - (grid.coord(axis) / r) * dr.data)
+    g = gradient(phi).data
+    dr = _coord_dot(grid, g, r)
+    for axis in range(grid.n):
+        g[axis] -= (grid.coord(axis) / r) * dr
+    return VectorField(grid, g)
 
 
 def _resample(phi: StateField, new_coords: list[np.ndarray]) -> np.ndarray:
@@ -332,6 +331,8 @@ def generator_consistency(name: str, phi: StateField, dtheta: float,
     grid = phi.grid
     if name in ("radial", "spherical"):
         _require_origin_free(grid)
+    if name == "spherical" and not 0 <= axis < grid.n:
+        raise ValueError("axis out of range")
 
     plus_pts, plus_scale = _flow_points(grid, name, dtheta, axis)
     minus_pts, minus_scale = _flow_points(grid, name, -dtheta, axis)
@@ -343,7 +344,7 @@ def generator_consistency(name: str, phi: StateField, dtheta: float,
     elif name == "radial":
         target = radial_derivative(phi).data
     else:
-        target = spherical_derivative(phi, axis).data
+        target = spherical_derivative(phi).data[axis]
 
     diff = StateField(grid, est - target).norm()
     scale = max(StateField(grid, target).norm(), 1.0)
@@ -356,12 +357,10 @@ def pointwise_gradient_decomposition(phi: StateField,
     """|grad phi|^2 = |radial part|^2 + sum_j |spherical part|^2, integrated."""
     grid = phi.grid
     _require_origin_free(grid)
-    g = gradient(phi)
-    dr = radial_derivative(phi)
-    lhs_point = np.sum(np.abs(g.data) ** 2, axis=0)
-    rhs_point = np.abs(dr.data) ** 2
-    for axis in range(grid.n):
-        rhs_point = rhs_point + np.abs(spherical_derivative(phi, axis).data) ** 2
+    lhs_point = np.sum(np.abs(gradient(phi).data) ** 2, axis=0)
+    rhs_point = np.abs(radial_derivative(phi).data) ** 2
+    for comp in spherical_derivative(phi).data:
+        rhs_point = rhs_point + np.abs(comp) ** 2
     lhs = float(np.sum(lhs_point)) * grid.weight
     rhs = float(np.sum(rhs_point)) * grid.weight
     max_point = float(np.max(np.abs(lhs_point - rhs_point)))

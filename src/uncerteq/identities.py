@@ -40,8 +40,7 @@ def _operators(state):
 
 def position_momentum_sample(phi: StateField) -> PairSample:
     """PairSample for the momentum/position pair (A = -i grad, B = x)."""
-    return PairSample.from_vectors(phi.norm_sq(), grids.momentum(phi),
-                                   grids.position(phi))
+    return PairSample.from_vectors(grids.momentum(phi), grids.position(phi))
 
 
 def verify_position_momentum(phi: StateField,
@@ -165,8 +164,7 @@ def verify_radial_coulomb(state, tol: float = GRID_TOL) -> list[EqualityReport]:
     pyth = (2j) * a_phi - b_phi
     shifted = dpsi + (0.5 * (n - 2)) * b_phi
     grad_sq = ops.gradient(state).norm_sq()
-    sph_sq = sum(ops.spherical_derivative(state, j).norm_sq()
-                 for j in range(n))
+    sph_sq = ops.spherical_derivative(state).norm_sq()
     ortho = (b_phi - 2j * a_phi).inner(b_phi).real
     return [
         compare("radcoul.potential_sq", b_sq, -2.0 * p.imag, tol,

@@ -131,8 +131,8 @@ def gradient(state: RadialState) -> RadialState:
     return radial_derivative(state)
 
 
-def spherical_derivative(state: RadialState, axis: int) -> RadialState:
-    """L_axis psi, which vanishes for a radial profile."""
+def spherical_derivative(state: RadialState) -> RadialState:
+    """L psi, which vanishes for a radial profile."""
     return RadialState(state.quad, np.zeros(state.quad.points))
 
 

@@ -125,6 +125,14 @@ def test_search_command_uses_the_suite_checks(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["value"] == 0.99
 
 
+def test_search_command_reads_the_config_file(tmp_path, capsys):
+    # N=7 is odd, which the spectral scheme refuses: a usage error.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"N": 7}))
+    assert main(["search", "sum", "--config", str(cfg_path)]) == 2
+    assert "even point count" in capsys.readouterr().err
+
+
 def test_verify_coulomb_covers_both_dimensions(tmp_path):
     out = tmp_path / "report.json"
     code = main(["verify", "coulomb", "--trials", "3", "--out", str(out)])

@@ -17,7 +17,7 @@ TOL = 1e-12
 
 def _sample(seed, dim=8):
     rng = np.random.default_rng(seed)
-    return PairSample.from_vectors(1.0, random_vector(rng, dim),
+    return PairSample.from_vectors(random_vector(rng, dim),
                                    random_vector(rng, dim))
 
 
@@ -67,7 +67,7 @@ def test_rotated_family_is_angle_independent():
 
 def test_zero_image_rejected():
     rng = np.random.default_rng(4)
-    s = PairSample.from_vectors(1.0, 0.0 * random_vector(rng, 4),
+    s = PairSample.from_vectors(0.0 * random_vector(rng, 4),
                                 random_vector(rng, 4))
     with pytest.raises(ValueError):
         sr_equalities(s)
@@ -91,7 +91,7 @@ def test_quadrature_identity_ties_chain_to_product():
 def test_imaginary_aligned_pair_classification():
     rng = np.random.default_rng(17)
     u = random_vector(rng, 10)
-    s = PairSample.from_vectors(1.0, u, -1j * u)
+    s = PairSample.from_vectors(u, -1j * u)
     flags = extremizer_parts(s, tol=TOL)
     assert flags.imag_parallel and flags.imag_saturated and flags.cs_saturated
     assert not flags.real_parallel and not flags.real_saturated
@@ -100,7 +100,7 @@ def test_imaginary_aligned_pair_classification():
 def test_real_aligned_pair_classification():
     rng = np.random.default_rng(19)
     u = random_vector(rng, 10)
-    s = PairSample.from_vectors(1.0, u, 2.5 * u)
+    s = PairSample.from_vectors(u, 2.5 * u)
     flags = extremizer_parts(s, tol=TOL)
     assert flags.real_parallel and flags.real_saturated and flags.cs_saturated
     assert not flags.imag_parallel
@@ -119,7 +119,7 @@ def test_sr_family_is_the_cauchy_schwarz_family_of_the_images():
     angles = default_angles(rng, extra=4)
     cs = {r.identity_id: r for r in cs_equality_residuals(u, v, angles)}
     sr = {r.identity_id: r for r in
-          sr_equalities(PairSample.from_vectors(1.0, u, v), angles)}
+          sr_equalities(PairSample.from_vectors(u, v), angles)}
     pairs = [("sr.comm+", "cs.im+", 2.0), ("sr.comm-", "cs.im-", 2.0),
              ("sr.anti+", "cs.re+", 2.0), ("sr.anti-", "cs.re-", 2.0),
              ("sr.abs_aligned", "cs.abs", 1.0)]

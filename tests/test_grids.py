@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from uncerteq.cli import SuiteConfig, run_hardy
 from uncerteq.grids import (GridSpec, StateField, VectorField, coulomb,
                             dilation_generator, generator_consistency,
                             gradient, momentum, neg_laplacian,
@@ -165,7 +166,7 @@ def test_singular_operators_need_origin_free_grids():
         with pytest.raises(ValueError):
             op(phi)
     with pytest.raises(ValueError):
-        spherical_derivative(phi, 0)
+        spherical_derivative(phi)
 
 
 def test_pointwise_gradient_split():
@@ -175,6 +176,58 @@ def test_pointwise_gradient_split():
     rep = pointwise_gradient_decomposition(phi, tol=1e-10)
     assert rep.passed, rep.rel_residual
     assert rep.context["max_pointwise_residual"] <= 1e-10
+
+
+def _angular_gaussian_3d(N=24):
+    grid = GridSpec(n=3, N=N, L=7.0, offset=0.5)
+    return StateField.from_callable(
+        grid, lambda x, y, z: (x + 1j * y) * np.exp(-0.5 * (x ** 2 + y ** 2
+                                                            + z ** 2)))
+
+
+def test_spherical_derivative_is_the_tangential_gradient():
+    phi = _angular_gaussian_3d()
+    grid = phi.grid
+    r = np.sqrt(sum(grid.coord(axis) ** 2 for axis in range(grid.n)))
+    lphi = spherical_derivative(phi)
+    assert isinstance(lphi, VectorField)
+    g = gradient(phi).data
+    dr = radial_derivative(phi).data
+    for axis in range(grid.n):
+        rebuilt = lphi.data[axis] + (grid.coord(axis) / r) * dr
+        assert np.max(np.abs(rebuilt - g[axis])) <= 1e-12
+    along_radius = sum((grid.coord(axis) / r) * lphi.data[axis]
+                       for axis in range(grid.n))
+    assert np.max(np.abs(along_radius)) <= 1e-12
+
+
+def _count_ffts(monkeypatch):
+    counts = {"fft": 0, "ifft": 0}
+    for name in counts:
+        original = getattr(np.fft, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    return counts
+
+
+def test_pointwise_split_transform_count(monkeypatch):
+    # One gradient each for |grad phi|^2, the radial part and L phi.
+    phi = _angular_gaussian_3d(N=16)
+    counts = _count_ffts(monkeypatch)
+    pointwise_gradient_decomposition(phi, tol=1e-6)
+    assert counts == {"fft": 9, "ifft": 9}
+
+
+def test_run_hardy_transform_count(monkeypatch):
+    # verify_hardy takes three gradients per grid (radial part, |grad psi|,
+    # x.grad(psi/|x|)); the pointwise split takes three more on the fine grid.
+    counts = _count_ffts(monkeypatch)
+    run_hardy(SuiteConfig(suite="hardy", N=64, L=8.0))
+    assert sum(counts.values()) == 54
 
 
 def test_flow_derivative_matches_generator():
@@ -212,3 +265,9 @@ def test_flow_rejects_bad_arguments():
         generator_consistency("dilation", phi, dtheta=0.0)
     with pytest.raises(ValueError):
         generator_consistency("radial", phi, dtheta=1e-3)  # origin on grid
+    grid = GridSpec(n=2, N=16, L=6.0, offset=0.5)
+    phi = StateField.from_callable(
+        grid, lambda x, y: np.exp(-0.5 * (x ** 2 + y ** 2)))
+    for axis in (-1, grid.n):
+        with pytest.raises(ValueError):
+            generator_consistency("spherical", phi, dtheta=1e-3, axis=axis)

@@ -9,7 +9,7 @@ from uncerteq.radial import (RadialQuadrature, RadialState, annulus_state,
                              coulomb, gaussian_polynomial, radial_derivative,
                              radial_derivative_sym,
                              radial_gaussian, random_radial_state, sphere_area,
-                             x_dot_grad)
+                             spherical_derivative, x_dot_grad)
 
 
 def test_sphere_area_low_dimensions():
@@ -146,3 +146,9 @@ def test_annulus_vanishes_outside_support():
     assert np.all(np.abs(phi.values[(r > 2.0 * math.e) & (r < 60.0 / math.e)]
                          - r[(r > 2.0 * math.e) & (r < 60.0 / math.e)] ** -1.5)
                   <= 1e-12)
+
+
+def test_spherical_derivative_of_a_radial_profile_vanishes():
+    quad = RadialQuadrature(3, 20.0, 2000)
+    state = random_radial_state(quad, np.random.default_rng(5))
+    assert spherical_derivative(state).norm() == 0.0
