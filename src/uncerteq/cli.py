@@ -25,6 +25,7 @@ from .complexspace import cs_equality_residuals, default_angles, random_vector
 from .forms import PairSample, decomposition_check, sr_equalities, sr_inequality_chain
 from .gaussians import GaussianSpec, exact_moments, realize
 from .grids import GridSpec
+from .identities import refinement_study  # also public as cli.refinement_study
 from .radial import RadialQuadrature, radial_gaussian, random_radial_state
 from .report import EqualityReport, bound, compare
 from .search import (SearchOptions, SearchResult, minimize_product_functional,
@@ -69,6 +70,19 @@ class SuiteConfig:
         data.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**data)
 
+    def __post_init__(self):
+        if self.trials is not None and self.trials < 1:
+            raise ValueError("trials must be at least 1; zero trials would "
+                             "pass vacuously")
+
+
+def _flag(value, default):
+    """The configured value, or ``default`` when it was left unset.
+
+    Only None means unset: a 0 is a value, never a request for the default.
+    """
+    return default if value is None else value
+
 
 def _aggregate(reports: list[EqualityReport]) -> list[EqualityReport]:
     """Keep the worst report per identity so suites stay compact."""
@@ -81,15 +95,15 @@ def _aggregate(reports: list[EqualityReport]) -> list[EqualityReport]:
 
 
 def _grid(cfg: SuiteConfig, n: int, default_N: int, default_offset: float = 0.0) -> GridSpec:
-    return GridSpec(n=n, N=cfg.N or default_N, L=cfg.L,
-                    offset=cfg.offset if cfg.offset is not None else default_offset,
+    return GridSpec(n=n, N=_flag(cfg.N, default_N), L=cfg.L,
+                    offset=_flag(cfg.offset, default_offset),
                     scheme=cfg.scheme)
 
 
 def run_appendix(cfg: SuiteConfig) -> list[EqualityReport]:
     rng = np.random.default_rng(cfg.seed)
-    tol = cfg.tol or ALGEBRAIC_TOL
-    trials = cfg.trials or 1000
+    tol = _flag(cfg.tol, ALGEBRAIC_TOL)
+    trials = _flag(cfg.trials, 1000)
     angles = default_angles(rng)
     reports = []
     for _ in range(trials):
@@ -103,8 +117,8 @@ def run_appendix(cfg: SuiteConfig) -> list[EqualityReport]:
 
 def run_section2(cfg: SuiteConfig) -> list[EqualityReport]:
     rng = np.random.default_rng(cfg.seed)
-    tol = cfg.tol or ALGEBRAIC_TOL
-    trials = cfg.trials or 200
+    tol = _flag(cfg.tol, ALGEBRAIC_TOL)
+    trials = _flag(cfg.trials, 200)
     angles = default_angles(rng)
     reports = []
     for _ in range(trials):
@@ -124,9 +138,9 @@ def run_section2(cfg: SuiteConfig) -> list[EqualityReport]:
 
 def run_momentum_position(cfg: SuiteConfig) -> list[EqualityReport]:
     rng = np.random.default_rng(cfg.seed)
-    tol = cfg.tol or GRID_TOL
-    trials = cfg.trials or 50
-    grid = _grid(cfg, cfg.n or 1, 256)
+    tol = _flag(cfg.tol, GRID_TOL)
+    trials = _flag(cfg.trials, 50)
+    grid = _grid(cfg, _flag(cfg.n, 1), 256)
     reports = []
     for _ in range(trials):
         phi = identities.random_smooth_state(grid, rng)
@@ -146,9 +160,9 @@ def run_momentum_position(cfg: SuiteConfig) -> list[EqualityReport]:
 
 def run_dilation(cfg: SuiteConfig) -> list[EqualityReport]:
     rng = np.random.default_rng(cfg.seed)
-    tol = cfg.tol or GRID_TOL
-    trials = cfg.trials or 20
-    grid = _grid(cfg, cfg.n or 1, 256)
+    tol = _flag(cfg.tol, GRID_TOL)
+    trials = _flag(cfg.trials, 20)
+    grid = _grid(cfg, _flag(cfg.n, 1), 256)
     reports = []
     for _ in range(trials):
         phi = identities.random_smooth_state(grid, rng)
@@ -159,18 +173,18 @@ def run_dilation(cfg: SuiteConfig) -> list[EqualityReport]:
 
 def run_hardy(cfg: SuiteConfig) -> list[EqualityReport]:
     rng = np.random.default_rng(cfg.seed)
-    n = cfg.n or 3
+    n = _flag(cfg.n, 3)
     reports = []
     if cfg.radial:
-        tol = cfg.tol or GRID_TOL
+        tol = _flag(cfg.tol, GRID_TOL)
         quad = RadialQuadrature(n=n, r_max=cfg.R, points=cfg.points)
         states = [radial_gaussian(quad)]
-        for _ in range(cfg.trials or 20):
+        for _ in range(_flag(cfg.trials, 20)):
             states.append(random_radial_state(quad, rng))
         for psi in states:
             reports.extend(identities.verify_hardy(psi, tol))
     else:
-        tol = cfg.tol or 1e-3
+        tol = _flag(cfg.tol, 1e-3)
         fine = _grid(cfg, n, 96 if n == 3 else 32, default_offset=0.5)
         # The 1/|x|^2-weighted norm on the tensor grid has an O(h) midpoint
         # quadrature error, so the right side of the Pythagorean identity is
@@ -201,12 +215,12 @@ def run_hardy(cfg: SuiteConfig) -> list[EqualityReport]:
 
 def run_coulomb(cfg: SuiteConfig) -> list[EqualityReport]:
     rng = np.random.default_rng(cfg.seed)
-    tol = cfg.tol or 1e-6
+    tol = _flag(cfg.tol, 1e-6)
     reports = []
-    for n in ((cfg.n,) if cfg.n else (3, 5)):
+    for n in ((3, 5) if cfg.n is None else (cfg.n,)):
         quad = RadialQuadrature(n=n, r_max=cfg.R, points=cfg.points)
         states = [radial_gaussian(quad)]
-        for _ in range(cfg.trials or 20):
+        for _ in range(_flag(cfg.trials, 20)):
             states.append(random_radial_state(quad, rng))
         for phi in states:
             reports.extend(identities.verify_radial_coulomb(phi, tol))
@@ -232,8 +246,8 @@ def _nonattainment_reports(rows: list[dict]) -> list[EqualityReport]:
 
 
 def run_search_suite(cfg: SuiteConfig) -> list[EqualityReport]:
-    tol = cfg.tol or 1e-4
-    grid = _grid(cfg, cfg.n or 1, 256)
+    tol = _flag(cfg.tol, 1e-4)
+    grid = _grid(cfg, _flag(cfg.n, 1), 256)
     opts = SearchOptions(max_iters=40000)
     res = minimize_sum_functional(grid, cfg.seed, opts)
     reports = _minimizer_reports("sum", res, grid, tol)
@@ -300,35 +314,6 @@ def write_outputs(payload: dict, cfg: SuiteConfig) -> None:
                 writer.writerow([rep["identity_id"], *rep["lhs"], *rep["rhs"],
                                  rep["abs_residual"], rep["rel_residual"],
                                  rep["tol"], rep["passed"]])
-
-
-def refinement_study(identity_id: str, grid_specs: list[GridSpec]) -> dict:
-    """Residual-versus-spacing table with a fitted convergence order.
-
-    The probe state is the isotropic Gaussian.  All grids must share
-    one derivative scheme and come in at least three resolutions.
-    """
-    if len(grid_specs) < 3:
-        raise ValueError("need at least three grids")
-    schemes = {g.scheme for g in grid_specs}
-    if len(schemes) > 1:
-        raise ValueError("refinement study cannot mix derivative schemes")
-    if not identity_id.startswith("pm."):
-        raise ValueError(f"unsupported identity {identity_id!r} for refinement")
-    rows = []
-    for grid in sorted(grid_specs, key=lambda g: g.h, reverse=True):
-        phi = realize(GaussianSpec("coherent", n=grid.n), grid)
-        reps = {r.identity_id: r for r in
-                identities.verify_position_momentum(phi, tol=1.0)}
-        rep = reps[identity_id]
-        rows.append({"N": grid.N, "h": grid.h,
-                     "abs_residual": rep.abs_residual,
-                     "rel_residual": rep.rel_residual})
-    hs = np.array([row["h"] for row in rows])
-    res = np.array([max(row["rel_residual"], 1e-300) for row in rows])
-    order = float(np.polyfit(np.log(hs), np.log(res), 1)[0])
-    return {"identity_id": identity_id, "scheme": grid_specs[0].scheme,
-            "rows": rows, "fitted_order": order}
 
 
 def write_refinement_csv(study: dict, path: str) -> None:
@@ -411,15 +396,15 @@ def _cmd_verify(args) -> int:
 def _cmd_search(args) -> int:
     opts = SearchOptions(max_iters=args.max_iters)
     if args.target == "nonattainment":
-        quad = RadialQuadrature(n=max(args.n or 1, 3), r_max=args.R or 1000.0,
-                                points=args.points or 200000)
+        quad = RadialQuadrature(n=_flag(args.n, 3), r_max=_flag(args.R, 1000.0),
+                                points=_flag(args.points, 200000))
         r_values = (10.0, 100.0, min(1000.0, quad.r_max))
         rows = probe_nonattainment(quad, r_values)
         print(json.dumps({"rows": rows}, indent=2))
         reports = _nonattainment_reports(rows)
     else:
         cfg = _config(args, "search")
-        grid = _grid(cfg, cfg.n or 1, 256)
+        grid = _grid(cfg, _flag(cfg.n, 1), 256)
         runner = (minimize_sum_functional if args.target == "sum"
                   else minimize_product_functional)
         res = runner(grid, cfg.seed, opts)
@@ -429,7 +414,8 @@ def _cmd_search(args) -> int:
         if args.target == "product":
             out["lambda_est"] = res.lambda_est
         print(json.dumps(out, indent=2))
-        reports = _minimizer_reports(args.target, res, grid, cfg.tol or 1e-4)
+        reports = _minimizer_reports(args.target, res, grid,
+                                     _flag(cfg.tol, 1e-4))
     return 0 if all(rep.passed for rep in reports) else 1
 
 

@@ -48,7 +48,7 @@ class ComplexVector:
         arr = np.array(entries, dtype=np.complex128)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("entries must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        if not np.isfinite(arr).all():
             raise ValueError("entries must be finite")
         arr.setflags(write=False)
         self.entries = arr

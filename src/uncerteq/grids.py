@@ -120,7 +120,7 @@ class _GridQuantity:
             raise ValueError(
                 f"data shape {data.shape} does not match grid "
                 f"{self._expected_shape(grid)}")
-        if not np.all(np.isfinite(data.real)) or not np.all(np.isfinite(data.imag)):
+        if not np.isfinite(data).all():
             raise ValueError("field values must be finite")
         self.grid = grid
         self.data = data
@@ -134,8 +134,7 @@ class _GridQuantity:
         return complex(np.sum(self.data * np.conj(other.data)) * self.grid.weight)
 
     def norm(self) -> float:
-        return math.sqrt(max(0.0,
-                             float(np.sum(np.abs(self.data) ** 2)) * self.grid.weight))
+        return math.sqrt(self.norm_sq())
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.data) ** 2)) * self.grid.weight

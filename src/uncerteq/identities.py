@@ -16,6 +16,7 @@ import numpy as np
 from . import grids, radial
 from .complexspace import ExtremizerFlags, sgn
 from .forms import PairSample, extremizer_parts
+from .gaussians import GaussianSpec, realize
 from .grids import StateField
 from .radial import RadialState
 from .report import EqualityReport, bound, compare
@@ -198,6 +199,31 @@ def _hermite_functions(x: np.ndarray, kmax: int) -> np.ndarray:
     return out
 
 
+# Largest density |h_max_level|^2 the grid may leave at its box edge and at
+# its Nyquist wavenumber.  Measured on the dilation suite (tolerance 1e-7):
+# it fails at 8e-9 (L = 6.5) and passes at 1.2e-9 (N = 34, L = 8).
+_EDGE_DENSITY = 2e-9
+
+
+def _check_grid_adequacy(grid: grids.GridSpec, max_level: int) -> None:
+    """Refuse grids that cut off the top Hermite mode in space or frequency.
+
+    A Hermite function is its own Fourier transform up to a phase, so the
+    same profile decides both the box half-width L and the spectral reach
+    pi/h of the grid.
+    """
+    edge, nyquist = _hermite_functions(
+        np.array([grid.L, math.pi / grid.h]), max_level)[-1] ** 2
+    if edge > _EDGE_DENSITY:
+        raise ValueError(
+            f"grid too small: the top Hermite mode keeps density {edge:.1e} "
+            "at the box edge; enlarge L")
+    if nyquist > _EDGE_DENSITY:
+        raise ValueError(
+            f"grid too coarse: the top Hermite mode keeps density "
+            f"{nyquist:.1e} at the Nyquist wavenumber; increase N")
+
+
 def random_smooth_state(grid: grids.GridSpec, rng: np.random.Generator,
                         max_level: int = 8, terms: int = 3,
                         normalize: bool = True) -> StateField:
@@ -205,7 +231,9 @@ def random_smooth_state(grid: grids.GridSpec, rng: np.random.Generator,
 
     Every such state lies in the (grid) domain of all the operators here and
     carries no boundary mass for L a few units beyond sqrt(2*max_level+1).
+    A grid whose box or spacing cuts off the top mode is a ValueError.
     """
+    _check_grid_adequacy(grid, max_level)
     basis = _hermite_functions(grid.axis_coords(), max_level)
     decay = 0.7 ** np.arange(max_level + 1)
     values = np.zeros(grid.shape, dtype=np.complex128)
@@ -228,3 +256,32 @@ def random_smooth_state(grid: grids.GridSpec, rng: np.random.Generator,
             raise ValueError("degenerate random state")
         phi = phi * (1.0 / nrm)
     return phi
+
+
+def refinement_study(identity_id: str, grid_specs: list[grids.GridSpec]) -> dict:
+    """Residual-versus-spacing table with a fitted convergence order.
+
+    The probe state is the isotropic Gaussian.  All grids must share
+    one derivative scheme and come in at least three resolutions.
+    """
+    if len(grid_specs) < 3:
+        raise ValueError("need at least three grids")
+    schemes = {g.scheme for g in grid_specs}
+    if len(schemes) > 1:
+        raise ValueError("refinement study cannot mix derivative schemes")
+    if not identity_id.startswith("pm."):
+        raise ValueError(f"unsupported identity {identity_id!r} for refinement")
+    rows = []
+    for grid in sorted(grid_specs, key=lambda g: g.h, reverse=True):
+        phi = realize(GaussianSpec("coherent", n=grid.n), grid)
+        reps = {r.identity_id: r for r in
+                verify_position_momentum(phi, tol=1.0)}
+        rep = reps[identity_id]
+        rows.append({"N": grid.N, "h": grid.h,
+                     "abs_residual": rep.abs_residual,
+                     "rel_residual": rep.rel_residual})
+    hs = np.array([row["h"] for row in rows])
+    res = np.array([max(row["rel_residual"], 1e-300) for row in rows])
+    order = float(np.polyfit(np.log(hs), np.log(res), 1)[0])
+    return {"identity_id": identity_id, "scheme": grid_specs[0].scheme,
+            "rows": rows, "fitted_order": order}

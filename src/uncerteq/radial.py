@@ -73,10 +73,14 @@ class RadialState:
         values = np.asarray(values, dtype=np.complex128)
         if values.shape != (quad.points,):
             raise ValueError("values must match the quadrature nodes")
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite")
         if deriv is not None:
             deriv = np.asarray(deriv, dtype=np.complex128)
             if deriv.shape != (quad.points,):
                 raise ValueError("derivative must match the quadrature nodes")
+            if not np.isfinite(deriv).all():
+                raise ValueError("derivative must be finite")
         self.quad = quad
         self.values = values
         self.deriv = deriv
@@ -92,7 +96,7 @@ class RadialState:
         return self.quad.integrate(self.values * np.conj(other.values))
 
     def norm(self) -> float:
-        return math.sqrt(max(0.0, self.norm_sq()))
+        return math.sqrt(self.norm_sq())
 
     def norm_sq(self) -> float:
         return float(np.real(self.quad.integrate(np.abs(self.values) ** 2)))

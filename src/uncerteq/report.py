@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -62,11 +63,14 @@ def bound(identity_id: str, smaller: float, larger: float, tol: float,
 
     The report stores the clamped violation as ``lhs`` against ``rhs = 0`` so
     the usual residual/pass semantics apply: the check passes when the
-    inequality holds up to relative slack ``tol``.
+    inequality holds up to relative slack ``tol``.  A side that is not finite
+    proves nothing, so it counts as an infinite violation.
     """
-    violation = max(0.0, float(smaller) - float(larger))
-    denom = max(abs(smaller), abs(larger), scale, 1.0)
-    rel = violation / denom
+    if math.isfinite(smaller) and math.isfinite(larger):
+        violation = max(0.0, float(smaller) - float(larger))
+        rel = violation / max(abs(smaller), abs(larger), scale, 1.0)
+    else:
+        violation = rel = math.inf
     ctx = dict(context or {})
     ctx.setdefault("smaller", float(smaller))
     ctx.setdefault("larger", float(larger))

@@ -133,6 +133,30 @@ def test_search_command_reads_the_config_file(tmp_path, capsys):
     assert "even point count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "hardy", "--radial", "--n", "0", "--trials", "1",
+     "--points", "2000"],
+    ["verify", "appendix", "--trials", "0"],
+    ["search", "nonattainment", "--n", "2"],
+    ["search", "nonattainment", "--R", "0"],
+    ["search", "nonattainment", "--points", "0"],
+    ["verify", "dilation", "--n", "2", "--N", "32", "--L", "8"],
+])
+def test_zero_and_out_of_range_flags_are_usage_errors(argv, capsys):
+    # A 0 is a value, not a request for the suite default.
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_zero_tolerance_is_kept(tmp_path):
+    out = tmp_path / "report.json"
+    main(["verify", "section2", "--trials", "3", "--dim", "4", "--tol", "0",
+          "--out", str(out)])
+    payload = _load(out)
+    assert payload["header"]["config"]["tol"] == 0.0
+    assert {rep["tol"] for rep in payload["reports"]} == {0.0}
+
+
 def test_verify_coulomb_covers_both_dimensions(tmp_path):
     out = tmp_path / "report.json"
     code = main(["verify", "coulomb", "--trials", "3", "--out", str(out)])

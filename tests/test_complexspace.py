@@ -42,6 +42,9 @@ def test_vector_validation():
         ComplexVector([1.0, float("inf")])
     with pytest.raises(ValueError):
         ComplexVector([[1.0, 2.0]])
+    for bad in (complex(0.0, float("inf")), complex(0.0, float("nan"))):
+        with pytest.raises(ValueError, match="finite"):
+            ComplexVector([1.0, bad])
 
 
 def test_vector_is_immutable():

@@ -78,6 +78,22 @@ def test_field_validation():
         VectorField(grid, np.zeros(16))
 
 
+@pytest.mark.parametrize("bad", [complex(0.0, np.inf), complex(0.0, np.nan),
+                                 complex(np.inf, 0.0), complex(np.nan, 0.0)])
+def test_fields_reject_a_non_finite_real_or_imaginary_part(bad):
+    grid = GridSpec(n=2, N=4, L=2.0)
+    values = np.zeros(grid.shape, dtype=np.complex128)
+    values[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        StateField(grid, values)
+    with pytest.raises(ValueError, match="finite"):
+        VectorField(grid, np.stack([np.zeros(grid.shape), values]))
+    phi = StateField(grid, np.ones(grid.shape))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError,
+                                                      match="finite"):
+        phi * bad
+
+
 def test_mixed_kind_arithmetic_rejected():
     grid = GridSpec(n=1, N=16, L=2.0)
     phi = StateField(grid, np.ones(16))

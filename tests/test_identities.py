@@ -198,3 +198,25 @@ def test_verifiers_reject_unsupported_state_types():
                    verify_radial_coulomb):
         with pytest.raises(TypeError):
             verify(vec)
+
+
+@pytest.mark.parametrize("grid, message", [
+    (GridSpec(n=2, N=32, L=8.0), "grid too coarse"),
+    (GridSpec(n=1, N=256, L=6.0), "grid too small"),
+])
+def test_random_smooth_state_refuses_grids_that_cut_off_the_basis(grid, message):
+    with pytest.raises(ValueError, match=message):
+        random_smooth_state(grid, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("grid", [
+    GridSpec(n=1, N=256, L=12.0),
+    GridSpec(n=2, N=48, L=9.0, offset=0.5),
+    GridSpec(n=1, N=96, L=8.0, scheme="central_diff_2"),
+    GridSpec(n=2, N=48, L=8.0),
+    GridSpec(n=2, N=36, L=8.0),
+    GridSpec(n=1, N=256, L=7.0),
+])
+def test_random_smooth_state_accepts_resolved_grids(grid):
+    phi = random_smooth_state(grid, np.random.default_rng(0))
+    assert phi.norm() == pytest.approx(1.0, rel=1e-12)

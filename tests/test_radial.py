@@ -152,3 +152,18 @@ def test_spherical_derivative_of_a_radial_profile_vanishes():
     quad = RadialQuadrature(3, 20.0, 2000)
     state = random_radial_state(quad, np.random.default_rng(5))
     assert spherical_derivative(state).norm() == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan),
+                                 complex(0.0, -np.inf)])
+def test_state_rejects_non_finite_values_and_derivatives(bad):
+    quad = RadialQuadrature(3, 10.0, 100)
+    broken = np.ones(quad.points, dtype=np.complex128)
+    broken[17] = bad
+    with pytest.raises(ValueError, match="values must be finite"):
+        RadialState(quad, broken, np.ones(quad.points))
+    with pytest.raises(ValueError, match="derivative must be finite"):
+        RadialState(quad, np.ones(quad.points), broken)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError,
+                                                      match="finite"):
+        radial_gaussian(quad) * bad
