@@ -36,6 +36,9 @@ SUITES = ("appendix", "section2", "momentum-position", "dilation", "hardy",
 
 ALGEBRAIC_TOL = 1e-12
 GRID_TOL = 1e-8
+# The minimizers' excess over n peaked at 1.6e-12 over 450 starts of each on
+# the default 1-D grid; 1e-8 keeps a factor of over 6000 above it.
+SEARCH_TOL = 1e-8
 
 
 @dataclass
@@ -246,7 +249,7 @@ def _nonattainment_reports(rows: list[dict]) -> list[EqualityReport]:
 
 
 def run_search_suite(cfg: SuiteConfig) -> list[EqualityReport]:
-    tol = _flag(cfg.tol, 1e-4)
+    tol = _flag(cfg.tol, SEARCH_TOL)
     grid = _grid(cfg, _flag(cfg.n, 1), 256)
     opts = SearchOptions(max_iters=40000)
     res = minimize_sum_functional(grid, cfg.seed, opts)
@@ -415,7 +418,7 @@ def _cmd_search(args) -> int:
             out["lambda_est"] = res.lambda_est
         print(json.dumps(out, indent=2))
         reports = _minimizer_reports(args.target, res, grid,
-                                     _flag(cfg.tol, 1e-4))
+                                     _flag(cfg.tol, SEARCH_TOL))
     return 0 if all(rep.passed for rep in reports) else 1
 
 

@@ -86,7 +86,7 @@ class GridSpec:
                    scheme=str(d.get("scheme", "spectral_periodic")))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=2)
 def _radius_sq(grid: GridSpec) -> np.ndarray:
     r2 = np.zeros(grid.shape)
     for axis in range(grid.n):
@@ -95,7 +95,7 @@ def _radius_sq(grid: GridSpec) -> np.ndarray:
     return r2
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=2)
 def _radius(grid: GridSpec) -> np.ndarray:
     r = np.sqrt(_radius_sq(grid))
     r.setflags(write=False)

@@ -1,11 +1,12 @@
 """Variational minimization of the uncertainty functionals on grid states.
 
-Projected gradient descent over unit-norm grid states, with backtracking
-line search and monotone acceptance.  The sum functional is the harmonic
-Rayleigh quotient whose minimum n is attained at the isotropic Gaussian; the
-product functional shares the minimum value but has a one-parameter family
-of anisotropic Gaussian minimizers.  A separate probe documents that the
-scaling-derivative ratio approaches but never attains its lower bound.
+Riemannian nonlinear conjugate gradients over unit-norm grid states, with
+an Armijo backtracking line search and monotone acceptance.  The sum
+functional is the harmonic Rayleigh quotient whose minimum n is attained at
+the isotropic Gaussian; the product functional shares the minimum value but
+has a one-parameter family of anisotropic Gaussian minimizers.  A separate
+probe documents that the scaling-derivative ratio approaches but never
+attains its lower bound.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .gaussians import GaussianSpec, realize
 from .grids import GridSpec, StateField, _radius_sq
 from .radial import RadialQuadrature, annulus_state, x_dot_grad as radial_x_dot_grad
 
+_ARMIJO = 1e-4   # sufficient-decrease constant of the line search
+
 
 @dataclass(frozen=True)
 class SearchOptions:
@@ -27,7 +30,7 @@ class SearchOptions:
     backtrack: float = 0.5
     grow: float = 1.5
     max_iters: int = 5000
-    ftol: float = 1e-10
+    gtol: float = 1e-6
 
     def __post_init__(self):
         if not (0 < self.backtrack < 1 and self.step > 0 and self.grow >= 1):
@@ -57,45 +60,100 @@ def _normalize(phi: StateField) -> StateField:
     return phi * (1.0 / nrm)
 
 
+def _tangent(phi: StateField, v: StateField) -> StateField:
+    """Projection of ``v`` onto the tangent space of the sphere at ``phi``."""
+    return v - phi.inner(v).real * phi
+
+
+def _line_search(phi, value, direction, slope, step, opts, value_and_gradient):
+    """Armijo backtracking with quadratic interpolation from ``step``.
+
+    Returns (step, candidate, value, gradient) at the first strictly lower
+    value with sufficient decrease, or None once the step underflows.
+    """
+    while step > 1e-18:
+        candidate = _normalize(phi + step * direction)
+        new_value, new_grad = value_and_gradient(candidate)
+        if new_value < value and new_value <= value + _ARMIJO * step * slope:
+            return step, candidate, new_value, new_grad
+        # Minimizer of the parabola through value, slope and new_value,
+        # kept within [0.1, backtrack] times the failed step.
+        curv = new_value - value - slope * step
+        trial = -0.5 * slope * step * step / curv if curv > 0 else 0.0
+        step = min(max(trial, 0.1 * step), opts.backtrack * step)
+    return None
+
+
 def _descend(grid: GridSpec, seed: int, opts: SearchOptions,
              value_and_gradient) -> SearchResult:
-    """Monotone projected gradient descent from a random smooth start.
+    """Riemannian nonlinear conjugate gradients on the unit sphere.
 
-    ``value_and_gradient(phi)`` must return the functional value at the
-    unit-norm state and its (unprojected) gradient field; the tangent
-    projection and renormalization happen here.
+    Starts from a random smooth state.  ``value_and_gradient(phi)`` must
+    return the functional value at the unit-norm state and its Riemannian
+    gradient: the gradient in the real inner product Re<., .>, tangent to
+    the sphere at ``phi``.  Directions follow Polak-Ribiere+ with the
+    previous direction carried over by tangent projection; the retraction
+    is renormalization.  Every accepted value is strictly lower, and the
+    loop stops once the Riemannian gradient norm is at or below
+    ``opts.gtol``, or when no lower value can be found even along the
+    negative gradient (Absil, Mahony and Sepulchre 2008, ch. 8).
     """
     from .identities import random_smooth_state
 
     rng = np.random.default_rng(seed)
     phi = random_smooth_state(grid, rng)
     value, grad = value_and_gradient(phi)
+    grad_sq = grad.norm_sq()
+    direction, beta = -1.0 * grad, 0.0
     step = opts.step
     trace = [(0, value, step)]
-    converged = False
     it = 0
-    for it in range(1, opts.max_iters + 1):
-        moved = False
-        while step > 1e-18:
-            candidate = _normalize(phi - step * grad)
-            new_value, new_grad = value_and_gradient(candidate)
-            if new_value < value:
-                moved = True
-                break
-            step *= opts.backtrack
-        if not moved:
-            converged = True
+    while math.sqrt(grad_sq) > opts.gtol and it < opts.max_iters:
+        slope = direction.inner(grad).real
+        if slope >= 0.0:
+            direction, slope, beta = -1.0 * grad, -grad_sq, 0.0
+        found = _line_search(phi, value, direction, slope, step, opts,
+                             value_and_gradient)
+        if found is None and beta > 0.0:
+            # No decrease along a conjugate direction: retry the negative
+            # gradient from the initial step.
+            direction = -1.0 * grad
+            found = _line_search(phi, value, direction, -grad_sq, opts.step,
+                                 opts, value_and_gradient)
+        if found is None:
             break
-        if abs(value - new_value) <= opts.ftol * max(1.0, abs(value)):
-            phi, value, grad = candidate, new_value, new_grad
-            trace.append((it, value, step))
-            converged = True
-            break
-        phi, value, grad = candidate, new_value, new_grad
+        step, candidate, new_value, new_grad = found
+        it += 1
+        new_grad_sq = new_grad.norm_sq()
+        # new_grad is tangent at candidate, so it meets the transported old
+        # gradient as it meets the old gradient itself.
+        beta = max(0.0, (new_grad_sq - new_grad.inner(grad).real) / grad_sq)
+        direction = beta * _tangent(candidate, direction) - new_grad
+        phi, value, grad, grad_sq = candidate, new_value, new_grad, new_grad_sq
         trace.append((it, value, step))
         step *= opts.grow
     return SearchResult(state=phi, value=value, iterations=it,
-                        converged=converged, trace=trace)
+                        converged=math.sqrt(grad_sq) <= opts.gtol, trace=trace)
+
+
+def _sum_value_and_gradient(phi: StateField):
+    """(||x phi||^2 + ||grad phi||^2, 2 (H phi - value phi)) at unit norm."""
+    hphi = StateField(phi.grid, _radius_sq(phi.grid) * phi.data) \
+        + grids.neg_laplacian(phi)
+    value = hphi.inner(phi).real
+    return value, 2.0 * (hphi - value * phi)
+
+
+def _product_value_and_gradient(phi: StateField):
+    """(2 ||x phi|| ||grad phi||, its gradient) at unit norm."""
+    x2phi = StateField(phi.grid, _radius_sq(phi.grid) * phi.data)
+    lap = grids.neg_laplacian(phi)
+    x_sq = x2phi.inner(phi).real
+    g_sq = lap.inner(phi).real
+    value = 2.0 * math.sqrt(max(x_sq * g_sq, 0.0))
+    ratio = math.sqrt(g_sq / x_sq)
+    hphi = ratio * x2phi + (1.0 / ratio) * lap
+    return value, 2.0 * (hphi - value * phi)
 
 
 def minimize_sum_functional(grid: GridSpec, seed: int,
@@ -105,15 +163,7 @@ def minimize_sum_functional(grid: GridSpec, seed: int,
     The minimum is the grid dimension n, attained at the isotropic Gaussian;
     the result carries the overlap with that state.
     """
-    r2 = _radius_sq(grid)
-
-    def value_and_gradient(phi: StateField):
-        hphi = StateField(grid, r2 * phi.data) + grids.neg_laplacian(phi)
-        value = hphi.inner(phi).real
-        grad = 2.0 * (hphi - value * phi)
-        return value, grad
-
-    result = _descend(grid, seed, opts, value_and_gradient)
+    result = _descend(grid, seed, opts, _sum_value_and_gradient)
     coherent = realize(GaussianSpec("coherent", n=grid.n), grid)
     result.fidelity = fidelity(result.state, coherent)
     return result
@@ -125,27 +175,21 @@ def minimize_product_functional(grid: GridSpec, seed: int,
 
     Any anisotropy ratio is admissible at the minimum, so the result reports
     the minimizer's ratio lambda = ||grad phi|| / ||x phi|| and the overlap
-    with the matching anisotropic Gaussian.
+    with the matching anisotropic Gaussian.  Only the spectral scheme is
+    accepted: a difference quotient loses derivative norm as the Gaussian
+    narrows, so the search slides down the family to the one-point spike at
+    the origin, where the discrete functional is 0.
     """
-    r2 = _radius_sq(grid)
-
-    def value_and_gradient(phi: StateField):
-        x2phi = StateField(grid, r2 * phi.data)
-        lap = grids.neg_laplacian(phi)
-        x_sq = x2phi.inner(phi).real
-        g_sq = lap.inner(phi).real
-        value = 2.0 * math.sqrt(max(x_sq * g_sq, 0.0))
-        ratio = math.sqrt(g_sq / x_sq)
-        hphi = ratio * x2phi + (1.0 / ratio) * lap
-        grad = hphi - value * phi
-        return value, grad
-
-    result = _descend(grid, seed, opts, value_and_gradient)
+    if grid.scheme != "spectral_periodic":
+        raise ValueError("the product search needs the spectral scheme; on "
+                         f"{grid.scheme} it slides to a one-point spike")
+    result = _descend(grid, seed, opts, _product_value_and_gradient)
     xnorm = grids.position(result.state).norm()
     gnorm = grids.gradient(result.state).norm()
     result.lambda_est = gnorm / xnorm
     # fidelity normalizes; realize's boundary guard protects closed-form
     # moments and would refuse the small lambda some starts converge to.
+    r2 = _radius_sq(grid)
     matched = StateField(grid, np.exp(-0.5 * result.lambda_est * r2))
     result.fidelity = fidelity(result.state, matched)
     return result

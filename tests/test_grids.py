@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from uncerteq.cli import SuiteConfig, run_hardy
-from uncerteq.grids import (GridSpec, StateField, VectorField, coulomb,
-                            dilation_generator, generator_consistency,
-                            gradient, momentum, neg_laplacian,
-                            pointwise_gradient_decomposition, position,
-                            radial_derivative, radial_derivative_sym,
-                            spherical_derivative, x_dot_grad)
+from uncerteq.grids import (GridSpec, StateField, VectorField, _radius,
+                            _radius_sq, coulomb, dilation_generator,
+                            generator_consistency, gradient, momentum,
+                            neg_laplacian, pointwise_gradient_decomposition,
+                            position, radial_derivative,
+                            radial_derivative_sym, spherical_derivative,
+                            x_dot_grad)
 
 
 def _gaussian_1d(grid, lam=1.0):
@@ -287,3 +288,11 @@ def test_flow_rejects_bad_arguments():
     for axis in (-1, grid.n):
         with pytest.raises(ValueError):
             generator_consistency("spherical", phi, dtheta=1e-3, axis=axis)
+
+
+def test_radius_caches_hold_at_most_two_grids():
+    # At the 2^24-point cap each cached array is 128 MB.
+    for N in (16, 32, 64):
+        assert GridSpec(n=1, N=N, L=4.0, offset=0.5).excludes_origin
+    assert _radius.cache_info().currsize <= 2
+    assert _radius_sq.cache_info().currsize <= 2
