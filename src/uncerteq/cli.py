@@ -36,9 +36,15 @@ SUITES = ("appendix", "section2", "momentum-position", "dilation", "hardy",
 
 ALGEBRAIC_TOL = 1e-12
 GRID_TOL = 1e-8
-# The minimizers' excess over n peaked at 1.6e-12 over 450 starts of each on
-# the default 1-D grid; 1e-8 keeps a factor of over 6000 above it.
-SEARCH_TOL = 1e-8
+# Tolerance of the search minima against n, per derivative scheme.  On the
+# spectral scheme the minimizers' excess peaked at 1.5e-10 over 1,646
+# minimizations (suite seeds on the default grid, and 1-3-D grids down to the
+# smallest box and point count that random_smooth_state accepts); 1e-8 keeps
+# a factor of 69.  A difference quotient puts the discrete minimum O(h^p)
+# below n (9.6e-6 for central_diff_4 on the default grid), so those schemes
+# keep 1e-4.
+SEARCH_TOL = {"spectral_periodic": 1e-8, "central_diff_2": 1e-4,
+              "central_diff_4": 1e-4}
 
 
 @dataclass
@@ -249,8 +255,8 @@ def _nonattainment_reports(rows: list[dict]) -> list[EqualityReport]:
 
 
 def run_search_suite(cfg: SuiteConfig) -> list[EqualityReport]:
-    tol = _flag(cfg.tol, SEARCH_TOL)
     grid = _grid(cfg, _flag(cfg.n, 1), 256)
+    tol = _flag(cfg.tol, SEARCH_TOL[grid.scheme])
     opts = SearchOptions(max_iters=40000)
     res = minimize_sum_functional(grid, cfg.seed, opts)
     reports = _minimizer_reports("sum", res, grid, tol)
@@ -418,7 +424,7 @@ def _cmd_search(args) -> int:
             out["lambda_est"] = res.lambda_est
         print(json.dumps(out, indent=2))
         reports = _minimizer_reports(args.target, res, grid,
-                                     _flag(cfg.tol, SEARCH_TOL))
+                                     _flag(cfg.tol, SEARCH_TOL[grid.scheme]))
     return 0 if all(rep.passed for rep in reports) else 1
 
 

@@ -96,7 +96,8 @@ def _descend(grid: GridSpec, seed: int, opts: SearchOptions,
     is renormalization.  Every accepted value is strictly lower, and the
     loop stops once the Riemannian gradient norm is at or below
     ``opts.gtol``, or when no lower value can be found even along the
-    negative gradient (Absil, Mahony and Sepulchre 2008, ch. 8).
+    negative gradient; both count as converged (Absil, Mahony and
+    Sepulchre 2008, ch. 8).
     """
     from .identities import random_smooth_state
 
@@ -108,20 +109,22 @@ def _descend(grid: GridSpec, seed: int, opts: SearchOptions,
     step = opts.step
     trace = [(0, value, step)]
     it = 0
+    stalled = False
     while math.sqrt(grad_sq) > opts.gtol and it < opts.max_iters:
         slope = direction.inner(grad).real
         if slope >= 0.0:
             direction, slope, beta = -1.0 * grad, -grad_sq, 0.0
         found = _line_search(phi, value, direction, slope, step, opts,
                              value_and_gradient)
-        if found is None and beta > 0.0:
-            # No decrease along a conjugate direction: retry the negative
-            # gradient from the initial step.
-            direction = -1.0 * grad
-            found = _line_search(phi, value, direction, -grad_sq, opts.step,
-                                 opts, value_and_gradient)
         if found is None:
-            break
+            # No lower value even along the negative gradient: the value has
+            # reached its rounding floor.  A conjugate direction instead
+            # restarts at the negative gradient from the initial step.
+            stalled = beta == 0.0
+            if stalled:
+                break
+            direction, beta, step = -1.0 * grad, 0.0, opts.step
+            continue
         step, candidate, new_value, new_grad = found
         it += 1
         new_grad_sq = new_grad.norm_sq()
@@ -133,7 +136,8 @@ def _descend(grid: GridSpec, seed: int, opts: SearchOptions,
         trace.append((it, value, step))
         step *= opts.grow
     return SearchResult(state=phi, value=value, iterations=it,
-                        converged=math.sqrt(grad_sq) <= opts.gtol, trace=trace)
+                        converged=stalled or math.sqrt(grad_sq) <= opts.gtol,
+                        trace=trace)
 
 
 def _sum_value_and_gradient(phi: StateField):
@@ -175,14 +179,8 @@ def minimize_product_functional(grid: GridSpec, seed: int,
 
     Any anisotropy ratio is admissible at the minimum, so the result reports
     the minimizer's ratio lambda = ||grad phi|| / ||x phi|| and the overlap
-    with the matching anisotropic Gaussian.  Only the spectral scheme is
-    accepted: a difference quotient loses derivative norm as the Gaussian
-    narrows, so the search slides down the family to the one-point spike at
-    the origin, where the discrete functional is 0.
+    with the matching anisotropic Gaussian.
     """
-    if grid.scheme != "spectral_periodic":
-        raise ValueError("the product search needs the spectral scheme; on "
-                         f"{grid.scheme} it slides to a one-point spike")
     result = _descend(grid, seed, opts, _product_value_and_gradient)
     xnorm = grids.position(result.state).norm()
     gnorm = grids.gradient(result.state).norm()

@@ -125,6 +125,14 @@ def test_search_command_uses_the_suite_checks(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["value"] == 0.99
 
 
+def test_search_tolerance_follows_the_scheme(capsys):
+    # central_diff_4 puts the discrete sum minimum 9.6e-6 below n: inside the
+    # difference schemes' 1e-4, outside the spectral scheme's 1e-8.
+    assert main(["search", "sum", "--scheme", "central_diff_4"]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    assert 1e-8 < 1.0 - value <= 1e-4
+
+
 def test_search_command_reads_the_config_file(tmp_path, capsys):
     # N=7 is odd, which the spectral scheme refuses: a usage error.
     cfg_path = tmp_path / "cfg.json"
