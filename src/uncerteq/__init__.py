@@ -15,7 +15,7 @@ from .forms import (InequalityChain, PairSample, anticommutator_form,
                     commutator_form, decomposition_check, extremizer_parts,
                     sr_equalities, sr_inequality_chain)
 from .gaussians import GaussianSpec, exact_moments, realize
-from .grids import (GridSpec, StateField, VectorField, generator_consistency,
+from .grids import (GridSpec, StateField, VectorField,
                     pointwise_gradient_decomposition)
 from .identities import (random_smooth_state, saturation_flags,
                          verify_dilation_hamiltonian,

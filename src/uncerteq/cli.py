@@ -25,7 +25,7 @@ from .complexspace import cs_equality_residuals, default_angles, random_vector
 from .forms import PairSample, decomposition_check, sr_equalities, sr_inequality_chain
 from .gaussians import GaussianSpec, exact_moments, realize
 from .grids import GridSpec
-from .identities import refinement_study  # also public as cli.refinement_study
+from .identities import GRID_TOL, refinement_study  # also public as cli.refinement_study
 from .radial import RadialQuadrature, radial_gaussian, random_radial_state
 from .report import EqualityReport, bound, compare
 from .search import (SearchOptions, SearchResult, minimize_product_functional,
@@ -35,7 +35,6 @@ SUITES = ("appendix", "section2", "momentum-position", "dilation", "hardy",
           "coulomb", "search", "all")
 
 ALGEBRAIC_TOL = 1e-12
-GRID_TOL = 1e-8
 # Tolerance of the search minima against n, per derivative scheme.  On the
 # spectral scheme the minimizers' excess peaked at 1.5e-10 over 1,646
 # minimizations (suite seeds on the default grid, and 1-3-D grids down to the
@@ -195,11 +194,11 @@ def run_hardy(cfg: SuiteConfig) -> list[EqualityReport]:
     else:
         tol = _flag(cfg.tol, 1e-3)
         fine = _grid(cfg, n, 96 if n == 3 else 32, default_offset=0.5)
-        # The 1/|x|^2-weighted norm on the tensor grid has an O(h) midpoint
-        # quadrature error, so the right side of the Pythagorean identity is
-        # checked after removing that first-order term with a half-resolution
-        # control grid.  For the unit-norm isotropic Gaussian both sides
-        # equal n/2 exactly.
+        # The 1/|x|^2-weighted norm on the tensor grid has an O(h^(n-2))
+        # midpoint quadrature error, so the right side of the Pythagorean
+        # identity is checked after removing that term by Richardson
+        # extrapolation with a half-resolution control grid.  For the
+        # unit-norm isotropic Gaussian both sides equal n/2 exactly.
         coarse = GridSpec(n=fine.n, N=fine.N // 2, L=fine.L,
                           offset=fine.offset, scheme=fine.scheme)
         sides = {}
@@ -214,7 +213,8 @@ def run_hardy(cfg: SuiteConfig) -> list[EqualityReport]:
         ctx = {"grid": fine.to_dict(), "control_N": coarse.N}
         reports.append(compare("hardy.grid.value_lhs", sides[fine.N][0],
                                target, tol, context=ctx))
-        rhs_corrected = 2.0 * sides[fine.N][1] - sides[coarse.N][1]
+        q = 2.0 ** (n - 2)
+        rhs_corrected = (q * sides[fine.N][1] - sides[coarse.N][1]) / (q - 1.0)
         reports.append(compare("hardy.grid.value_rhs", rhs_corrected,
                                target, tol, context=ctx))
         # psi is still the fine-grid state from the last loop pass.

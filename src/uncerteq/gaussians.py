@@ -63,20 +63,6 @@ class GaussianSpec:
         """Unit factor multiplying lambda |x|^2/2 in the exponent."""
         return complex(self.sgn_factor)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "n": self.n, "norm": self.norm,
-                "lam": self.lam, "theta": self.theta,
-                "sgn_factor": [self.factor.real, self.factor.imag]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GaussianSpec":
-        s = d.get("sgn_factor", [-1.0, 0.0])
-        return cls(kind=d["kind"], n=int(d.get("n", 1)),
-                   norm=float(d.get("norm", 1.0)),
-                   lam=float(d.get("lam", 1.0)),
-                   theta=float(d.get("theta", 0.0)),
-                   sgn_factor=complex(s[0], s[1]))
-
 
 @dataclass(frozen=True)
 class GaussianMoments:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .report import EqualityReport, compare
 
@@ -78,12 +77,6 @@ class GridSpec:
     def to_dict(self) -> dict:
         return {"n": self.n, "N": self.N, "L": self.L,
                 "offset": self.offset, "scheme": self.scheme}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridSpec":
-        return cls(n=int(d["n"]), N=int(d["N"]), L=float(d["L"]),
-                   offset=float(d.get("offset", 0.0)),
-                   scheme=str(d.get("scheme", "spectral_periodic")))
 
 
 @lru_cache(maxsize=2)
@@ -288,67 +281,6 @@ def spherical_derivative(phi: StateField) -> VectorField:
     for axis in range(grid.n):
         g[axis] -= (grid.coord(axis) / r) * dr
     return VectorField(grid, g)
-
-
-def _resample(phi: StateField, new_coords: list[np.ndarray]) -> np.ndarray:
-    """Interpolate field values at physical points (spline order 5)."""
-    grid = phi.grid
-    idx = [(c + grid.L) / grid.h - grid.offset for c in new_coords]
-    re = map_coordinates(phi.data.real, idx, order=5, mode="constant", cval=0.0)
-    im = map_coordinates(phi.data.imag, idx, order=5, mode="constant", cval=0.0)
-    return re + 1j * im
-
-
-def _flow_points(grid: GridSpec, name: str, theta: float, axis: int) -> tuple[list[np.ndarray], float]:
-    coords = np.meshgrid(*[grid.axis_coords()] * grid.n, indexing="ij")
-    if name == "dilation":
-        scale = math.exp(0.5 * grid.n * theta)
-        return [math.exp(theta) * c for c in coords], scale
-    r = np.sqrt(sum(c ** 2 for c in coords))
-    if name == "radial":
-        return [c + theta * c / r for c in coords], 1.0
-    if name == "spherical":
-        xj = coords[axis]
-        shifted = [c + theta * (-xj / r) * (c / r) for c in coords]
-        shifted[axis] = shifted[axis] + theta
-        return shifted, 1.0
-    raise ValueError(f"unknown flow {name!r}")
-
-
-def generator_consistency(name: str, phi: StateField, dtheta: float,
-                          tol: float = 1e-4, axis: int = 0) -> EqualityReport:
-    """Central-difference flow derivative against the generator action.
-
-    ``name`` selects the flow: "dilation" (target i A phi = x.grad phi +
-    (n/2) phi), "radial" (target the raw radial derivative) or "spherical"
-    (target L_axis phi).  The flow map is evaluated by spline resampling, so
-    the residual carries an O(dtheta^2) truncation term plus interpolation
-    error.
-    """
-    if dtheta <= 0:
-        raise ValueError("dtheta must be positive")
-    grid = phi.grid
-    if name in ("radial", "spherical"):
-        _require_origin_free(grid)
-    if name == "spherical" and not 0 <= axis < grid.n:
-        raise ValueError("axis out of range")
-
-    plus_pts, plus_scale = _flow_points(grid, name, dtheta, axis)
-    minus_pts, minus_scale = _flow_points(grid, name, -dtheta, axis)
-    est = (plus_scale * _resample(phi, plus_pts)
-           - minus_scale * _resample(phi, minus_pts)) / (2 * dtheta)
-
-    if name == "dilation":
-        target = x_dot_grad(phi).data + 0.5 * grid.n * phi.data
-    elif name == "radial":
-        target = radial_derivative(phi).data
-    else:
-        target = spherical_derivative(phi).data[axis]
-
-    diff = StateField(grid, est - target).norm()
-    scale = max(StateField(grid, target).norm(), 1.0)
-    return compare(f"flow.{name}", diff, 0.0, tol, scale=scale,
-                   context={"grid": grid.to_dict(), "dtheta": dtheta})
 
 
 def pointwise_gradient_decomposition(phi: StateField,

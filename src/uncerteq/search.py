@@ -21,20 +21,16 @@ from .gaussians import GaussianSpec, realize
 from .grids import GridSpec, StateField, _radius_sq
 from .radial import RadialQuadrature, annulus_state, x_dot_grad as radial_x_dot_grad
 
-_ARMIJO = 1e-4   # sufficient-decrease constant of the line search
+_ARMIJO = 1e-4      # sufficient-decrease constant of the line search
+_STEP = 0.1         # first trial step, and the step after a restart
+_BACKTRACK = 0.5    # largest fraction of a failed step tried next
+_GROW = 1.5         # factor from an accepted step to the next first trial
 
 
 @dataclass(frozen=True)
 class SearchOptions:
-    step: float = 0.1
-    backtrack: float = 0.5
-    grow: float = 1.5
     max_iters: int = 5000
     gtol: float = 1e-6
-
-    def __post_init__(self):
-        if not (0 < self.backtrack < 1 and self.step > 0 and self.grow >= 1):
-            raise ValueError("invalid search options")
 
 
 @dataclass
@@ -65,7 +61,7 @@ def _tangent(phi: StateField, v: StateField) -> StateField:
     return v - phi.inner(v).real * phi
 
 
-def _line_search(phi, value, direction, slope, step, opts, value_and_gradient):
+def _line_search(phi, value, direction, slope, step, value_and_gradient):
     """Armijo backtracking with quadratic interpolation from ``step``.
 
     Returns (step, candidate, value, gradient) at the first strictly lower
@@ -77,10 +73,10 @@ def _line_search(phi, value, direction, slope, step, opts, value_and_gradient):
         if new_value < value and new_value <= value + _ARMIJO * step * slope:
             return step, candidate, new_value, new_grad
         # Minimizer of the parabola through value, slope and new_value,
-        # kept within [0.1, backtrack] times the failed step.
+        # kept within [0.1, _BACKTRACK] times the failed step.
         curv = new_value - value - slope * step
         trial = -0.5 * slope * step * step / curv if curv > 0 else 0.0
-        step = min(max(trial, 0.1 * step), opts.backtrack * step)
+        step = min(max(trial, 0.1 * step), _BACKTRACK * step)
     return None
 
 
@@ -106,7 +102,7 @@ def _descend(grid: GridSpec, seed: int, opts: SearchOptions,
     value, grad = value_and_gradient(phi)
     grad_sq = grad.norm_sq()
     direction, beta = -1.0 * grad, 0.0
-    step = opts.step
+    step = _STEP
     trace = [(0, value, step)]
     it = 0
     stalled = False
@@ -114,7 +110,7 @@ def _descend(grid: GridSpec, seed: int, opts: SearchOptions,
         slope = direction.inner(grad).real
         if slope >= 0.0:
             direction, slope, beta = -1.0 * grad, -grad_sq, 0.0
-        found = _line_search(phi, value, direction, slope, step, opts,
+        found = _line_search(phi, value, direction, slope, step,
                              value_and_gradient)
         if found is None:
             # No lower value even along the negative gradient: the value has
@@ -123,7 +119,7 @@ def _descend(grid: GridSpec, seed: int, opts: SearchOptions,
             stalled = beta == 0.0
             if stalled:
                 break
-            direction, beta, step = -1.0 * grad, 0.0, opts.step
+            direction, beta, step = -1.0 * grad, 0.0, _STEP
             continue
         step, candidate, new_value, new_grad = found
         it += 1
@@ -134,7 +130,7 @@ def _descend(grid: GridSpec, seed: int, opts: SearchOptions,
         direction = beta * _tangent(candidate, direction) - new_grad
         phi, value, grad, grad_sq = candidate, new_value, new_grad, new_grad_sq
         trace.append((it, value, step))
-        step *= opts.grow
+        step *= _GROW
     return SearchResult(state=phi, value=value, iterations=it,
                         converged=stalled or math.sqrt(grad_sq) <= opts.gtol,
                         trace=trace)

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -36,6 +38,15 @@ def test_unknown_config_keys_rejected(tmp_path):
 def test_run_suite_rejects_unknown_suite():
     with pytest.raises(ValueError):
         run_suite(SuiteConfig(suite="everything"))
+
+
+def test_cli_import_leaves_scipy_ndimage_unloaded():
+    # Every CLI call pays for what importing the CLI loads.
+    code = ("import sys, uncerteq.cli; "
+            "print(uncerteq.cli.__file__); print('scipy.ndimage' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines() == [cli.__file__, "False"]
 
 
 def test_verify_appendix_exits_clean(tmp_path):

@@ -33,16 +33,6 @@ def test_spec_validation():
         GaussianSpec("squeezed_gen", sgn_factor=1j)  # nonnegative real part
 
 
-def test_spec_roundtrip():
-    s = cmath.exp(1j * 2.5)
-    spec = GaussianSpec("squeezed_gen", n=2, norm=0.7, lam=3.0, theta=0.4,
-                        sgn_factor=s)
-    back = GaussianSpec.from_dict(spec.to_dict())
-    assert back.kind == spec.kind and back.n == spec.n
-    assert back.norm == spec.norm and back.lam == spec.lam
-    assert abs(back.factor - spec.factor) <= 1e-15
-
-
 def test_coherent_moments_closed_form():
     mom = exact_moments(GaussianSpec("coherent", n=1))
     assert mom.norm_sq == pytest.approx(1.0)

@@ -20,15 +20,6 @@ GRID = GridSpec(n=1, N=256, L=12.0)
 FAST = SearchOptions(max_iters=20000)
 
 
-def test_options_validation():
-    with pytest.raises(ValueError):
-        SearchOptions(step=-1.0)
-    with pytest.raises(ValueError):
-        SearchOptions(backtrack=1.5)
-    with pytest.raises(ValueError):
-        SearchOptions(grow=0.5)
-
-
 def test_fidelity_is_phase_free():
     phi = realize(GaussianSpec("coherent"), GRID)
     assert fidelity(phi, (0.3 - 0.7j) * phi) == pytest.approx(1.0, abs=1e-12)
