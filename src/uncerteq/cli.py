@@ -82,6 +82,8 @@ class SuiteConfig:
         if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be at least 1; zero trials would "
                              "pass vacuously")
+        if self.dim < 2:
+            raise ValueError(f"--dim must be at least 2, got {self.dim}")
 
 
 def _flag(value, default):

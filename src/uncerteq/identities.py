@@ -262,10 +262,10 @@ def refinement_study(identity_id: str, grid_specs: list[grids.GridSpec]) -> dict
     """Residual-versus-spacing table with a fitted convergence order.
 
     The probe state is the isotropic Gaussian.  All grids must share
-    one derivative scheme and come in at least three resolutions.
+    one derivative scheme and come in at least three distinct spacings.
     """
-    if len(grid_specs) < 3:
-        raise ValueError("need at least three grids")
+    if len({g.h for g in grid_specs}) < 3:
+        raise ValueError("need grids of at least three distinct spacings")
     schemes = {g.scheme for g in grid_specs}
     if len(schemes) > 1:
         raise ValueError("refinement study cannot mix derivative schemes")

@@ -1,12 +1,12 @@
 """Variational minimization of the uncertainty functionals on grid states.
 
-Riemannian nonlinear conjugate gradients over unit-norm grid states, with
-an Armijo backtracking line search and monotone acceptance.  The sum
-functional is the harmonic Rayleigh quotient whose minimum n is attained at
-the isotropic Gaussian; the product functional shares the minimum value but
-has a one-parameter family of anisotropic Gaussian minimizers.  A separate
-probe documents that the scaling-derivative ratio approaches but never
-attains its lower bound.
+Riemannian nonlinear conjugate gradients over unit-norm grid states, each
+step the exact minimizer on the plane of the state and the search
+direction.  The sum functional is the harmonic Rayleigh quotient whose
+minimum n is attained at the isotropic Gaussian; the product functional
+shares the minimum value but has a one-parameter family of anisotropic
+Gaussian minimizers.  A separate probe documents that the scaling-derivative
+ratio approaches but never attains its lower bound.
 """
 
 from __future__ import annotations
@@ -20,11 +20,6 @@ from . import grids
 from .gaussians import GaussianSpec, realize
 from .grids import GridSpec, StateField, _radius_sq
 from .radial import RadialQuadrature, annulus_state, x_dot_grad as radial_x_dot_grad
-
-_ARMIJO = 1e-4      # sufficient-decrease constant of the line search
-_STEP = 0.1         # first trial step, and the step after a restart
-_BACKTRACK = 0.5    # largest fraction of a failed step tried next
-_GROW = 1.5         # factor from an accepted step to the next first trial
 
 
 @dataclass(frozen=True)
@@ -49,111 +44,111 @@ def fidelity(a: StateField, b: StateField) -> float:
     return abs(a.inner(b)) / (a.norm() * b.norm())
 
 
-def _normalize(phi: StateField) -> StateField:
-    nrm = phi.norm()
-    if nrm == 0.0:
-        raise ValueError("cannot normalize the zero state")
-    return phi * (1.0 / nrm)
-
-
 def _tangent(phi: StateField, v: StateField) -> StateField:
     """Projection of ``v`` onto the tangent space of the sphere at ``phi``."""
     return v - phi.inner(v).real * phi
 
 
-def _line_search(phi, value, direction, slope, step, value_and_gradient):
-    """Armijo backtracking with quadratic interpolation from ``step``.
+def _value_and_gradient(phi: StateField, lap: StateField, product: bool):
+    """Value and Riemannian gradient at the unit-norm ``phi``; lap = -Lap phi.
 
-    Returns (step, candidate, value, gradient) at the first strictly lower
-    value with sufficient decrease, or None once the step underflows.
+    Both functionals are homogeneous of degree one in X = <x^2 phi, phi> and
+    G = <lap, phi>, so the value is wx X + wg G with (wx, wg) = (dF/dX,
+    dF/dG): (1, 1) for the sum X + G and (sqrt(G/X), sqrt(X/G)) for the
+    product 2 sqrt(X G).  The gradient is 2 (wx x^2 phi + wg lap - value phi).
     """
-    while step > 1e-18:
-        candidate = _normalize(phi + step * direction)
-        new_value, new_grad = value_and_gradient(candidate)
-        if new_value < value and new_value <= value + _ARMIJO * step * slope:
-            return step, candidate, new_value, new_grad
-        # Minimizer of the parabola through value, slope and new_value,
-        # kept within [0.1, _BACKTRACK] times the failed step.
-        curv = new_value - value - slope * step
-        trial = -0.5 * slope * step * step / curv if curv > 0 else 0.0
-        step = min(max(trial, 0.1 * step), _BACKTRACK * step)
-    return None
+    x2phi = StateField(phi.grid, _radius_sq(phi.grid) * phi.data)
+    x_sq, g_sq = x2phi.inner(phi).real, lap.inner(phi).real
+    wx, wg = ((math.sqrt(g_sq / x_sq), math.sqrt(x_sq / g_sq)) if product
+              else (1.0, 1.0))
+    value = wx * x_sq + wg * g_sq
+    return value, 2.0 * (wx * x2phi + wg * lap - value * phi)
+
+
+def _plane_step(phi, lap, d, lap_d, product: bool) -> float:
+    """Exact minimizing angle t of the functional on cos t phi + sin t d.
+
+    ``phi`` and ``d`` are orthonormal in Re<., .>, and ``lap``, ``lap_d``
+    are -Laplacian of them.  The sum is the Laurent polynomial Q = X + G of
+    degree one in z = e^{2it}, and the product is monotone in Q = X G, of
+    degree two; the critical angles are the roots of z^m dQ/dz.  Returns
+    0.0 when no angle lowers Q.
+    """
+    r2 = _radius_sq(phi.grid)
+    forms = []
+    for a_phi, a_d in ((StateField(phi.grid, r2 * phi.data),
+                        StateField(phi.grid, r2 * d.data)), (lap, lap_d)):
+        # (a + b)/2 + (a - b)/2 cos 2t + c sin 2t as coefficients of
+        # z^-1, 1, z, from a = <A phi, phi>, b = <A d, d>, c = Re<A d, phi>.
+        a, b, c = (a_phi.inner(phi).real, a_d.inner(d).real,
+                   a_d.inner(phi).real)
+        c1 = 0.25 * (a - b) - 0.5j * c
+        forms.append(np.array([np.conj(c1), 0.5 * (a + b), c1]))
+    cx, cg = forms
+    q = np.convolve(cx, cg) if product else cx + cg
+    m = len(q) // 2
+    k = np.arange(-m, m + 1)
+    angles = 0.5 * np.angle(np.roots((k * q)[::-1]))
+    # Q(t) - Q(0) is the sum over k >= 1 of 2 Re(q_k (e^{2ikt} - 1)); writing
+    # e^{2ikt} - 1 = 2i sin(kt) e^{ikt} keeps small decreases exact.
+    kp, qp, t = k[m + 1:], q[m + 1:], angles[:, None]
+    drops = (4j * qp * np.sin(kp * t) * np.exp(1j * kp * t)).real.sum(axis=1)
+    if drops.size == 0 or drops.min() >= 0.0:
+        return 0.0
+    return float(angles[np.argmin(drops)])
 
 
 def _descend(grid: GridSpec, seed: int, opts: SearchOptions,
-             value_and_gradient) -> SearchResult:
+             product: bool) -> SearchResult:
     """Riemannian nonlinear conjugate gradients on the unit sphere.
 
-    Starts from a random smooth state.  ``value_and_gradient(phi)`` must
-    return the functional value at the unit-norm state and its Riemannian
-    gradient: the gradient in the real inner product Re<., .>, tangent to
-    the sphere at ``phi``.  Directions follow Polak-Ribiere+ with the
-    previous direction carried over by tangent projection; the retraction
-    is renormalization.  Every accepted value is strictly lower, and the
-    loop stops once the Riemannian gradient norm is at or below
-    ``opts.gtol``, or when no lower value can be found even along the
-    negative gradient; both count as converged (Absil, Mahony and
-    Sepulchre 2008, ch. 8).
+    Starts from a random smooth state.  Directions follow Polak-Ribiere+
+    with tangent-projection transport (Absil, Mahony and Sepulchre 2008,
+    ch. 8).  Each iteration applies -Laplacian once, to the unit direction
+    d, and takes the exact step on the circle cos t phi + sin t d (Knyazev
+    2001) unless it raises the value.  The loop stops at gradient norm
+    ``opts.gtol``, or at the rounding floor, where even the negative
+    gradient gives no step; both count as converged.
     """
     from .identities import random_smooth_state
 
     rng = np.random.default_rng(seed)
     phi = random_smooth_state(grid, rng)
-    value, grad = value_and_gradient(phi)
+    lap = grids.neg_laplacian(phi)
+    value, grad = _value_and_gradient(phi, lap, product)
     grad_sq = grad.norm_sq()
     direction, beta = -1.0 * grad, 0.0
-    step = _STEP
-    trace = [(0, value, step)]
+    trace = [(0, value, 0.0)]
     it = 0
     stalled = False
     while math.sqrt(grad_sq) > opts.gtol and it < opts.max_iters:
-        slope = direction.inner(grad).real
-        if slope >= 0.0:
-            direction, slope, beta = -1.0 * grad, -grad_sq, 0.0
-        found = _line_search(phi, value, direction, slope, step,
-                             value_and_gradient)
-        if found is None:
-            # No lower value even along the negative gradient: the value has
-            # reached its rounding floor.  A conjugate direction instead
-            # restarts at the negative gradient from the initial step.
+        d = _tangent(phi, direction)
+        d = d / d.norm()
+        lap_d = grids.neg_laplacian(d)
+        theta = _plane_step(phi, lap, d, lap_d, product)
+        c, s = math.cos(theta), math.sin(theta)
+        new_phi, new_lap = c * phi + s * d, c * lap + s * lap_d
+        new_value, new_grad = _value_and_gradient(new_phi, new_lap, product)
+        if theta == 0.0 or new_value > value:
+            # No step even along the negative gradient is the rounding floor;
+            # a failed conjugate direction restarts at the negative gradient.
             stalled = beta == 0.0
             if stalled:
                 break
-            direction, beta, step = -1.0 * grad, 0.0, _STEP
+            direction, beta = -1.0 * grad, 0.0
             continue
-        step, candidate, new_value, new_grad = found
         it += 1
         new_grad_sq = new_grad.norm_sq()
-        # new_grad is tangent at candidate, so it meets the transported old
+        # new_grad is tangent at new_phi, so it meets the transported old
         # gradient as it meets the old gradient itself.
         beta = max(0.0, (new_grad_sq - new_grad.inner(grad).real) / grad_sq)
-        direction = beta * _tangent(candidate, direction) - new_grad
-        phi, value, grad, grad_sq = candidate, new_value, new_grad, new_grad_sq
-        trace.append((it, value, step))
-        step *= _GROW
+        direction = beta * _tangent(new_phi, direction) - new_grad
+        phi, lap, value, grad, grad_sq = (new_phi, new_lap, new_value,
+                                          new_grad, new_grad_sq)
+        trace.append((it, value, theta))
     return SearchResult(state=phi, value=value, iterations=it,
                         converged=stalled or math.sqrt(grad_sq) <= opts.gtol,
                         trace=trace)
-
-
-def _sum_value_and_gradient(phi: StateField):
-    """(||x phi||^2 + ||grad phi||^2, 2 (H phi - value phi)) at unit norm."""
-    hphi = StateField(phi.grid, _radius_sq(phi.grid) * phi.data) \
-        + grids.neg_laplacian(phi)
-    value = hphi.inner(phi).real
-    return value, 2.0 * (hphi - value * phi)
-
-
-def _product_value_and_gradient(phi: StateField):
-    """(2 ||x phi|| ||grad phi||, its gradient) at unit norm."""
-    x2phi = StateField(phi.grid, _radius_sq(phi.grid) * phi.data)
-    lap = grids.neg_laplacian(phi)
-    x_sq = x2phi.inner(phi).real
-    g_sq = lap.inner(phi).real
-    value = 2.0 * math.sqrt(max(x_sq * g_sq, 0.0))
-    ratio = math.sqrt(g_sq / x_sq)
-    hphi = ratio * x2phi + (1.0 / ratio) * lap
-    return value, 2.0 * (hphi - value * phi)
 
 
 def minimize_sum_functional(grid: GridSpec, seed: int,
@@ -163,7 +158,7 @@ def minimize_sum_functional(grid: GridSpec, seed: int,
     The minimum is the grid dimension n, attained at the isotropic Gaussian;
     the result carries the overlap with that state.
     """
-    result = _descend(grid, seed, opts, _sum_value_and_gradient)
+    result = _descend(grid, seed, opts, product=False)
     coherent = realize(GaussianSpec("coherent", n=grid.n), grid)
     result.fidelity = fidelity(result.state, coherent)
     return result
@@ -177,7 +172,7 @@ def minimize_product_functional(grid: GridSpec, seed: int,
     the minimizer's ratio lambda = ||grad phi|| / ||x phi|| and the overlap
     with the matching anisotropic Gaussian.
     """
-    result = _descend(grid, seed, opts, _product_value_and_gradient)
+    result = _descend(grid, seed, opts, product=True)
     xnorm = grids.position(result.state).norm()
     gnorm = grids.gradient(result.state).norm()
     result.lambda_est = gnorm / xnorm

@@ -160,11 +160,19 @@ def test_search_command_reads_the_config_file(tmp_path, capsys):
     ["search", "nonattainment", "--R", "0"],
     ["search", "nonattainment", "--points", "0"],
     ["verify", "dilation", "--n", "2", "--N", "32", "--L", "8"],
+    ["verify", "appendix", "--dim", "1"],
 ])
 def test_zero_and_out_of_range_flags_are_usage_errors(argv, capsys):
     # A 0 is a value, not a request for the suite default.
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_vector_dimension_below_two_names_the_flag():
+    # The appendix and section2 draw dimensions from [2, dim]; a config file
+    # reaches the same check as the flag.
+    with pytest.raises(ValueError, match="--dim"):
+        SuiteConfig(suite="appendix", dim=1)
 
 
 def test_zero_tolerance_is_kept(tmp_path):
@@ -235,6 +243,13 @@ def test_refinement_study_requires_three_grids():
           for N in (64, 128, 256)]
     with pytest.raises(ValueError):
         refinement_study("dil.pythagoras", ok)
+
+
+def test_refine_refuses_repeated_spacings(capsys):
+    # Three copies of one grid fit an order to noise, not to a refinement.
+    assert main(["refine", "pm.trace", "--N", "128", "--N", "128",
+                 "--N", "128"]) == 2
+    assert "distinct spacings" in capsys.readouterr().err
 
 
 def test_refinement_study_finds_second_order(tmp_path):

@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from uncerteq import grids
 from uncerteq.cli import SuiteConfig, run_search_suite
 from uncerteq.gaussians import GaussianSpec, realize
-from uncerteq.grids import GridSpec, gradient, position
+from uncerteq.grids import GridSpec, gradient, neg_laplacian, position
 from uncerteq.identities import random_smooth_state
-from uncerteq.search import (SearchOptions, _normalize,
-                             _product_value_and_gradient,
-                             _sum_value_and_gradient, fidelity,
+from uncerteq.search import (SearchOptions, _plane_step, _tangent,
+                             _value_and_gradient, fidelity,
                              minimize_product_functional,
                              minimize_sum_functional, probe_nonattainment)
 from uncerteq.radial import RadialQuadrature
@@ -54,21 +54,69 @@ def test_sum_minimum_matches_dense_eigensolver():
     assert res.value == pytest.approx(ground, abs=1e-10)
 
 
-@pytest.mark.parametrize("value_and_gradient", [_sum_value_and_gradient,
-                                                _product_value_and_gradient])
-def test_gradient_matches_finite_difference(value_and_gradient):
+def _fresh_value(phi, product):
+    phi = phi / phi.norm()
+    return _value_and_gradient(phi, neg_laplacian(phi), product)[0]
+
+
+@pytest.mark.parametrize("product", [False, True], ids=["sum", "product"])
+def test_gradient_matches_finite_difference(product):
     # Central difference of the value along a tangent direction through the
     # retraction, against the real inner product with the gradient.
     rng = np.random.default_rng(4)
     phi = random_smooth_state(GRID, rng)
-    d = random_smooth_state(GRID, rng)
-    d = d - phi.inner(d).real * phi
-    _, grad = value_and_gradient(phi)
+    d = _tangent(phi, random_smooth_state(GRID, rng))
+    _, grad = _value_and_gradient(phi, neg_laplacian(phi), product)
     h = 1e-5
-    plus = value_and_gradient(_normalize(phi + h * d))[0]
-    minus = value_and_gradient(_normalize(phi - h * d))[0]
+    plus = _fresh_value(phi + h * d, product)
+    minus = _fresh_value(phi - h * d, product)
     assert grad.inner(d).real == pytest.approx((plus - minus) / (2 * h),
                                                rel=1e-6)
+
+
+@pytest.mark.parametrize("product", [False, True], ids=["sum", "product"])
+@pytest.mark.parametrize("near_converged", [False, True],
+                         ids=["random_d", "minus_g_near_minimum"])
+def test_plane_step_is_exact(product, near_converged):
+    # The returned angle beats every angle of a dense sample of the circle
+    # cos t phi + sin t d, and of a fine sample around itself, each value
+    # evaluated afresh from its own -Laplacian.
+    rng = np.random.default_rng(9)
+    if near_converged:
+        opts = SearchOptions(gtol=1e-3)
+        minimize = (minimize_product_functional if product
+                    else minimize_sum_functional)
+        phi = minimize(GRID, 0, opts).state
+        d = -1.0 * _value_and_gradient(phi, neg_laplacian(phi), product)[1]
+    else:
+        phi = random_smooth_state(GRID, rng)
+        d = _tangent(phi, random_smooth_state(GRID, rng))
+    d = d / d.norm()
+    theta = _plane_step(phi, neg_laplacian(phi), d, neg_laplacian(d), product)
+    assert theta != 0.0
+    best = _fresh_value(math.cos(theta) * phi + math.sin(theta) * d, product)
+    assert best < _fresh_value(phi, product)
+    sample = np.concatenate([np.linspace(-0.5 * np.pi, 0.5 * np.pi, 721),
+                             theta * np.linspace(0.0, 2.0, 201)])
+    values = [_fresh_value(math.cos(t) * phi + math.sin(t) * d, product)
+              for t in sample]
+    assert best <= min(values) + 1e-13
+
+
+def test_search_applies_the_laplacian_once_per_iteration(monkeypatch):
+    # One -Laplacian for the start and one per direction tried: the exact
+    # plane step needs no trial states.
+    calls = []
+    apply = grids.neg_laplacian
+
+    def counted(phi):
+        calls.append(1)
+        return apply(phi)
+
+    monkeypatch.setattr(grids, "neg_laplacian", counted)
+    minimize_sum_functional(GRID, 0)
+    minimize_product_functional(GRID, 0)
+    assert len(calls) <= 550
 
 
 @pytest.mark.parametrize("minimize", [minimize_sum_functional,
@@ -116,11 +164,11 @@ def test_difference_scheme_product_search_reports_the_slide():
 
 
 def test_rounding_floor_stop_counts_as_converged():
-    # From this suite seed no lower value exists even along -g while the
-    # gradient norm is still above gtol; the excess is 1.6e-12.
-    opts = SearchOptions(max_iters=40000)
+    # With gtol 0 only the rounding floor, where even -g gives no step that
+    # keeps the value from rising, can stop the descent before max_iters.
+    opts = SearchOptions(max_iters=40000, gtol=0.0)
     res = minimize_sum_functional(GRID, seed=1000017, opts=opts)
-    _, grad = _sum_value_and_gradient(res.state)
+    _, grad = _value_and_gradient(res.state, neg_laplacian(res.state), False)
     assert grad.norm() > opts.gtol
     assert res.iterations < opts.max_iters
     assert res.converged
