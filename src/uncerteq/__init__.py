@@ -21,8 +21,8 @@ from .identities import (random_smooth_state, saturation_flags,
                          verify_dilation_hamiltonian,
                          verify_dilation_pythagoras, verify_hardy,
                          verify_position_momentum, verify_radial_coulomb)
-from .radial import (RadialQuadrature, RadialState, annulus_state,
-                     gaussian_polynomial, radial_gaussian,
+from .radial import (LaguerreQuadrature, RadialQuadrature, RadialState,
+                     annulus_state, gaussian_polynomial, radial_gaussian,
                      random_radial_state)
 from .report import EqualityReport, bound, compare
 from .search import (SearchOptions, SearchResult, fidelity,

@@ -33,9 +33,7 @@ def _operators(state):
     if isinstance(state, StateField):
         return grids, state.grid.n, {"grid": state.grid.to_dict()}
     if isinstance(state, RadialState):
-        q = state.quad
-        return radial, q.n, {"radial": {"n": q.n, "r_max": q.r_max,
-                                        "points": q.points}}
+        return radial, state.quad.n, {"radial": state.quad.to_dict()}
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 

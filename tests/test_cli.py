@@ -33,6 +33,10 @@ def test_unknown_config_keys_rejected(tmp_path):
     cfg_path.write_text(json.dumps({"trals": 7}))
     with pytest.raises(ValueError):
         SuiteConfig.from_sources(str(cfg_path), {})
+    # The radial suites take no range or point count.
+    cfg_path.write_text(json.dumps({"R": 40.0, "points": 20000}))
+    with pytest.raises(ValueError, match="unknown config keys"):
+        SuiteConfig.from_sources(str(cfg_path), {})
 
 
 def test_run_suite_rejects_unknown_suite():
@@ -41,12 +45,16 @@ def test_run_suite_rejects_unknown_suite():
 
 
 def test_cli_import_leaves_scipy_ndimage_unloaded():
-    # Every CLI call pays for what importing the CLI loads.
-    code = ("import sys, uncerteq.cli; "
-            "print(uncerteq.cli.__file__); print('scipy.ndimage' in sys.modules)")
+    # Every CLI call pays for what importing the CLI loads.  The radial rule
+    # is computed with numpy, so a radial suite does not load scipy.special.
+    code = ("import os, sys, uncerteq.cli; "
+            "print(uncerteq.cli.__file__); print('scipy.ndimage' in sys.modules); "
+            "code = uncerteq.cli.main(['verify', 'coulomb', '--trials', '1', "
+            "'--out', os.devnull]); "
+            "print(code, 'scipy.special' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.splitlines() == [cli.__file__, "False"]
+    assert proc.stdout.splitlines() == [cli.__file__, "False", "0 False"]
 
 
 def test_verify_appendix_exits_clean(tmp_path):
@@ -92,13 +100,25 @@ def test_verify_momentum_position_with_csv(tmp_path):
 
 def test_verify_hardy_radial_fast_path(tmp_path):
     out = tmp_path / "report.json"
-    code = main(["verify", "hardy", "--n", "3", "--radial", "--R", "40",
-                 "--points", "20000", "--trials", "5", "--out", str(out)])
+    code = main(["verify", "hardy", "--n", "3", "--radial", "--trials", "5",
+                 "--out", str(out)])
     assert code == 0
     payload = _load(out)
     ids = {rep["identity_id"] for rep in payload["reports"]}
     assert "hardy.pythagoras" in ids
     assert all(rep["rel_residual"] <= 1e-8 for rep in payload["reports"])
+
+
+@pytest.mark.parametrize("suite", [["hardy", "--radial"], ["coulomb"]])
+@pytest.mark.parametrize("n", ["3", "4", "5", "6"])
+def test_radial_suites_pass_in_every_dimension(suite, n, tmp_path):
+    # The midpoint rule failed hardy --radial at n = 4 (3.3e-7 against 1e-8).
+    out = tmp_path / "report.json"
+    assert main(["verify", *suite, "--n", n, "--out", str(out)]) == 0
+    payload = _load(out)
+    assert {rep["context"]["radial"]["n"]
+            for rep in payload["reports"]} == {int(n)}
+    assert {rep["tol"] for rep in payload["reports"]} == {1e-8}
 
 
 def test_run_hardy_verifies_each_grid_once(monkeypatch):
@@ -153,14 +173,14 @@ def test_search_command_reads_the_config_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "hardy", "--radial", "--n", "0", "--trials", "1",
-     "--points", "2000"],
+    ["verify", "hardy", "--radial", "--n", "0", "--trials", "1"],
     ["verify", "appendix", "--trials", "0"],
     ["search", "nonattainment", "--n", "2"],
     ["search", "nonattainment", "--R", "0"],
     ["search", "nonattainment", "--points", "0"],
     ["verify", "dilation", "--n", "2", "--N", "32", "--L", "8"],
     ["verify", "appendix", "--dim", "1"],
+    ["search", "sum", "--R", "40"],
 ])
 def test_zero_and_out_of_range_flags_are_usage_errors(argv, capsys):
     # A 0 is a value, not a request for the suite default.

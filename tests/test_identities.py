@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uncerteq import grids, identities, radial
 from uncerteq.complexspace import ComplexVector
@@ -14,7 +15,8 @@ from uncerteq.identities import (_hermite_functions, random_smooth_state,
                                  verify_dilation_pythagoras, verify_hardy,
                                  verify_position_momentum,
                                  verify_radial_coulomb)
-from uncerteq.radial import RadialQuadrature, radial_gaussian, random_radial_state
+from uncerteq.radial import (LaguerreQuadrature, RadialQuadrature,
+                             radial_gaussian, random_radial_state)
 
 GRID = GridSpec(n=1, N=256, L=12.0)
 QUAD3 = RadialQuadrature(3, 40.0, 20000)
@@ -124,6 +126,19 @@ def test_radial_coulomb_identities():
             phi = random_radial_state(quad, rng)
             for rep in verify_radial_coulomb(phi, tol=1e-8):
                 assert rep.passed, (quad.n, rep.identity_id, rep.rel_residual)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 8), st.integers(0, 10 ** 9))
+def test_radial_identities_hold_on_the_laguerre_rule(n, seed):
+    # Even n included: the midpoint rule missed 1e-8 there (n = 4: 3.3e-7).
+    quad = LaguerreQuadrature(n)
+    rng = np.random.default_rng(seed)
+    for psi in (radial_gaussian(quad), random_radial_state(quad, rng)):
+        reports = verify_hardy(psi, 1e-8) + verify_radial_coulomb(psi, 1e-8)
+        assert {r.identity_id.split(".")[0] for r in reports} == {
+            "hardy", "radcoul"}
+        assert [r.identity_id for r in reports if not r.passed] == []
 
 
 def test_radial_coulomb_coefficient_is_trivial_only_in_three_dimensions():

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from uncerteq.radial import (RadialQuadrature, RadialState, annulus_state,
+from uncerteq.radial import (LaguerreQuadrature, RadialQuadrature,
+                             RadialState, _gauss_laguerre, annulus_state,
                              coulomb, gaussian_polynomial, radial_derivative,
                              radial_derivative_sym,
                              radial_gaussian, random_radial_state, sphere_area,
@@ -26,6 +27,41 @@ def test_quadrature_validation():
         RadialQuadrature(3, -1.0, 100)
     with pytest.raises(ValueError):
         RadialQuadrature(3, 10.0, 1)
+
+
+@pytest.mark.parametrize("m", [1, 8, 32])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_gauss_laguerre_is_exact_to_degree_2m_minus_1(m, n):
+    # Int_0^inf t^k t^alpha e^{-t} dt = Gamma(k + alpha + 1), alpha = n/2 - 2.
+    alpha = 0.5 * n - 2.0
+    t, w = _gauss_laguerre(m, alpha)
+    for k in range(2 * m):
+        exact = math.exp(math.lgamma(k + alpha + 1.0))
+        assert np.sum(w * t ** k) == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_laguerre_gaussian_norms_against_closed_form(n):
+    # ||e^{-r^2/2}||^2 = pi^{n/2} and ||d/dr e^{-r^2/2}||^2 = (n/2) pi^{n/2}.
+    psi = radial_gaussian(LaguerreQuadrature(n))
+    assert psi.norm_sq() == pytest.approx(math.pi ** (0.5 * n), rel=1e-13)
+    assert radial_derivative(psi).norm_sq() == pytest.approx(
+        0.5 * n * math.pi ** (0.5 * n), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_laguerre_rule_converges_off_its_weight(n):
+    # e^{-r^2} squares to e^{-2t}, not e^{-t} times a polynomial, so the rule
+    # is not exact here; its norm (pi/2)^{n/2} still converges at 32 nodes.
+    psi = radial_gaussian(LaguerreQuadrature(n), alpha=2.0)
+    assert psi.norm_sq() == pytest.approx((0.5 * math.pi) ** (0.5 * n),
+                                          rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, 2])
+def test_laguerre_rule_refuses_dimensions_below_three(n):
+    with pytest.raises(ValueError, match="dimension >= 3"):
+        LaguerreQuadrature(n)
 
 
 def test_node_layout():
