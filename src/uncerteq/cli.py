@@ -45,6 +45,14 @@ ALGEBRAIC_TOL = 1e-12
 # keep 1e-4.
 SEARCH_TOL = {"spectral_periodic": 1e-8, "central_diff_2": 1e-4,
               "central_diff_4": 1e-4}
+# Tolerance of verify hardy on the tensor grid, per derivative scheme.  On
+# the spectral scheme the worst residual (hardy.grid.value_rhs, the
+# extrapolated 1/|x|^2 norm) was 1.6e-9 over n = 3, L in {8, 8.8, 10, 12, 14},
+# every even N <= 128 that the grid guards accept and offsets 0.5 and 0.25,
+# and 4.4e-10 at n = 4, N = 52, L = 6.5; 1e-8 keeps a factor of 6.  The
+# difference schemes keep 1e-3 (ROADMAP item 5: they fail at their defaults).
+HARDY_GRID_TOL = {"spectral_periodic": 1e-8, "central_diff_2": 1e-3,
+                  "central_diff_4": 1e-3}
 
 
 @dataclass
@@ -193,8 +201,8 @@ def run_hardy(cfg: SuiteConfig) -> list[EqualityReport]:
         for psi in states:
             reports.extend(identities.verify_hardy(psi, tol))
     else:
-        tol = _flag(cfg.tol, 1e-3)
         fine = _grid(cfg, n, 96 if n == 3 else 32, default_offset=0.5)
+        tol = _flag(cfg.tol, HARDY_GRID_TOL[fine.scheme])
         # The 1/|x|^2-weighted norm on the tensor grid has an O(h^(n-2))
         # midpoint quadrature error, so the right side of the Pythagorean
         # identity is checked after removing that term by Richardson
@@ -282,10 +290,30 @@ RUNNERS = {
 }
 
 
+def _refuse_grid_flags(cfg: SuiteConfig) -> None:
+    """coulomb and hardy --radial build no grid, so a grid flag is an error.
+
+    ``verify all`` still hands the grid flags to the grid suites.
+    """
+    if cfg.suite == "coulomb":
+        name = "coulomb"
+    elif cfg.suite == "hardy" and cfg.radial:
+        name = "hardy --radial"
+    else:
+        return
+    for flag, unset in (("--N", cfg.N is None),
+                        ("--offset", cfg.offset is None),
+                        ("--scheme", cfg.scheme == "spectral_periodic")):
+        if not unset:
+            raise ValueError(f"{flag} does not apply to {name}, which runs "
+                             "on the radial quadrature, not a grid")
+
+
 def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
     """Execute the selected suites and assemble the versioned report."""
     if cfg.suite not in SUITES:
         raise ValueError(f"unknown suite {cfg.suite!r}")
+    _refuse_grid_flags(cfg)
     names = [s for s in SUITES if s not in ("all",)] if cfg.suite == "all" \
         else [cfg.suite]
     reports: list[EqualityReport] = []

@@ -4,7 +4,10 @@ The box is [-L, L)^n with N points per axis at x_j = -L + (j + offset) h,
 h = 2L/N.  A nonzero offset keeps every sample away from the origin, which
 the singular operators (1/|x|, x/|x|) require.  Derivatives come from the
 periodic Fourier transform or from periodic central differences; test states
-are smooth and rapidly decaying, so the periodic wrap carries no mass.
+are smooth and rapidly decaying, so the periodic wrap carries no mass.  The
+Fourier path picks its transform from the data: a field whose imaginary part
+is identically zero (every Hardy state) takes the real-input transform on
+the half spectrum, any other field the complex one.
 """
 
 from __future__ import annotations
@@ -174,17 +177,37 @@ class VectorField(_GridQuantity):
         return (grid.n,) + grid.shape
 
 
+def _spectral_axis(grid: GridSpec, values: np.ndarray, axis: int,
+                   symbol) -> np.ndarray:
+    """Multiply the transform of ``values`` along ``axis`` by ``symbol(k)``.
+
+    Real data (imaginary part identically zero) take the real-input
+    transform and the half spectrum k = 0..N/2; complex data take the full
+    one.  Either way the symbol is multiplied into the spectrum in place, so
+    the spectrum is the only temporary of the size of the data.
+    """
+    shape = [1] * grid.n
+    shape[axis] = -1
+    if values.imag.any():
+        fk = np.fft.fft(values, axis=axis)
+        fk *= symbol(grid.wavenumbers()).reshape(shape)
+        return np.fft.ifft(fk, axis=axis)
+    k = 2.0 * math.pi * np.fft.rfftfreq(grid.N, d=grid.h)
+    fk = np.fft.rfft(values.real, axis=axis)
+    fk *= symbol(k).reshape(shape)
+    return np.fft.irfft(fk, n=grid.N, axis=axis)
+
+
 def _derivative_axis(grid: GridSpec, values: np.ndarray, axis: int) -> np.ndarray:
     h = grid.h
     if grid.scheme == "spectral_periodic":
-        k = grid.wavenumbers()
-        # The Nyquist mode has no well-defined sign for an odd derivative.
-        k = k.copy()
-        k[grid.N // 2] = 0.0
-        shape = [1] * grid.n
-        shape[axis] = grid.N
-        fk = np.fft.fft(values, axis=axis)
-        return np.fft.ifft(1j * k.reshape(shape) * fk, axis=axis)
+        def ik(k):
+            # The Nyquist mode (entry N/2 of the full and of the half
+            # spectrum) has no well-defined sign for an odd derivative.
+            s = 1j * k
+            s[grid.N // 2] = 0.0
+            return s
+        return _spectral_axis(grid, values, axis, ik)
     if grid.scheme == "central_diff_2":
         return (np.roll(values, -1, axis) - np.roll(values, 1, axis)) / (2 * h)
     # central_diff_4
@@ -233,13 +256,9 @@ def dilation_generator(phi: StateField) -> StateField:
 def neg_laplacian(phi: StateField) -> StateField:
     grid = phi.grid
     if grid.scheme == "spectral_periodic":
-        k = grid.wavenumbers()
         out = np.zeros(grid.shape, dtype=np.complex128)
         for axis in range(grid.n):
-            shape = [1] * grid.n
-            shape[axis] = grid.N
-            fk = np.fft.fft(phi.data, axis=axis)
-            out += np.fft.ifft((k.reshape(shape) ** 2) * fk, axis=axis)
+            out += _spectral_axis(grid, phi.data, axis, np.square)
         return StateField(grid, out)
     # Central schemes: apply the first-derivative stencil twice per axis so
     # that summation by parts ((-lap phi|phi) = ||grad phi||^2) holds exactly.
@@ -250,11 +269,24 @@ def neg_laplacian(phi: StateField) -> StateField:
     return StateField(grid, out)
 
 
+def _radial_part(grid: GridSpec, g: np.ndarray) -> np.ndarray:
+    """(x/|x|).g for gradient data g."""
+    return _coord_dot(grid, g, _radius(grid))
+
+
+def _tangential_part(grid: GridSpec, g: np.ndarray, dr: np.ndarray) -> np.ndarray:
+    """g - (x/|x|) dr, overwriting g, where dr is the radial part of g."""
+    r = _radius(grid)
+    for axis in range(grid.n):
+        g[axis] -= (grid.coord(axis) / r) * dr
+    return g
+
+
 def radial_derivative(phi: StateField) -> StateField:
     """(x/|x|).grad phi."""
     grid = phi.grid
     _require_origin_free(grid)
-    return StateField(grid, _coord_dot(grid, gradient(phi).data, _radius(grid)))
+    return StateField(grid, _radial_part(grid, gradient(phi).data))
 
 
 def radial_derivative_sym(phi: StateField) -> StateField:
@@ -275,22 +307,24 @@ def spherical_derivative(phi: StateField) -> VectorField:
     """L phi = grad phi - (x/|x|) (x/|x|).grad phi, one component per axis."""
     grid = phi.grid
     _require_origin_free(grid)
-    r = _radius(grid)
     g = gradient(phi).data
-    dr = _coord_dot(grid, g, r)
-    for axis in range(grid.n):
-        g[axis] -= (grid.coord(axis) / r) * dr
-    return VectorField(grid, g)
+    return VectorField(grid, _tangential_part(grid, g, _radial_part(grid, g)))
 
 
 def pointwise_gradient_decomposition(phi: StateField,
                                      tol: float = 1e-10) -> EqualityReport:
-    """|grad phi|^2 = |radial part|^2 + sum_j |spherical part|^2, integrated."""
+    """|grad phi|^2 = |radial part|^2 + sum_j |spherical part|^2, integrated.
+
+    One gradient feeds both sides: the left reads it before the spherical
+    part overwrites it.
+    """
     grid = phi.grid
     _require_origin_free(grid)
-    lhs_point = np.sum(np.abs(gradient(phi).data) ** 2, axis=0)
-    rhs_point = np.abs(radial_derivative(phi).data) ** 2
-    for comp in spherical_derivative(phi).data:
+    g = gradient(phi).data
+    lhs_point = np.sum(np.abs(g) ** 2, axis=0)
+    dr = _radial_part(grid, g)
+    rhs_point = np.abs(dr) ** 2
+    for comp in _tangential_part(grid, g, dr):
         rhs_point = rhs_point + np.abs(comp) ** 2
     lhs = float(np.sum(lhs_point)) * grid.weight
     rhs = float(np.sum(rhs_point)) * grid.weight

@@ -181,11 +181,25 @@ def test_search_command_reads_the_config_file(tmp_path, capsys):
     ["verify", "dilation", "--n", "2", "--N", "32", "--L", "8"],
     ["verify", "appendix", "--dim", "1"],
     ["search", "sum", "--R", "40"],
+    ["verify", "coulomb", "--trials", "1", "--N", "7", "--scheme",
+     "central_diff_2"],
+    ["verify", "hardy", "--radial", "--trials", "1", "--offset", "0.5"],
 ])
 def test_zero_and_out_of_range_flags_are_usage_errors(argv, capsys):
     # A 0 is a value, not a request for the suite default.
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", [["coulomb"], ["hardy", "--radial"]])
+@pytest.mark.parametrize("flag", [["--N", "64"], ["--offset", "0.25"],
+                                  ["--scheme", "central_diff_4"]])
+def test_radial_suites_name_the_grid_flag_they_refuse(suite, flag, capsys):
+    # These suites build no grid; recording the flag would describe a
+    # configuration that never ran.
+    assert main(["verify", *suite, "--trials", "1", *flag]) == 2
+    err = capsys.readouterr().err
+    assert flag[0] in err and "radial quadrature" in err
 
 
 def test_vector_dimension_below_two_names_the_flag():

@@ -219,7 +219,7 @@ def test_spherical_derivative_is_the_tangential_gradient():
 
 
 def _count_ffts(monkeypatch):
-    counts = {"fft": 0, "ifft": 0}
+    counts = {"fft": 0, "ifft": 0, "rfft": 0, "irfft": 0}
     for name in counts:
         original = getattr(np.fft, name)
 
@@ -232,19 +232,52 @@ def _count_ffts(monkeypatch):
 
 
 def test_pointwise_split_transform_count(monkeypatch):
-    # One gradient each for |grad phi|^2, the radial part and L phi.
+    # One gradient feeds |grad phi|^2, the radial part and L phi; the
+    # angular Gaussian is complex, so it takes the full transform.
     phi = _angular_gaussian_3d(N=16)
     counts = _count_ffts(monkeypatch)
     pointwise_gradient_decomposition(phi, tol=1e-6)
-    assert counts == {"fft": 9, "ifft": 9}
+    assert counts == {"fft": 3, "ifft": 3, "rfft": 0, "irfft": 0}
 
 
 def test_run_hardy_transform_count(monkeypatch):
     # verify_hardy takes three gradients per grid (radial part, |grad psi|,
-    # x.grad(psi/|x|)); the pointwise split takes three more on the fine grid.
+    # x.grad(psi/|x|)); the pointwise split takes one more on the fine grid.
+    # Every hardy state is real, so every transform is a real-input one.
     counts = _count_ffts(monkeypatch)
     run_hardy(SuiteConfig(suite="hardy", N=64, L=8.0))
-    assert sum(counts.values()) == 54
+    assert counts == {"fft": 0, "ifft": 0, "rfft": 21, "irfft": 21}
+
+
+def _real_state(n):
+    grid = GridSpec(n=n, N=48, L=8.0, offset=0.25)
+
+    def fn(*x):
+        r2 = sum((xj - 0.3 * j) ** 2 for j, xj in enumerate(x))
+        return (1.0 + x[0] - 0.2 * x[-1] ** 2) * np.exp(-0.5 * r2)
+
+    return StateField.from_callable(grid, fn)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("op", [gradient, neg_laplacian])
+def test_real_input_path_matches_the_complex_path(n, op):
+    # i*phi has a nonzero imaginary part, so op(i*phi) takes the full
+    # transform; multiplying by -i is exact and brings it back to op(phi).
+    phi = _real_state(n)
+    real_path = op(phi).data
+    complex_path = -1j * op(1j * phi).data
+    assert np.all(real_path.imag == 0.0)
+    assert np.max(np.abs(real_path - complex_path)) <= 1e-13
+
+
+def test_nyquist_cosine_has_zero_derivative_on_both_paths():
+    grid = GridSpec(n=1, N=32, L=4.0)
+    k_nyquist = math.pi / grid.h
+    phi = StateField.from_callable(grid, lambda x: np.cos(k_nyquist * x))
+    assert np.max(np.abs(phi.values)) == pytest.approx(1.0)
+    for state in (phi, 1j * phi):
+        assert np.max(np.abs(gradient(state).data)) <= 1e-14
 
 
 def test_radius_caches_hold_at_most_two_grids():
