@@ -29,11 +29,8 @@ from .identities import GRID_TOL, refinement_study  # also public as cli.refinem
 from .radial import (LaguerreQuadrature, RadialQuadrature, radial_gaussian,
                      random_radial_state)
 from .report import EqualityReport, bound, compare
-from .search import (SearchOptions, SearchResult, minimize_product_functional,
+from .search import (SearchOptions, minimize_product_functional,
                      minimize_sum_functional, probe_nonattainment)
-
-SUITES = ("appendix", "section2", "momentum-position", "dilation", "hardy",
-          "coulomb", "search", "all")
 
 ALGEBRAIC_TOL = 1e-12
 # Tolerance of the search minima against n, per derivative scheme.  On the
@@ -54,20 +51,40 @@ SEARCH_TOL = {"spectral_periodic": 1e-8, "central_diff_2": 1e-4,
 HARDY_GRID_TOL = {"spectral_periodic": 1e-8, "central_diff_2": 1e-3,
                   "central_diff_4": 1e-3}
 
+# What each command runs on and the config fields (flags) it reads.  Every
+# verify suite also reads seed, out, csv and --config; --radial picks the
+# hardy row.  A field that was set, by flag or by config file, and that the
+# command does not read is a usage error (_refuse_unread).
+_GRID = ("tol", "n", "N", "L", "offset", "scheme")
+READS = {
+    "appendix": ("random vectors", ("tol", "trials", "dim")),
+    "section2": ("random vectors", ("tol", "trials", "dim")),
+    "momentum-position": ("a grid", (*_GRID, "trials")),
+    "dilation": ("a grid", (*_GRID, "trials")),
+    "hardy": ("a grid", (*_GRID, "radial")),
+    "hardy --radial": ("the radial quadrature", ("tol", "trials", "n", "radial")),
+    "coulomb": ("the radial quadrature", ("tol", "trials", "n")),
+    "search": ("a grid", _GRID),
+    "search sum": ("a grid", (*_GRID, "seed", "config", "max_iters")),
+    "search product": ("a grid", (*_GRID, "seed", "config", "max_iters")),
+    "search nonattainment": ("a radial midpoint rule", ("n", "R", "points")),
+    "all": ("each suite's own states", (*_GRID, "trials", "dim", "radial")),
+}
+
 
 @dataclass
 class SuiteConfig:
     suite: str = "all"
     n: int | None = None
     N: int | None = None
-    L: float = 12.0
+    L: float | None = None
     offset: float | None = None
-    scheme: str = "spectral_periodic"
+    scheme: str | None = None
     tol: float | None = None
     trials: int | None = None
-    dim: int = 32
+    dim: int | None = None
     seed: int = 0
-    radial: bool = False
+    radial: bool | None = None
     out: str | None = None
     csv: str | None = None
 
@@ -76,12 +93,10 @@ class SuiteConfig:
         data = {}
         if config_path:
             with open(config_path) as fh:
-                loaded = json.load(fh)
-            known = {f.name for f in fields(cls)}
-            unknown = set(loaded) - known
+                data = json.load(fh)
+            unknown = set(data) - {f.name for f in fields(cls)}
             if unknown:
                 raise ValueError(f"unknown config keys: {sorted(unknown)}")
-            data.update(loaded)
         data.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**data)
 
@@ -89,7 +104,7 @@ class SuiteConfig:
         if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be at least 1; zero trials would "
                              "pass vacuously")
-        if self.dim < 2:
+        if self.dim is not None and self.dim < 2:
             raise ValueError(f"--dim must be at least 2, got {self.dim}")
 
 
@@ -112,21 +127,31 @@ def _aggregate(reports: list[EqualityReport]) -> list[EqualityReport]:
 
 
 def _grid(cfg: SuiteConfig, n: int, default_N: int, default_offset: float = 0.0) -> GridSpec:
-    return GridSpec(n=n, N=_flag(cfg.N, default_N), L=cfg.L,
+    return GridSpec(n=n, N=_flag(cfg.N, default_N), L=_flag(cfg.L, 12.0),
                     offset=_flag(cfg.offset, default_offset),
-                    scheme=cfg.scheme)
+                    scheme=_flag(cfg.scheme, "spectral_periodic"))
+
+
+def _vector_pairs(cfg: SuiteConfig, rng, default_trials: int):
+    """Random pairs (u, v), each of one dimension drawn from [2, dim]."""
+    for _ in range(_flag(cfg.trials, default_trials)):
+        dim = int(rng.integers(2, _flag(cfg.dim, 32) + 1))
+        yield random_vector(rng, dim), random_vector(rng, dim)
+
+
+def _radial_reports(verify, quad, cfg: SuiteConfig, rng) -> list[EqualityReport]:
+    """``verify`` on the radial Gaussian and on ``trials`` random states."""
+    states = [radial_gaussian(quad)]
+    states += [random_radial_state(quad, rng) for _ in range(_flag(cfg.trials, 20))]
+    return [rep for psi in states for rep in verify(psi, _flag(cfg.tol, GRID_TOL))]
 
 
 def run_appendix(cfg: SuiteConfig) -> list[EqualityReport]:
     rng = np.random.default_rng(cfg.seed)
     tol = _flag(cfg.tol, ALGEBRAIC_TOL)
-    trials = _flag(cfg.trials, 1000)
     angles = default_angles(rng)
     reports = []
-    for _ in range(trials):
-        dim = int(rng.integers(2, cfg.dim + 1))
-        u = random_vector(rng, dim)
-        v = random_vector(rng, dim)
+    for u, v in _vector_pairs(cfg, rng, 1000):
         reports.extend(cs_equality_residuals(u, v, angles=angles, tol=tol))
         complexspace.extremizer_class(u, v, tol)
     return _aggregate(reports)
@@ -135,13 +160,9 @@ def run_appendix(cfg: SuiteConfig) -> list[EqualityReport]:
 def run_section2(cfg: SuiteConfig) -> list[EqualityReport]:
     rng = np.random.default_rng(cfg.seed)
     tol = _flag(cfg.tol, ALGEBRAIC_TOL)
-    trials = _flag(cfg.trials, 200)
     angles = default_angles(rng)
     reports = []
-    for _ in range(trials):
-        dim = int(rng.integers(2, cfg.dim + 1))
-        u = random_vector(rng, dim)
-        v = random_vector(rng, dim)
+    for u, v in _vector_pairs(cfg, rng, 200):
         s = PairSample.from_vectors(u, v)
         reports.extend(sr_equalities(s, thetas=angles, tol=tol))
         reports.extend(decomposition_check(s, tol))
@@ -156,10 +177,9 @@ def run_section2(cfg: SuiteConfig) -> list[EqualityReport]:
 def run_momentum_position(cfg: SuiteConfig) -> list[EqualityReport]:
     rng = np.random.default_rng(cfg.seed)
     tol = _flag(cfg.tol, GRID_TOL)
-    trials = _flag(cfg.trials, 50)
     grid = _grid(cfg, _flag(cfg.n, 1), 256)
     reports = []
-    for _ in range(trials):
+    for _ in range(_flag(cfg.trials, 50)):
         phi = identities.random_smooth_state(grid, rng)
         reports.extend(identities.verify_position_momentum(phi, tol))
     coherent = realize(GaussianSpec("coherent", n=grid.n), grid)
@@ -178,10 +198,9 @@ def run_momentum_position(cfg: SuiteConfig) -> list[EqualityReport]:
 def run_dilation(cfg: SuiteConfig) -> list[EqualityReport]:
     rng = np.random.default_rng(cfg.seed)
     tol = _flag(cfg.tol, GRID_TOL)
-    trials = _flag(cfg.trials, 20)
     grid = _grid(cfg, _flag(cfg.n, 1), 256)
     reports = []
-    for _ in range(trials):
+    for _ in range(_flag(cfg.trials, 20)):
         phi = identities.random_smooth_state(grid, rng)
         reports.extend(identities.verify_dilation_pythagoras(phi, tol))
         reports.extend(identities.verify_dilation_hamiltonian(phi, max(tol, 1e-7)))
@@ -189,45 +208,38 @@ def run_dilation(cfg: SuiteConfig) -> list[EqualityReport]:
 
 
 def run_hardy(cfg: SuiteConfig) -> list[EqualityReport]:
-    rng = np.random.default_rng(cfg.seed)
     n = _flag(cfg.n, 3)
-    reports = []
     if cfg.radial:
-        tol = _flag(cfg.tol, GRID_TOL)
-        quad = LaguerreQuadrature(n)
-        states = [radial_gaussian(quad)]
-        for _ in range(_flag(cfg.trials, 20)):
-            states.append(random_radial_state(quad, rng))
-        for psi in states:
-            reports.extend(identities.verify_hardy(psi, tol))
-    else:
-        fine = _grid(cfg, n, 96 if n == 3 else 32, default_offset=0.5)
-        tol = _flag(cfg.tol, HARDY_GRID_TOL[fine.scheme])
-        # The 1/|x|^2-weighted norm on the tensor grid has an O(h^(n-2))
-        # midpoint quadrature error, so the right side of the Pythagorean
-        # identity is checked after removing that term by Richardson
-        # extrapolation with a half-resolution control grid.  For the
-        # unit-norm isotropic Gaussian both sides equal n/2 exactly.
-        coarse = GridSpec(n=fine.n, N=fine.N // 2, L=fine.L,
-                          offset=fine.offset, scheme=fine.scheme)
-        sides = {}
-        for grid in (coarse, fine):
-            psi = realize(GaussianSpec("coherent", n=n), grid)
-            for rep in identities.verify_hardy(psi, tol):
-                if rep.identity_id == "hardy.pythagoras":
-                    sides[grid.N] = (rep.lhs.real, rep.rhs.real)
-                elif rep.identity_id.startswith("hardy.chain."):
-                    reports.append(rep)
-        target = 0.5 * n
-        ctx = {"grid": fine.to_dict(), "control_N": coarse.N}
-        reports.append(compare("hardy.grid.value_lhs", sides[fine.N][0],
-                               target, tol, context=ctx))
-        q = 2.0 ** (n - 2)
-        rhs_corrected = (q * sides[fine.N][1] - sides[coarse.N][1]) / (q - 1.0)
-        reports.append(compare("hardy.grid.value_rhs", rhs_corrected,
-                               target, tol, context=ctx))
-        # psi is still the fine-grid state from the last loop pass.
-        reports.append(grids.pointwise_gradient_decomposition(psi, tol))
+        return _aggregate(_radial_reports(identities.verify_hardy,
+                                          LaguerreQuadrature(n), cfg,
+                                          np.random.default_rng(cfg.seed)))
+    fine = _grid(cfg, n, 96 if n == 3 else 32, default_offset=0.5)
+    tol = _flag(cfg.tol, HARDY_GRID_TOL[fine.scheme])
+    # The 1/|x|^2-weighted norm on the tensor grid has an O(h^(n-2))
+    # midpoint quadrature error, so the right side of the Pythagorean
+    # identity is checked after removing that term by Richardson
+    # extrapolation with a half-resolution control grid.  For the
+    # unit-norm isotropic Gaussian both sides equal n/2 exactly.
+    coarse = GridSpec(n=fine.n, N=fine.N // 2, L=fine.L,
+                      offset=fine.offset, scheme=fine.scheme)
+    reports, sides = [], {}
+    for grid in (coarse, fine):
+        psi = realize(GaussianSpec("coherent", n=n), grid)
+        for rep in identities.verify_hardy(psi, tol):
+            if rep.identity_id == "hardy.pythagoras":
+                sides[grid.N] = (rep.lhs.real, rep.rhs.real)
+            elif rep.identity_id.startswith("hardy.chain."):
+                reports.append(rep)
+    target = 0.5 * n
+    ctx = {"grid": fine.to_dict(), "control_N": coarse.N}
+    reports.append(compare("hardy.grid.value_lhs", sides[fine.N][0],
+                           target, tol, context=ctx))
+    q = 2.0 ** (n - 2)
+    rhs_corrected = (q * sides[fine.N][1] - sides[coarse.N][1]) / (q - 1.0)
+    reports.append(compare("hardy.grid.value_rhs", rhs_corrected,
+                           target, tol, context=ctx))
+    # psi is still the fine-grid state from the last loop pass.
+    reports.append(grids.pointwise_gradient_decomposition(psi, tol))
     return _aggregate(reports)
 
 
@@ -236,47 +248,55 @@ def run_coulomb(cfg: SuiteConfig) -> list[EqualityReport]:
     # On the Gauss-Laguerre rule the worst radcoul.* residual over 250 suite
     # seeds (s * 1000003 + k, s = 1..10, k < 25) at each n = 3..8 was
     # 6.3e-15; GRID_TOL keeps a factor of 1.6e6, as on hardy --radial.
-    tol = _flag(cfg.tol, GRID_TOL)
     reports = []
     for n in ((3, 5) if cfg.n is None else (cfg.n,)):
-        quad = LaguerreQuadrature(n)
-        states = [radial_gaussian(quad)]
-        for _ in range(_flag(cfg.trials, 20)):
-            states.append(random_radial_state(quad, rng))
-        for phi in states:
-            reports.extend(identities.verify_radial_coulomb(phi, tol))
+        reports += _radial_reports(identities.verify_radial_coulomb,
+                                   LaguerreQuadrature(n), cfg, rng)
     return _aggregate(reports)
 
 
-def _minimizer_reports(target: str, res: SearchResult, grid: GridSpec,
-                       tol: float) -> list[EqualityReport]:
+def _minimize(target: str, cfg: SuiteConfig,
+              max_iters: int | None = None) -> tuple[dict, list[EqualityReport]]:
+    """One search minimizer on the configured grid: its summary and reports."""
+    grid = _grid(cfg, _flag(cfg.n, 1), 256)
+    tol = _flag(cfg.tol, SEARCH_TOL[grid.scheme])
+    runner = (minimize_sum_functional if target == "sum"
+              else minimize_product_functional)
+    res = runner(grid, cfg.seed, SearchOptions(max_iters=_flag(max_iters, 40000)))
     extra = ({"converged": res.converged} if target == "sum"
              else {"lambda_est": res.lambda_est})
-    return [compare(f"search.{target}.value", res.value, float(grid.n), tol,
-                    context={"iterations": res.iterations, **extra}),
-            bound(f"search.{target}.fidelity", 0.999, res.fidelity, 0.0)]
+    summary = {"value": res.value, "target": float(grid.n),
+               "iterations": res.iterations, "converged": res.converged,
+               "fidelity": res.fidelity, **extra}
+    return summary, [
+        compare(f"search.{target}.value", res.value, float(grid.n), tol,
+                context={"iterations": res.iterations, **extra}),
+        bound(f"search.{target}.fidelity", 0.999, res.fidelity, 0.0)]
 
 
-def _nonattainment_reports(rows: list[dict]) -> list[EqualityReport]:
+def _probe(n: int | None = None, R: float | None = None,
+           points: int | None = None) -> tuple[dict, list[EqualityReport]]:
+    """The non-attainment probe at radii 10 < 100 < min(1000, R): rows, reports."""
+    r_max = _flag(R, 1000.0)
+    radii = (10.0, 100.0, min(1000.0, r_max))
+    if radii[2] <= radii[1]:
+        raise ValueError(f"--R must exceed {radii[1]:g} so the probed radii "
+                         f"increase, got {r_max:g}")
+    quad = RadialQuadrature(n=_flag(n, 3), r_max=r_max,
+                            points=_flag(points, 200000))
+    rows = probe_nonattainment(quad, radii)
     rhos = [row["rho"] for row in rows]
-    return [bound("search.nonattainment.above_one", 1.0, min(rhos), 0.0,
-                  context={"rows": rows}),
-            bound("search.nonattainment.decreasing", 0.0,
-                  min(rhos[i] - rhos[i + 1] for i in range(len(rhos) - 1)),
-                  0.0, context={"rows": rows})]
+    return {"rows": rows}, [
+        bound("search.nonattainment.above_one", 1.0, min(rhos), 0.0,
+              context={"rows": rows}),
+        bound("search.nonattainment.decreasing", 0.0,
+              min(rhos[i] - rhos[i + 1] for i in range(len(rhos) - 1)), 0.0,
+              context={"rows": rows})]
 
 
 def run_search_suite(cfg: SuiteConfig) -> list[EqualityReport]:
-    grid = _grid(cfg, _flag(cfg.n, 1), 256)
-    tol = _flag(cfg.tol, SEARCH_TOL[grid.scheme])
-    opts = SearchOptions(max_iters=40000)
-    res = minimize_sum_functional(grid, cfg.seed, opts)
-    reports = _minimizer_reports("sum", res, grid, tol)
-    res = minimize_product_functional(grid, cfg.seed, opts)
-    reports += _minimizer_reports("product", res, grid, tol)
-    quad = RadialQuadrature(n=3, r_max=1000.0, points=200000)
-    rows = probe_nonattainment(quad, (10.0, 100.0, 1000.0))
-    return reports + _nonattainment_reports(rows)
+    return [*_minimize("sum", cfg)[1], *_minimize("product", cfg)[1],
+            *_probe()[1]]
 
 
 RUNNERS = {
@@ -288,34 +308,28 @@ RUNNERS = {
     "coulomb": run_coulomb,
     "search": run_search_suite,
 }
+SUITES = (*RUNNERS, "all")
 
 
-def _refuse_grid_flags(cfg: SuiteConfig) -> None:
-    """coulomb and hardy --radial build no grid, so a grid flag is an error.
-
-    ``verify all`` still hands the grid flags to the grid suites.
-    """
-    if cfg.suite == "coulomb":
-        name = "coulomb"
-    elif cfg.suite == "hardy" and cfg.radial:
-        name = "hardy --radial"
-    else:
-        return
-    for flag, unset in (("--N", cfg.N is None),
-                        ("--offset", cfg.offset is None),
-                        ("--scheme", cfg.scheme == "spectral_periodic")):
-        if not unset:
-            raise ValueError(f"{flag} does not apply to {name}, which runs "
-                             "on the radial quadrature, not a grid")
+def _refuse_unread(command: str, given: dict) -> None:
+    """Refuse a field in ``given`` that was set and that ``command`` does not read."""
+    on, reads = READS[command]
+    for name, value in given.items():
+        if value is not None and name not in reads:
+            raise ValueError(f"--{name} does not apply to {command}, which runs on "
+                             f"{on} and reads only --{', --'.join(reads)}"
+                             .replace("_", "-"))
 
 
 def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
     """Execute the selected suites and assemble the versioned report."""
     if cfg.suite not in SUITES:
         raise ValueError(f"unknown suite {cfg.suite!r}")
-    _refuse_grid_flags(cfg)
-    names = [s for s in SUITES if s not in ("all",)] if cfg.suite == "all" \
-        else [cfg.suite]
+    row = "hardy --radial" if cfg.suite == "hardy" and cfg.radial else cfg.suite
+    # Every suite reads seed, out and csv.
+    _refuse_unread(row, {k: v for k, v in asdict(cfg).items()
+                         if k not in ("suite", "seed", "out", "csv")})
+    names = list(RUNNERS) if cfg.suite == "all" else [cfg.suite]
     reports: list[EqualityReport] = []
     for name in names:
         reports.extend(RUNNERS[name](cfg))
@@ -346,25 +360,26 @@ def write_outputs(payload: dict, cfg: SuiteConfig) -> None:
     else:
         print(text)
     if cfg.csv:
-        with open(cfg.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["identity_id", "lhs_re", "lhs_im", "rhs_re",
+        _write_csv(cfg.csv, ["identity_id", "lhs_re", "lhs_im", "rhs_re",
                              "rhs_im", "abs_residual", "rel_residual", "tol",
-                             "passed"])
-            for rep in payload["reports"]:
-                writer.writerow([rep["identity_id"], *rep["lhs"], *rep["rhs"],
-                                 rep["abs_residual"], rep["rel_residual"],
-                                 rep["tol"], rep["passed"]])
+                             "passed"],
+                   [[rep["identity_id"], *rep["lhs"], *rep["rhs"],
+                     rep["abs_residual"], rep["rel_residual"], rep["tol"],
+                     rep["passed"]] for rep in payload["reports"]])
 
 
 def write_refinement_csv(study: dict, path: str) -> None:
+    _write_csv(path, ["N", "h", "abs_residual", "rel_residual"],
+               [*([row["N"], row["h"], row["abs_residual"], row["rel_residual"]]
+                  for row in study["rows"]),
+                ["fitted_order", study["fitted_order"], "", ""]])
+
+
+def _write_csv(path: str, header: list, rows: list) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["N", "h", "abs_residual", "rel_residual"])
-        for row in study["rows"]:
-            writer.writerow([row["N"], row["h"], row["abs_residual"],
-                             row["rel_residual"]])
-        writer.writerow(["fitted_order", study["fitted_order"], "", ""])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -372,8 +387,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, help="space dimension")
     parser.add_argument("--N", type=int, help="grid points per axis")
     parser.add_argument("--L", type=float, help="box half-width (default 12)")
-    parser.add_argument("--offset", type=float,
-                        help="grid offset as a fraction of the spacing")
+    parser.add_argument("--offset", type=float, help="grid offset in spacings")
     parser.add_argument("--scheme", choices=grids.SCHEMES,
                         help="derivative scheme (default spectral_periodic)")
     parser.add_argument("--tol", type=float, help="override the suite tolerance")
@@ -399,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="run a variational search")
     p_search.add_argument("target", choices=("sum", "product", "nonattainment"))
     _add_common_flags(p_search)
-    p_search.add_argument("--max-iters", type=int, default=40000)
+    p_search.add_argument("--max-iters", type=int,
+                          help="sum, product: iteration cap (default 40000)")
     p_search.add_argument("--R", type=float,
                           help="nonattainment: radial range (default 1000)")
     p_search.add_argument("--points", type=int,
@@ -419,11 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args, suite: str) -> SuiteConfig:
-    overrides = {k: getattr(args, k) for k in
-                 ("n", "N", "L", "offset", "scheme", "tol", "trials", "dim",
-                  "seed", "radial", "out", "csv")}
-    overrides["suite"] = suite
-    return SuiteConfig.from_sources(args.config, overrides)
+    overrides = {f.name: getattr(args, f.name) for f in fields(SuiteConfig)
+                 if f.name != "suite"}
+    return SuiteConfig.from_sources(args.config, {**overrides, "suite": suite})
 
 
 def _cmd_verify(args) -> int:
@@ -436,31 +449,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    opts = SearchOptions(max_iters=args.max_iters)
+    command = f"search {args.target}"
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "target")}
     if args.target == "nonattainment":
-        quad = RadialQuadrature(n=_flag(args.n, 3), r_max=_flag(args.R, 1000.0),
-                                points=_flag(args.points, 200000))
-        r_values = (10.0, 100.0, min(1000.0, quad.r_max))
-        rows = probe_nonattainment(quad, r_values)
-        print(json.dumps({"rows": rows}, indent=2))
-        reports = _nonattainment_reports(rows)
+        _refuse_unread(command, given)
+        out, reports = _probe(args.n, args.R, args.points)
     else:
-        if args.R is not None or args.points is not None:
-            raise ValueError("--R and --points apply only to search "
-                             "nonattainment")
         cfg = _config(args, "search")
-        grid = _grid(cfg, _flag(cfg.n, 1), 256)
-        runner = (minimize_sum_functional if args.target == "sum"
-                  else minimize_product_functional)
-        res = runner(grid, cfg.seed, opts)
-        out = {"value": res.value, "target": float(grid.n),
-               "iterations": res.iterations, "converged": res.converged,
-               "fidelity": res.fidelity}
-        if args.target == "product":
-            out["lambda_est"] = res.lambda_est
-        print(json.dumps(out, indent=2))
-        reports = _minimizer_reports(args.target, res, grid,
-                                     _flag(cfg.tol, SEARCH_TOL[grid.scheme]))
+        _refuse_unread(command, {**given, **asdict(cfg), "suite": None})
+        out, reports = _minimize(args.target, cfg, args.max_iters)
+    print(json.dumps(out, indent=2))
     return 0 if all(rep.passed for rep in reports) else 1
 
 

@@ -190,8 +190,8 @@ def classify_saturation(a: float, b: float, p: complex,
 
     ``combo_norm(alpha, beta)`` must return ``||alpha*U + beta*V||`` for the
     underlying pair, so the routine works for plain vectors and for grid
-    states alike.  When clause (a) of a part holds within ``tol`` the
-    remaining clauses of that part are cross-checked within
+    states alike.  Only when clause (a) of a part holds within ``tol`` are
+    the other clauses of that part computed and cross-checked within
     ``CROSS_CHECK_FACTOR * tol``; a disagreement raises
     :class:`InternalConsistencyError`.
     """
@@ -207,9 +207,9 @@ def classify_saturation(a: float, b: float, p: complex,
     def vec(alpha: complex, beta: complex) -> float:
         return combo_norm(alpha, beta) / max(abs(alpha) * a, abs(beta) * b, 1.0)
 
-    def check(name: str, fired: bool, clause_residuals: list[float]) -> bool:
+    def check(name: str, fired: bool, clauses: Callable[[], list]) -> bool:
         if fired:
-            bad = [r for r in clause_residuals if r > CROSS_CHECK_FACTOR * tol]
+            bad = [r for r in clauses() if r > CROSS_CHECK_FACTOR * tol]
             if bad:
                 raise InternalConsistencyError(
                     f"part {name!r}: primary clause holds but cross-check "
@@ -223,7 +223,7 @@ def classify_saturation(a: float, b: float, p: complex,
     for s in (1.0, -1.0):
         if scal(p.real, s * ab) <= tol:
             fired = check("real_parallel", True,
-                          [vec(b, -s * a), scal(p, s * ab)])
+                          lambda: [vec(b, -s * a), scal(p, s * ab)])
             break
     flags.append(fired)
 
@@ -232,27 +232,27 @@ def classify_saturation(a: float, b: float, p: complex,
     for s in (1.0, -1.0):
         if scal(p.imag, s * ab) <= tol:
             fired = check("imag_parallel", True,
-                          [vec(b, -s * 1j * a), scal(p, s * 1j * ab)])
+                          lambda: [vec(b, -s * 1j * a), scal(p, s * 1j * ab)])
             break
     flags.append(fired)
 
     # |Re (u|v)| saturates.
     fired = scal(abs(p.real), ab) <= tol
     flags.append(check("real_saturated", fired,
-                       [scal(p.imag, 0.0), scal(abs(p), ab),
-                        vec(b * b, -p.real), vec(-p.real, a * a)]))
+                       lambda: [scal(p.imag, 0.0), scal(abs(p), ab),
+                                vec(b * b, -p.real), vec(-p.real, a * a)]))
 
     # |Im (u|v)| saturates.
     fired = scal(abs(p.imag), ab) <= tol
     flags.append(check("imag_saturated", fired,
-                       [scal(p.real, 0.0), scal(abs(p), ab),
-                        vec(b * b, -1j * p.imag), vec(1j * p.imag, a * a)]))
+                       lambda: [scal(p.real, 0.0), scal(abs(p), ab),
+                                vec(b * b, -1j * p.imag), vec(1j * p.imag, a * a)]))
 
     # |(u|v)| saturates.
     fired = scal(abs(p), ab) <= tol
     flags.append(check("cs_saturated", fired,
-                       [vec(b, -sgn(p) * a), vec(b * b, -p),
-                        vec(-np.conj(p), a * a)]))
+                       lambda: [vec(b, -sgn(p) * a), vec(b * b, -p),
+                                vec(-np.conj(p), a * a)]))
 
     return ExtremizerFlags(*flags)
 

@@ -21,8 +21,8 @@ from .report import EqualityReport, compare
 class PairSample:
     """A state seen through a symmetric operator pair: (A phi, B phi).
 
-    ``inner_ab`` is the scalar product (A phi | B phi); it is recomputed at
-    construction from the vectors when not supplied.
+    ``inner_ab`` is the scalar product (A phi | B phi), a required field;
+    :meth:`from_vectors` computes it from the two vectors.
     """
 
     a_phi: Any

@@ -184,6 +184,8 @@ def test_search_command_reads_the_config_file(tmp_path, capsys):
     ["verify", "coulomb", "--trials", "1", "--N", "7", "--scheme",
      "central_diff_2"],
     ["verify", "hardy", "--radial", "--trials", "1", "--offset", "0.5"],
+    ["search", "nonattainment", "--R", "100"],
+    ["search", "nonattainment", "--R", "60"],
 ])
 def test_zero_and_out_of_range_flags_are_usage_errors(argv, capsys):
     # A 0 is a value, not a request for the suite default.
@@ -200,6 +202,93 @@ def test_radial_suites_name_the_grid_flag_they_refuse(suite, flag, capsys):
     assert main(["verify", *suite, "--trials", "1", *flag]) == 2
     err = capsys.readouterr().err
     assert flag[0] in err and "radial quadrature" in err
+
+
+@pytest.mark.parametrize("R", ["100", "60"])
+def test_nonattainment_radius_that_stops_the_radii_increasing_names_it(R, capsys):
+    # The probe's radii are 10, 100 and min(1000, R); R = 100 probed 100
+    # twice and passed "decreasing" on a zero gap.
+    assert main(["search", "nonattainment", "--R", R]) == 2
+    assert "--R must exceed 100" in capsys.readouterr().err
+
+
+# The fields (flags) each command reads, as in the README's CLI table.
+# Every other flag the command's parser takes, and every other config key,
+# is a usage error that names the flag.
+_VERIFY = ("seed", "out", "csv", "config")
+_GRID = ("tol", "n", "N", "L", "offset", "scheme")
+READ_FLAGS = {
+    ("verify", "appendix"): ("tol", "trials", "dim", *_VERIFY),
+    ("verify", "section2"): ("tol", "trials", "dim", *_VERIFY),
+    ("verify", "momentum-position"): (*_GRID, "trials", *_VERIFY),
+    ("verify", "dilation"): (*_GRID, "trials", *_VERIFY),
+    # --radial selects between the two hardy rows.
+    ("verify", "hardy"): (*_GRID, "radial", *_VERIFY),
+    ("verify", "hardy", "--radial"): ("tol", "trials", "n", "radial", *_VERIFY),
+    ("verify", "coulomb"): ("tol", "trials", "n", *_VERIFY),
+    ("verify", "search"): (*_GRID, *_VERIFY),
+    ("verify", "all"): (*_GRID, "trials", "dim", "radial", *_VERIFY),
+    ("search", "sum"): (*_GRID, "max_iters", "seed", "config"),
+    ("search", "product"): (*_GRID, "max_iters", "seed", "config"),
+    ("search", "nonattainment"): ("n", "R", "points"),
+}
+_VALUES = {"n": 3, "N": 64, "L": 8.0, "offset": 0.25,
+           "scheme": "central_diff_4", "tol": 1e-9, "trials": 2, "dim": 4,
+           "seed": 1, "radial": True, "out": "r.json", "csv": "r.csv",
+           "config": "cfg.json", "max_iters": 10, "R": 500.0, "points": 1000}
+_SEARCH_ONLY = ("max_iters", "R", "points")
+
+
+def _pairs(read):
+    """(command, field, route) cases: each field by flag and by config file."""
+    for command, reads in READ_FLAGS.items():
+        for field in _VALUES:
+            if command[0] == "verify" and field in _SEARCH_ONLY:
+                continue    # not a flag of verify's parser
+            if (field in reads) != read:
+                continue
+            routes = ["flag"]
+            if "config" in reads and field not in (*_SEARCH_ONLY, "config"):
+                routes.append("config")
+            for route in routes:
+                yield pytest.param(command, field, route,
+                                   id=" ".join((*command, field, route)))
+
+
+def _argv(command, field, route, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    data = {field: _VALUES[field]} if route == "config" else {}
+    (tmp_path / "cfg.json").write_text(json.dumps(data))
+    if route == "config":
+        return [*command, "--config", "cfg.json"]
+    value = _VALUES[field]
+    return [*command, "--" + field.replace("_", "-"),
+            *([] if value is True else [str(value)])]
+
+
+@pytest.mark.parametrize("command, field, route", _pairs(read=False))
+def test_a_flag_the_command_does_not_read_is_a_usage_error(
+        command, field, route, tmp_path, monkeypatch, capsys):
+    assert main(_argv(command, field, route, tmp_path, monkeypatch)) == 2
+    flag = "--" + field.replace("_", "-")
+    assert f"error: {flag} does not apply to" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, field, route", _pairs(read=True))
+def test_a_flag_the_command_reads_is_accepted(command, field, route, tmp_path,
+                                              monkeypatch, capsys):
+    # The check runs before any suite; stubs stand in for the suites.
+    for suite in cli.RUNNERS:
+        monkeypatch.setitem(cli.RUNNERS, suite, lambda cfg: [])
+    monkeypatch.setattr(cli, "_minimize", lambda target, cfg, max_iters: ({}, []))
+    monkeypatch.setattr(cli, "_probe", lambda n, R, points: ({}, []))
+    assert main(_argv(command, field, route, tmp_path, monkeypatch)) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_all_reads_every_suite_field():
+    assert set(cli.READS["all"][1]) == set().union(*(
+        cli.READS[row][1] for row in (*cli.RUNNERS, "hardy --radial")))
 
 
 def test_vector_dimension_below_two_names_the_flag():

@@ -183,3 +183,24 @@ def test_inconsistent_combination_norms_raise():
     # The modulus clause fires, but the fake norm oracle contradicts it.
     with pytest.raises(InternalConsistencyError):
         classify_saturation(1.0, 1.0, 1.0 + 0.0j, lambda a, b: 1.0, TOL)
+
+
+@pytest.mark.parametrize("kind, expected, calls", [
+    ("random", (False, False, False, False, False), 0),
+    # real_parallel, real_saturated and cs_saturated cross-check 1 + 2 + 3
+    # combinations; the two imaginary parts compute none.
+    ("real_multiple", (True, False, True, False, True), 6),
+])
+def test_parts_that_do_not_fire_compute_no_combination(kind, expected, calls):
+    rng = np.random.default_rng(5)
+    u = random_vector(rng, 6)
+    v = random_vector(rng, 6) if kind == "random" else 2.0 * u
+    norms = []
+
+    def combo_norm(alpha, beta):
+        norms.append((alpha, beta))
+        return float(np.linalg.norm(alpha * u.entries + beta * v.entries))
+
+    flags = classify_saturation(u.norm(), v.norm(), u.inner(v), combo_norm, TOL)
+    assert flags.as_tuple() == expected
+    assert len(norms) == calls
