@@ -21,8 +21,8 @@ import numpy as np
 import scipy
 
 from . import __version__, complexspace, grids, identities
-from .complexspace import cs_equality_residuals, default_angles, random_vector
-from .forms import PairSample, decomposition_check, sr_equalities, sr_inequality_chain
+from .complexspace import cs_equality_residuals, default_angles
+from .forms import pair_reports
 from .gaussians import GaussianSpec, exact_moments, realize
 from .grids import GridSpec
 from .identities import GRID_TOL, refinement_study  # also public as cli.refinement_study
@@ -101,6 +101,13 @@ class SuiteConfig:
         return cls(**data)
 
     def __post_init__(self):
+        # Unread fields are refused before the range checks, so an error
+        # names a flag the suite reads.  Every suite reads seed, out and csv.
+        if self.suite not in SUITES:
+            raise ValueError(f"unknown suite {self.suite!r}")
+        _refuse_unread("hardy --radial" if self.suite == "hardy" and self.radial
+                       else self.suite, {k: v for k, v in asdict(self).items()
+                                         if k not in ("suite", "seed", "out", "csv")})
         if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be at least 1; zero trials would "
                              "pass vacuously")
@@ -133,10 +140,19 @@ def _grid(cfg: SuiteConfig, n: int, default_N: int, default_offset: float = 0.0)
 
 
 def _vector_pairs(cfg: SuiteConfig, rng, default_trials: int):
-    """Random pairs (u, v), each of one dimension drawn from [2, dim]."""
-    for _ in range(_flag(cfg.trials, default_trials)):
-        dim = int(rng.integers(2, _flag(cfg.dim, 32) + 1))
-        yield random_vector(rng, dim), random_vector(rng, dim)
+    """Stacks (u, v) of at most max(1, 2**15 // dim) random pairs, as drawn
+    by random_vector, each of one dimension in [2, dim], zero-padded to dim."""
+    width, trials = _flag(cfg.dim, 32), _flag(cfg.trials, default_trials)
+    rows = max(1, complexspace.STACK_ENTRIES // width)
+    for start in range(0, trials, rows):
+        u, v = np.zeros((2, min(rows, trials - start), width), np.complex128)
+        ur, ui, vr, vi = u.real, u.imag, v.real, v.imag
+        for i in range(len(u)):
+            dim = int(rng.integers(2, width + 1))
+            # random_vector's draws in its order: re u, im u, re v, im v
+            (ur[i, :dim], ui[i, :dim], vr[i, :dim],
+             vi[i, :dim]) = rng.standard_normal((4, dim))
+        yield u, v
 
 
 def _radial_reports(verify, quad, cfg: SuiteConfig, rng) -> list[EqualityReport]:
@@ -146,32 +162,24 @@ def _radial_reports(verify, quad, cfg: SuiteConfig, rng) -> list[EqualityReport]
     return [rep for psi in states for rep in verify(psi, _flag(cfg.tol, GRID_TOL))]
 
 
-def run_appendix(cfg: SuiteConfig) -> list[EqualityReport]:
+def _pair_suite(cfg: SuiteConfig, default_trials: int, check) -> list[EqualityReport]:
+    """``check(u, v, angles, tol)`` on every stack of random pairs."""
     rng = np.random.default_rng(cfg.seed)
     tol = _flag(cfg.tol, ALGEBRAIC_TOL)
     angles = default_angles(rng)
-    reports = []
-    for u, v in _vector_pairs(cfg, rng, 1000):
-        reports.extend(cs_equality_residuals(u, v, angles=angles, tol=tol))
-        complexspace.extremizer_class(u, v, tol)
-    return _aggregate(reports)
+    return _aggregate([rep for u, v in _vector_pairs(cfg, rng, default_trials)
+                       for rep in check(u, v, angles, tol)])
+
+
+def run_appendix(cfg: SuiteConfig) -> list[EqualityReport]:
+    def check(u, v, angles, tol):
+        complexspace.extremizer_rows(u, v, tol)
+        return cs_equality_residuals(u, v, angles, tol)
+    return _pair_suite(cfg, 1000, check)
 
 
 def run_section2(cfg: SuiteConfig) -> list[EqualityReport]:
-    rng = np.random.default_rng(cfg.seed)
-    tol = _flag(cfg.tol, ALGEBRAIC_TOL)
-    angles = default_angles(rng)
-    reports = []
-    for u, v in _vector_pairs(cfg, rng, 200):
-        s = PairSample.from_vectors(u, v)
-        reports.extend(sr_equalities(s, thetas=angles, tol=tol))
-        reports.extend(decomposition_check(s, tol))
-        chain = sr_inequality_chain(s)
-        reports.append(bound("sr.chain.schrodinger", chain.schrodinger_bound,
-                             chain.product, tol, scale=chain.product))
-        reports.append(bound("sr.chain.robertson", chain.robertson_bound,
-                             chain.schrodinger_bound, tol, scale=chain.product))
-    return _aggregate(reports)
+    return _pair_suite(cfg, 200, pair_reports)
 
 
 def run_momentum_position(cfg: SuiteConfig) -> list[EqualityReport]:
@@ -184,14 +192,16 @@ def run_momentum_position(cfg: SuiteConfig) -> list[EqualityReport]:
         reports.extend(identities.verify_position_momentum(phi, tol))
     coherent = realize(GaussianSpec("coherent", n=grid.n), grid)
     mom = exact_moments(GaussianSpec("coherent", n=grid.n))
+    # Unset --tol: 1e-6 here and 1e-7 for dilham.*; set, it reaches every id.
     xnorm = grids.position(coherent).norm()
     gnorm = grids.gradient(coherent).norm()
     reports.append(compare("pm.kennard_saturation", xnorm * gnorm,
                            math.sqrt(mom.x_norm_sq * mom.grad_norm_sq),
-                           max(tol, 1e-6)))
+                           _flag(cfg.tol, 1e-6)))
     sum_field = grids.position(coherent) + grids.gradient(coherent)
     reports.append(compare("pm.coherent_alignment",
-                           sum_field.norm() / coherent.norm(), 0.0, 1e-6))
+                           sum_field.norm() / coherent.norm(), 0.0,
+                           _flag(cfg.tol, 1e-6)))
     return _aggregate(reports)
 
 
@@ -203,7 +213,8 @@ def run_dilation(cfg: SuiteConfig) -> list[EqualityReport]:
     for _ in range(_flag(cfg.trials, 20)):
         phi = identities.random_smooth_state(grid, rng)
         reports.extend(identities.verify_dilation_pythagoras(phi, tol))
-        reports.extend(identities.verify_dilation_hamiltonian(phi, max(tol, 1e-7)))
+        reports.extend(identities.verify_dilation_hamiltonian(
+            phi, _flag(cfg.tol, 1e-7)))
     return _aggregate(reports)
 
 
@@ -323,12 +334,6 @@ def _refuse_unread(command: str, given: dict) -> None:
 
 def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
     """Execute the selected suites and assemble the versioned report."""
-    if cfg.suite not in SUITES:
-        raise ValueError(f"unknown suite {cfg.suite!r}")
-    row = "hardy --radial" if cfg.suite == "hardy" and cfg.radial else cfg.suite
-    # Every suite reads seed, out and csv.
-    _refuse_unread(row, {k: v for k, v in asdict(cfg).items()
-                         if k not in ("suite", "seed", "out", "csv")})
     names = list(RUNNERS) if cfg.suite == "all" else [cfg.suite]
     reports: list[EqualityReport] = []
     for name in names:
@@ -450,13 +455,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_search(args) -> int:
     command = f"search {args.target}"
-    given = {k: v for k, v in vars(args).items() if k not in ("command", "target")}
+    _refuse_unread(command, {k: v for k, v in vars(args).items()
+                             if k not in ("command", "target")})
     if args.target == "nonattainment":
-        _refuse_unread(command, given)
         out, reports = _probe(args.n, args.R, args.points)
     else:
-        cfg = _config(args, "search")
-        _refuse_unread(command, {**given, **asdict(cfg), "suite": None})
+        cfg = _config(args, "search")   # fields from --config, checked too
+        _refuse_unread(command, {**asdict(cfg), "suite": None})
         out, reports = _minimize(args.target, cfg, args.max_iters)
     print(json.dumps(out, indent=2))
     return 0 if all(rep.passed for rep in reports) else 1

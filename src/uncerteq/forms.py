@@ -1,20 +1,22 @@
 """Commutator and anticommutator sesquilinear forms for an operator pair.
 
-The forms are evaluated through the images A@phi and B@phi only, so the
-module is agnostic to where the vectors live: plain complex vectors and
-gridded states both work, as long as they expose ``inner``, ``norm`` and
-linear arithmetic.
+The forms are evaluated through the images A@phi and B@phi only.  The checks
+of :func:`pair_reports` take complex vectors or stacks of pairs of them, all
+pairs at once, and report the worst pair per identity; the chain and the
+classification of a :class:`PairSample` also take gridded states, through
+``inner``, ``norm`` and linear arithmetic.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+import numpy as np
+
 from .complexspace import (DEFAULT_TOL, ExtremizerFlags, FIXED_ANGLES,
                            classify_saturation, phase_family)
-from .report import EqualityReport, compare
+from .report import EqualityReport, compare, worst  # compare: re-exported
 
 
 @dataclass(frozen=True)
@@ -56,64 +58,17 @@ def anticommutator_form(s: PairSample) -> float:
 def decomposition_check(s: PairSample,
                         tol: float = DEFAULT_TOL) -> tuple[EqualityReport, EqualityReport]:
     """Recover (Aphi|Bphi) and (Bphi|Aphi) from the two forms."""
-    comm = commutator_form(s)
-    anti = anticommutator_form(s)
-    p = complex(s.a_phi.inner(s.b_phi))
-    scale = s.norm_a * s.norm_b
-    r1 = compare("form.product_split", p, 0.5 * anti - 0.5 * comm, tol,
-                 scale=scale)
-    r2 = compare("form.product_split_conj", p.conjugate(),
-                 0.5 * anti + 0.5 * comm, tol, scale=scale)
-    return r1, r2
-
-
-def _combo_norm(s: PairSample):
-    def combo(alpha: complex, beta: complex) -> float:
-        w = alpha * s.a_phi + beta * s.b_phi
-        return w.norm()
-    return combo
+    return tuple(rep for rep in pair_reports(s.a_phi, s.b_phi, (), tol)
+                 if rep.identity_id.startswith("form."))
 
 
 def sr_equalities(s: PairSample, thetas: Sequence[float] = FIXED_ANGLES,
                   tol: float = DEFAULT_TOL) -> list[EqualityReport]:
-    """Evaluate the uncertainty equalities for the pair sample.
-
-    Covers the signed commutator and anticommutator norm forms, the
-    quadrature identity |(Aphi|Bphi)| = (|comm|^2 + |anti|^2)^{1/2} / 2, the
-    theta-rotated quadrature family, and the sign-aligned form.  Norms of
-    vector combinations are computed from the actual vectors, independently
-    of the scalar product value on the left sides.
-    """
-    a = s.norm_a
-    b = s.norm_b
-    if a == 0.0 or b == 0.0:
-        raise ValueError("A phi and B phi must both be nonzero")
-    p = s.inner_ab
-    comm = commutator_form(s)
-    anti = anticommutator_form(s)
-    ab = a * b
-    combo = _combo_norm(s)
-
-    def unit_combo_sq(phase: complex) -> float:
-        w = combo(1.0 / a, phase / b)
-        return w * w
-
-    # The Cauchy-Schwarz family of the pair (A phi, B phi): the signed
-    # commutator and anticommutator forms are twice its imaginary and real
-    # linear forms; the rotated and aligned forms carry over unchanged.
-    rhs = phase_family(a, b, p, unit_combo_sq, thetas)
-    reports = [
-        compare("sr.comm+", (1j * comm).real, 2.0 * rhs["im+"], tol, scale=ab),
-        compare("sr.comm-", (-1j * comm).real, 2.0 * rhs["im-"], tol, scale=ab),
-        compare("sr.anti+", anti, 2.0 * rhs["re+"], tol, scale=ab),
-        compare("sr.anti-", -anti, 2.0 * rhs["re-"], tol, scale=ab),
-        compare("sr.abs_quadrature", abs(p),
-                0.5 * math.hypot(abs(comm), abs(anti)), tol, scale=ab),
-    ]
-    reports += [compare(f"sr.abs_{key}", abs(p), value, tol, scale=ab)
-                for key, value in rhs.items() if key.startswith("rot")]
-    reports.append(compare("sr.abs_aligned", abs(p), rhs["abs"], tol, scale=ab))
-    return reports
+    """The sr.* equalities of :func:`pair_reports` for one pair: the signed
+    commutator and anticommutator forms, |(Aphi|Bphi)| = (|comm|^2 +
+    |anti|^2)^{1/2} / 2 and its theta-rotated and sign-aligned forms."""
+    return [rep for rep in pair_reports(s.a_phi, s.b_phi, thetas, tol)
+            if not rep.identity_id.startswith(("form.", "sr.chain."))]
 
 
 @dataclass(frozen=True)
@@ -125,15 +80,44 @@ class InequalityChain:
     robertson_bound: float
 
 
+def _chain(product, p) -> InequalityChain:
+    comm, anti = 2.0 * np.abs(np.imag(p)), 2.0 * np.abs(np.real(p))
+    return InequalityChain(product, 0.5 * np.hypot(comm, anti), 0.5 * comm)
+
+
 def sr_inequality_chain(s: PairSample) -> InequalityChain:
     """||Aphi|| ||Bphi|| >= quadrature bound >= commutator bound."""
-    comm = commutator_form(s)
-    anti = anticommutator_form(s)
-    return InequalityChain(
-        product=s.norm_a * s.norm_b,
-        schrodinger_bound=0.5 * math.hypot(abs(comm), abs(anti)),
-        robertson_bound=0.5 * abs(comm),
-    )
+    return _chain(s.norm_a * s.norm_b, s.inner_ab)
+
+
+def pair_reports(a_phi, b_phi, thetas: Sequence[float] = FIXED_ANGLES,
+                 tol: float = DEFAULT_TOL) -> list[EqualityReport]:
+    """sr.*, form.* and sr.chain.* checks of the pairs, worst row per id.
+
+    ``a_phi`` and ``b_phi`` are two vectors or two (N, d) stacks of row
+    pairs.  The commutator and anticommutator forms are twice the imaginary
+    and real linear forms of :func:`phase_family`, whose rotated and aligned
+    forms carry over; form.* recovers (Aphi|Bphi) and its conjugate.
+    """
+    a, b, p, rhs = phase_family(a_phi, b_phi, thetas)
+    ab, absp = a * b, np.hypot(p.real, p.imag)
+    comm, anti = -2j * p.imag, 2.0 * p.real
+    chain = _chain(ab, p)
+    checks = {"sr.comm+": (2.0 * p.imag, 2.0 * rhs["im+"]),
+              "sr.comm-": (-2.0 * p.imag, 2.0 * rhs["im-"]),
+              "sr.anti+": (anti, 2.0 * rhs["re+"]),
+              "sr.anti-": (-anti, 2.0 * rhs["re-"]),
+              "sr.abs_quadrature": (absp, chain.schrodinger_bound),
+              **{f"sr.abs_{key}": (absp, value) for key, value in rhs.items()
+                 if key.startswith("rot")},
+              "sr.abs_aligned": (absp, rhs["abs"]),
+              "form.product_split": (p, 0.5 * anti - 0.5 * comm),
+              "form.product_split_conj": (p.conj(), 0.5 * anti + 0.5 * comm)}
+    return [*worst(list(checks), *zip(*checks.values()), tol, scale=ab),
+            *worst(["sr.chain.schrodinger", "sr.chain.robertson"],
+                   [chain.schrodinger_bound, chain.robertson_bound],
+                   [ab, chain.schrodinger_bound], tol, scale=ab,
+                   inequality=True)]
 
 
 def extremizer_parts(s: PairSample, tol: float = DEFAULT_TOL) -> ExtremizerFlags:
@@ -143,5 +127,6 @@ def extremizer_parts(s: PairSample, tol: float = DEFAULT_TOL) -> ExtremizerFlags
     forms reduce exactly to the vector-pair conditions on (A phi, B phi), so
     the shared classifier applies verbatim.
     """
-    return classify_saturation(s.norm_a, s.norm_b, s.inner_ab,
-                               _combo_norm(s), tol)
+    return classify_saturation(
+        s.norm_a, s.norm_b, s.inner_ab,
+        lambda alpha, beta: (alpha * s.a_phi + beta * s.b_phi).norm(), tol)

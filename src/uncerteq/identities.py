@@ -37,11 +37,6 @@ def _operators(state):
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
-def position_momentum_sample(phi: StateField) -> PairSample:
-    """PairSample for the momentum/position pair (A = -i grad, B = x)."""
-    return PairSample.from_vectors(grids.momentum(phi), grids.position(phi))
-
-
 def verify_position_momentum(phi: StateField,
                              tol: float = GRID_TOL) -> list[EqualityReport]:
     """Norm identities tying n ||phi||^2 to the position/momentum pair."""
@@ -72,8 +67,9 @@ def verify_position_momentum(phi: StateField,
 
 
 def saturation_flags(phi: StateField, tol: float = 1e-6) -> ExtremizerFlags:
-    """Which uncertainty saturation classes the state belongs to."""
-    return extremizer_parts(position_momentum_sample(phi), tol)
+    """Saturation classes of the momentum/position pair (-i grad phi, x phi)."""
+    return extremizer_parts(
+        PairSample.from_vectors(grids.momentum(phi), grids.position(phi)), tol)
 
 
 def verify_dilation_pythagoras(state, tol: float = GRID_TOL) -> list[EqualityReport]:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -25,36 +28,21 @@ class EqualityReport:
     context: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "identity_id": self.identity_id,
-            "lhs": [float(self.lhs.real), float(self.lhs.imag)],
-            "rhs": [float(self.rhs.real), float(self.rhs.imag)],
-            "abs_residual": self.abs_residual,
-            "rel_residual": self.rel_residual,
-            "tol": self.tol,
-            "passed": self.passed,
-            "context": self.context,
-        }
+        return {**vars(self), "lhs": [float(self.lhs.real), float(self.lhs.imag)],
+                "rhs": [float(self.rhs.real), float(self.rhs.imag)]}
 
 
 def compare(identity_id: str, lhs: complex, rhs: complex, tol: float,
             scale: float = 0.0, context: dict | None = None) -> EqualityReport:
-    """Build a report comparing two evaluations of the same quantity."""
-    lhs = complex(lhs)
-    rhs = complex(rhs)
-    abs_res = abs(lhs - rhs)
-    denom = max(abs(lhs), abs(rhs), scale, 1.0)
-    rel_res = abs_res / denom
-    return EqualityReport(
-        identity_id=identity_id,
-        lhs=lhs,
-        rhs=rhs,
-        abs_residual=abs_res,
-        rel_residual=rel_res,
-        tol=tol,
-        passed=rel_res <= tol,
-        context=dict(context or {}),
-    )
+    """Report two evaluations of one quantity; a non-finite side fails it."""
+    lhs, rhs = complex(lhs), complex(rhs)
+    if cmath.isfinite(lhs) and cmath.isfinite(rhs):
+        abs_res = abs(lhs - rhs)
+        rel_res = abs_res / max(abs(lhs), abs(rhs), scale, 1.0)
+    else:
+        abs_res = rel_res = math.inf
+    return EqualityReport(identity_id, lhs, rhs, abs_res, rel_res, tol,
+                          rel_res <= tol, dict(context or {}))
 
 
 def bound(identity_id: str, smaller: float, larger: float, tol: float,
@@ -74,13 +62,25 @@ def bound(identity_id: str, smaller: float, larger: float, tol: float,
     ctx = dict(context or {})
     ctx.setdefault("smaller", float(smaller))
     ctx.setdefault("larger", float(larger))
-    return EqualityReport(
-        identity_id=identity_id,
-        lhs=complex(violation),
-        rhs=0.0 + 0.0j,
-        abs_residual=violation,
-        rel_residual=rel,
-        tol=tol,
-        passed=rel <= tol,
-        context=ctx,
-    )
+    return EqualityReport(identity_id, complex(violation), 0.0 + 0.0j,
+                          violation, rel, tol, rel <= tol, ctx)
+
+
+def worst(ids: list[str], lhs, rhs, tol: float, scale=0.0,
+          inequality: bool = False) -> list[EqualityReport]:
+    """Per identity in ``ids``, the report of its first worst row.
+
+    ``lhs``, ``rhs`` and ``scale`` broadcast to (len(ids), N rows).  Rows are
+    ranked by the residual of :func:`compare` (of :func:`bound`, ``lhs`` the
+    smaller side, if ``inequality``), a non-finite side first; that function
+    builds the report."""
+    lhs, rhs, scale = np.broadcast_arrays(lhs, rhs, scale)
+    with np.errstate(all="ignore"):
+        gap = np.maximum(lhs - rhs, 0.0) if inequality else np.abs(lhs - rhs)
+        rel = gap / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)),
+                               np.maximum(scale, 1.0))
+    rel[~(np.isfinite(lhs) & np.isfinite(rhs))] = math.inf
+    check = bound if inequality else compare
+    return [check(name, lhs[k, i].item(), rhs[k, i].item(), tol,
+                  scale=scale[k, i].item())
+            for k, (name, i) in enumerate(zip(ids, np.argmax(rel, axis=-1)))]

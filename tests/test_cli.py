@@ -5,12 +5,18 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from uncerteq import cli, identities
 from uncerteq.cli import (SuiteConfig, main, refinement_study, run_suite,
                           write_refinement_csv)
+from uncerteq.complexspace import (cs_equality_residuals, default_angles,
+                                   extremizer_class, random_vector)
+from uncerteq.forms import (PairSample, decomposition_check, sr_equalities,
+                            sr_inequality_chain)
 from uncerteq.grids import GridSpec
+from uncerteq.report import bound
 from uncerteq.search import SearchResult
 
 
@@ -396,3 +402,96 @@ def test_refine_command(tmp_path, capsys):
     study = json.loads(capsys.readouterr().out)
     assert 1.7 <= study["fitted_order"] <= 2.3
     assert table.exists()
+
+
+def _oracle(suite, seed, trials, dim):
+    """The suite's reports from the single-pair API, one pair at a time.
+
+    The draws are those of the suite: default_angles, then per pair its
+    dimension and two random_vector calls.
+    """
+    rng = np.random.default_rng(seed)
+    angles = default_angles(rng)
+    tol = cli.ALGEBRAIC_TOL
+    reports = []
+    for _ in range(trials):
+        d = int(rng.integers(2, dim + 1))
+        u, v = random_vector(rng, d), random_vector(rng, d)
+        if suite == "appendix":
+            reports += cs_equality_residuals(u, v, angles=angles, tol=tol)
+            extremizer_class(u, v, tol)
+            continue
+        s = PairSample.from_vectors(u, v)
+        reports += [*sr_equalities(s, angles, tol), *decomposition_check(s, tol)]
+        chain = sr_inequality_chain(s)
+        reports += [bound("sr.chain.schrodinger", chain.schrodinger_bound,
+                          chain.product, tol, scale=chain.product),
+                    bound("sr.chain.robertson", chain.robertson_bound,
+                          chain.schrodinger_bound, tol, scale=chain.product)]
+    return cli._aggregate(reports)
+
+
+def _close(x, y):
+    return abs(x - y) <= 1e-15 * max(abs(x), abs(y))
+
+
+@pytest.mark.parametrize("suite, seed, trials, dim", [
+    ("appendix", 0, None, None), ("appendix", 1, None, None),
+    ("section2", 0, None, None), ("section2", 1, None, None),
+    # Multi-stack runs: at most 2**15 // 4096 = 8 pairs per stack.
+    ("appendix", 0, 40, 4096), ("section2", 1, 40, 4096),
+])
+def test_batched_suites_match_a_pair_by_pair_oracle(suite, seed, trials, dim):
+    cfg = SuiteConfig(suite=suite, seed=seed, trials=trials, dim=dim)
+    trials = trials or {"appendix": 1000, "section2": 200}[suite]
+    code, payload = run_suite(cfg)
+    oracle = _oracle(suite, seed, trials, dim or 32)
+    assert [r["identity_id"] for r in payload["reports"]] == [
+        r.identity_id for r in oracle]
+    assert [r["passed"] for r in payload["reports"]] == [r.passed for r in oracle]
+    assert payload["failing"] == [r.identity_id for r in oracle if not r.passed]
+    assert code == 0
+    for got, want in zip(payload["reports"], oracle):
+        want = want.to_dict()
+        for side in ("lhs", "rhs"):
+            assert all(_close(x, y) for x, y in zip(got[side], want[side])), got
+        assert abs(got["rel_residual"] - want["rel_residual"]) <= 1e-15
+        assert got["context"].keys() == want["context"].keys()
+        assert all(_close(got["context"][k], want["context"][k])
+                   for k in got["context"])
+
+
+def test_vector_pairs_come_in_bounded_stacks_of_the_suite_draws():
+    cfg = SuiteConfig(suite="appendix", trials=40, dim=4096)
+    stacks = list(cli._vector_pairs(cfg, np.random.default_rng(5), 1000))
+    assert [len(u) for u, v in stacks] == [8] * 5
+    rng = np.random.default_rng(5)
+    u, v = (np.concatenate(x) for x in zip(*stacks))
+    for i in range(40):
+        d = int(rng.integers(2, 4097))
+        assert (u[i, :d] == random_vector(rng, d).entries).all()
+        assert (v[i, :d] == random_vector(rng, d).entries).all()
+        assert not u[i, d:].any() and not v[i, d:].any()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "coulomb", "--dim", "1"], "--dim"),
+    (["verify", "hardy", "--trials", "0"], "--trials"),
+    (["search", "sum", "--trials", "0"], "--trials"),
+])
+def test_an_unread_flag_is_refused_before_its_range_check(argv, flag, capsys):
+    # The suite never reads the flag, so its range does not matter.
+    assert main(argv) == 2
+    assert f"error: {flag} does not apply to" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite, ids, default", [
+    ("momentum-position", ("pm.kennard_saturation", "pm.coherent_alignment"), 1e-6),
+    ("dilation", ("dilham.commutator", "dilham.energy", "dilham.grad_bound",
+                  "dilham.sum_norm"), 1e-7),
+])
+@pytest.mark.parametrize("tol", [None, 1e-12, 1e-3])
+def test_an_explicit_tol_reaches_every_id(suite, ids, default, tol):
+    _, payload = run_suite(SuiteConfig(suite=suite, trials=1, tol=tol))
+    tols = {r["identity_id"]: r["tol"] for r in payload["reports"]}
+    assert {tols[i] for i in ids} == {default if tol is None else tol}

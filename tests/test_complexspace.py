@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uncerteq import complexspace
 from uncerteq.complexspace import (ComplexVector, InternalConsistencyError,
                                    classify_saturation, cs_equality_residuals,
                                    default_angles, extremizer_class,
+                                   extremizer_rows, phase_family,
                                    random_vector, sgn)
+from uncerteq.forms import pair_reports
 
 TOL = 1e-12
 
@@ -204,3 +207,85 @@ def test_parts_that_do_not_fire_compute_no_combination(kind, expected, calls):
     flags = classify_saturation(u.norm(), v.norm(), u.inner(v), combo_norm, TOL)
     assert flags.as_tuple() == expected
     assert len(norms) == calls
+
+
+def _stack(rows, width):
+    """Zero-padded (len(rows), width) stack of the given vectors' entries."""
+    out = np.zeros((len(rows), width), np.complex128)
+    for i, vec in enumerate(rows):
+        out[i, :vec.entries.size] = vec.entries
+    return out
+
+
+def test_saturated_row_of_a_batch_goes_through_the_scalar_classifier(monkeypatch):
+    rng = np.random.default_rng(8)
+    us = [random_vector(rng, d) for d in (5, 7, 3)]
+    vs = [random_vector(rng, 5), 2.0 * us[1], random_vector(rng, 3)]
+    u, v = _stack(us, 8), _stack(vs, 8)
+    seen = []
+
+    def spy(a, b, p, combo_norm, tol):
+        seen.append(combo_norm(1.0, 0.0))
+        return classify_saturation(a, b, p, combo_norm, tol)
+
+    monkeypatch.setattr(complexspace, "classify_saturation", spy)
+    flags = extremizer_rows(u, v, TOL)
+    # Only the pair (u, 2u) reaches the scalar classifier, with its own rows.
+    assert seen == [pytest.approx(us[1].norm(), rel=1e-15)]
+    assert flags.tolist() == [[False] * 5, list(extremizer_class(us[1], vs[1]).as_tuple()),
+                              [False] * 5]
+    # A combination norm that contradicts the fired part is caught there.
+    monkeypatch.setattr(complexspace, "classify_saturation",
+                        lambda a, b, p, combo_norm, tol:
+                        classify_saturation(a, b, p, lambda x, y: 1.0, tol))
+    with pytest.raises(InternalConsistencyError):
+        extremizer_rows(u, v, TOL)
+
+
+@pytest.mark.parametrize("row", [np.zeros(4), [1.0, math.nan, 0.0, 0.0],
+                                 [1.0, 0.0, complex(0.0, math.inf), 0.0]])
+def test_zero_or_non_finite_row_of_a_batch_is_refused(row):
+    rng = np.random.default_rng(2)
+    u = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    v = u[::-1].copy()
+    v[1] = row
+    with pytest.raises(ValueError):
+        cs_equality_residuals(u, v)
+    with pytest.raises(ValueError):
+        pair_reports(v, u)
+    if np.isfinite(row).all():      # a zero vector is a valid extremal pair
+        assert extremizer_rows(u, v).tolist()[1] == [True] * 5
+    else:
+        with pytest.raises(ValueError):
+            extremizer_rows(u, v)
+
+
+def test_batch_rows_give_the_bits_of_single_pairs():
+    rng = np.random.default_rng(12)
+    dims = [2, 9, 31, 4]
+    us = [random_vector(rng, d) for d in dims]
+    vs = [random_vector(rng, d) for d in dims]
+    angles = default_angles(rng)
+    a, b, p, rhs = phase_family(_stack(us, 40), _stack(vs, 40), angles)
+    for i, (u, v) in enumerate(zip(us, vs)):
+        a1, b1, p1, rhs1 = phase_family(u, v, angles)
+        assert (a1[0], b1[0], p1[0]) == (a[i], b[i], p[i])
+        assert {k: x[0] for k, x in rhs1.items()} == {k: x[i] for k, x in rhs.items()}
+        assert p1[0] == u.inner(v)
+
+
+def test_batch_flags_match_the_scalar_classifier_row_by_row():
+    # Real, imaginary and generic-phase multiples fire different parts; the
+    # screen must pass each such row on, and leave the random ones out.
+    rng = np.random.default_rng(21)
+    us = [random_vector(rng, 6) for _ in range(6)]
+    lams = [None, 2.0, -0.5j, complex(math.cos(0.7), math.sin(0.7)), -3.0, 0.0]
+    vs = [random_vector(rng, 6) if lam is None else lam * u
+          for u, lam in zip(us, lams)]
+    flags = extremizer_rows(_stack(us, 6), _stack(vs, 6), TOL)
+    for row, u, v in zip(flags.tolist(), us, vs):
+        ref = classify_saturation(
+            u.norm(), v.norm(), u.inner(v),
+            lambda a, b: float(np.linalg.norm(a * u.entries + b * v.entries)), TOL)
+        assert row == list(ref.as_tuple())
+    assert [sum(row) for row in flags.tolist()] == [0, 3, 3, 1, 3, 5]
