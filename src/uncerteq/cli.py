@@ -15,7 +15,7 @@ import datetime
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import scipy
@@ -33,42 +33,39 @@ from .search import (SearchOptions, minimize_product_functional,
                      minimize_sum_functional, probe_nonattainment)
 
 ALGEBRAIC_TOL = 1e-12
-# Tolerance of the search minima against n, per derivative scheme.  On the
-# spectral scheme the minimizers' excess peaked at 1.5e-10 over 1,646
-# minimizations (suite seeds on the default grid, and 1-3-D grids down to the
-# smallest box and point count that random_smooth_state accepts); 1e-8 keeps
-# a factor of 69.  A difference quotient puts the discrete minimum O(h^p)
-# below n (9.6e-6 for central_diff_4 on the default grid), so those schemes
-# keep 1e-4.
-SEARCH_TOL = {"spectral_periodic": 1e-8, "central_diff_2": 1e-4,
-              "central_diff_4": 1e-4}
-# Tolerance of verify hardy on the tensor grid, per derivative scheme.  On
-# the spectral scheme the worst residual (hardy.grid.value_rhs, the
-# extrapolated 1/|x|^2 norm) was 1.6e-9 over n = 3, L in {8, 8.8, 10, 12, 14},
-# every even N <= 128 that the grid guards accept and offsets 0.5 and 0.25,
-# and 4.4e-10 at n = 4, N = 52, L = 6.5; 1e-8 keeps a factor of 6.  The
-# difference schemes keep 1e-3 (ROADMAP item 5: they fail at their defaults).
-HARDY_GRID_TOL = {"spectral_periodic": 1e-8, "central_diff_2": 1e-3,
-                  "central_diff_4": 1e-3}
+# The grid suites and the search run the spectral scheme at GRID_TOL = 1e-8:
+# the worst search excess over n was 1.5e-10 (1,646 minimizations) and the
+# worst hardy.grid.value_rhs 1.6e-9 (n = 3, L 8-14, even N <= 128, offsets
+# 0.5 and 0.25).  Only refine reads --scheme: a difference quotient breaks
+# [x_j, d_j] = 1 at O(h^p), which refine measures.
+# Ids checked at a looser tolerance while --tol is unset.
+LOOSE_TOL = {"pm.kennard_saturation": 1e-6, "pm.coherent_alignment": 1e-6,
+             "dilham.": 1e-7}
 
-# What each command runs on and the config fields (flags) it reads.  Every
-# verify suite also reads seed, out, csv and --config; --radial picks the
-# hardy row.  A field that was set, by flag or by config file, and that the
-# command does not read is a usage error (_refuse_unread).
-_GRID = ("tol", "n", "N", "L", "offset", "scheme")
+# What each command runs on, and the config fields (flags) it reads with
+# their defaults; None leaves the default to the runner (hardy's N is 96 at
+# n = 3, else 32; coulomb runs n = 3 and 5).  Every verify suite also reads
+# seed, out, csv and --config; --radial picks the hardy row.  A field that
+# was set, by flag or by config file, and that the command does not read is
+# a usage error (_refuse_unread).
+_GRID = {"tol": GRID_TOL, "n": 1, "N": 256, "L": 12.0, "offset": 0.0}
+_MINIMIZE = {**_GRID, "seed": None, "config": None, "max_iters": 40000}
 READS = {
-    "appendix": ("random vectors", ("tol", "trials", "dim")),
-    "section2": ("random vectors", ("tol", "trials", "dim")),
-    "momentum-position": ("a grid", (*_GRID, "trials")),
-    "dilation": ("a grid", (*_GRID, "trials")),
-    "hardy": ("a grid", (*_GRID, "radial")),
-    "hardy --radial": ("the radial quadrature", ("tol", "trials", "n", "radial")),
-    "coulomb": ("the radial quadrature", ("tol", "trials", "n")),
+    "appendix": ("random vectors", {"tol": ALGEBRAIC_TOL, "trials": 1000, "dim": 32}),
+    "section2": ("random vectors", {"tol": ALGEBRAIC_TOL, "trials": 200, "dim": 32}),
+    "momentum-position": ("a grid", {**_GRID, "trials": 50}),
+    "dilation": ("a grid", {**_GRID, "trials": 20}),
+    "hardy": ("a grid", {**_GRID, "n": 3, "N": None, "offset": 0.5, "radial": None}),
+    "hardy --radial": ("the radial quadrature",
+                       {"tol": GRID_TOL, "trials": 20, "n": 3, "radial": None}),
+    "coulomb": ("the radial quadrature", {"tol": GRID_TOL, "trials": 20, "n": None}),
     "search": ("a grid", _GRID),
-    "search sum": ("a grid", (*_GRID, "seed", "config", "max_iters")),
-    "search product": ("a grid", (*_GRID, "seed", "config", "max_iters")),
-    "search nonattainment": ("a radial midpoint rule", ("n", "R", "points")),
-    "all": ("each suite's own states", (*_GRID, "trials", "dim", "radial")),
+    "search sum": ("a grid", _MINIMIZE),
+    "search product": ("a grid", _MINIMIZE),
+    "search nonattainment": ("a radial midpoint rule",
+                             {"n": 3, "R": 1000.0, "points": 200000}),
+    "all": ("each suite's own states",
+            dict.fromkeys((*_GRID, "trials", "dim", "radial"))),
 }
 
 
@@ -79,7 +76,6 @@ class SuiteConfig:
     N: int | None = None
     L: float | None = None
     offset: float | None = None
-    scheme: str | None = None
     tol: float | None = None
     trials: int | None = None
     dim: int | None = None
@@ -105,22 +101,37 @@ class SuiteConfig:
         # names a flag the suite reads.  Every suite reads seed, out and csv.
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
-        _refuse_unread("hardy --radial" if self.suite == "hardy" and self.radial
-                       else self.suite, {k: v for k, v in asdict(self).items()
-                                         if k not in ("suite", "seed", "out", "csv")})
+        _refuse_unread(_row(self.suite, self.radial),
+                       {k: v for k, v in asdict(self).items()
+                        if k not in ("suite", "seed", "out", "csv")})
         if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be at least 1; zero trials would "
                              "pass vacuously")
         if self.dim is not None and self.dim < 2:
             raise ValueError(f"--dim must be at least 2, got {self.dim}")
+        if self.tol is not None and not 0.0 <= self.tol < math.inf:
+            raise ValueError(f"--tol must be finite and at least 0, got {self.tol}")
 
 
-def _flag(value, default):
-    """The configured value, or ``default`` when it was left unset.
+def _row(suite: str, radial: bool | None) -> str:
+    return "hardy --radial" if suite == "hardy" and radial else suite
+
+
+def _resolve(command: str, given: dict) -> dict:
+    """The fields ``command`` reads: each one set in ``given``, else its default.
 
     Only None means unset: a 0 is a value, never a request for the default.
     """
-    return default if value is None else value
+    return {k: default if given.get(k) is None else given[k]
+            for k, default in READS[command][1].items()}
+
+
+def _loosen(rep: EqualityReport) -> EqualityReport:
+    """``rep`` at its LOOSE_TOL tolerance, if it has one."""
+    for prefix, tol in LOOSE_TOL.items():
+        if rep.identity_id.startswith(prefix):
+            return replace(rep, tol=tol, passed=rep.rel_residual <= tol)
+    return rep
 
 
 def _aggregate(reports: list[EqualityReport]) -> list[EqualityReport]:
@@ -133,16 +144,10 @@ def _aggregate(reports: list[EqualityReport]) -> list[EqualityReport]:
     return [worst[key] for key in sorted(worst)]
 
 
-def _grid(cfg: SuiteConfig, n: int, default_N: int, default_offset: float = 0.0) -> GridSpec:
-    return GridSpec(n=n, N=_flag(cfg.N, default_N), L=_flag(cfg.L, 12.0),
-                    offset=_flag(cfg.offset, default_offset),
-                    scheme=_flag(cfg.scheme, "spectral_periodic"))
-
-
-def _vector_pairs(cfg: SuiteConfig, rng, default_trials: int):
+def _vector_pairs(cfg: SuiteConfig, rng):
     """Stacks (u, v) of at most max(1, 2**15 // dim) random pairs, as drawn
     by random_vector, each of one dimension in [2, dim], zero-padded to dim."""
-    width, trials = _flag(cfg.dim, 32), _flag(cfg.trials, default_trials)
+    width, trials = cfg.dim, cfg.trials
     rows = max(1, complexspace.STACK_ENTRIES // width)
     for start in range(0, trials, rows):
         u, v = np.zeros((2, min(rows, trials - start), width), np.complex128)
@@ -158,81 +163,75 @@ def _vector_pairs(cfg: SuiteConfig, rng, default_trials: int):
 def _radial_reports(verify, quad, cfg: SuiteConfig, rng) -> list[EqualityReport]:
     """``verify`` on the radial Gaussian and on ``trials`` random states."""
     states = [radial_gaussian(quad)]
-    states += [random_radial_state(quad, rng) for _ in range(_flag(cfg.trials, 20))]
-    return [rep for psi in states for rep in verify(psi, _flag(cfg.tol, GRID_TOL))]
+    states += [random_radial_state(quad, rng) for _ in range(cfg.trials)]
+    return [rep for psi in states for rep in verify(psi, cfg.tol)]
 
 
-def _pair_suite(cfg: SuiteConfig, default_trials: int, check) -> list[EqualityReport]:
+def _pair_suite(cfg: SuiteConfig, check) -> list[EqualityReport]:
     """``check(u, v, angles, tol)`` on every stack of random pairs."""
     rng = np.random.default_rng(cfg.seed)
-    tol = _flag(cfg.tol, ALGEBRAIC_TOL)
     angles = default_angles(rng)
-    return _aggregate([rep for u, v in _vector_pairs(cfg, rng, default_trials)
-                       for rep in check(u, v, angles, tol)])
+    return _aggregate([rep for u, v in _vector_pairs(cfg, rng)
+                       for rep in check(u, v, angles, cfg.tol)])
 
 
 def run_appendix(cfg: SuiteConfig) -> list[EqualityReport]:
     def check(u, v, angles, tol):
         complexspace.extremizer_rows(u, v, tol)
         return cs_equality_residuals(u, v, angles, tol)
-    return _pair_suite(cfg, 1000, check)
+    return _pair_suite(cfg, check)
 
 
 def run_section2(cfg: SuiteConfig) -> list[EqualityReport]:
-    return _pair_suite(cfg, 200, pair_reports)
+    return _pair_suite(cfg, pair_reports)
 
 
 def run_momentum_position(cfg: SuiteConfig) -> list[EqualityReport]:
     rng = np.random.default_rng(cfg.seed)
-    tol = _flag(cfg.tol, GRID_TOL)
-    grid = _grid(cfg, _flag(cfg.n, 1), 256)
+    grid = GridSpec(cfg.n, cfg.N, cfg.L, cfg.offset)
     reports = []
-    for _ in range(_flag(cfg.trials, 50)):
+    for _ in range(cfg.trials):
         phi = identities.random_smooth_state(grid, rng)
-        reports.extend(identities.verify_position_momentum(phi, tol))
+        reports.extend(identities.verify_position_momentum(phi, cfg.tol))
     coherent = realize(GaussianSpec("coherent", n=grid.n), grid)
     mom = exact_moments(GaussianSpec("coherent", n=grid.n))
-    # Unset --tol: 1e-6 here and 1e-7 for dilham.*; set, it reaches every id.
     xnorm = grids.position(coherent).norm()
     gnorm = grids.gradient(coherent).norm()
     reports.append(compare("pm.kennard_saturation", xnorm * gnorm,
-                           math.sqrt(mom.x_norm_sq * mom.grad_norm_sq),
-                           _flag(cfg.tol, 1e-6)))
+                           math.sqrt(mom.x_norm_sq * mom.grad_norm_sq), cfg.tol))
     sum_field = grids.position(coherent) + grids.gradient(coherent)
     reports.append(compare("pm.coherent_alignment",
-                           sum_field.norm() / coherent.norm(), 0.0,
-                           _flag(cfg.tol, 1e-6)))
+                           sum_field.norm() / coherent.norm(), 0.0, cfg.tol))
     return _aggregate(reports)
 
 
 def run_dilation(cfg: SuiteConfig) -> list[EqualityReport]:
     rng = np.random.default_rng(cfg.seed)
-    tol = _flag(cfg.tol, GRID_TOL)
-    grid = _grid(cfg, _flag(cfg.n, 1), 256)
+    grid = GridSpec(cfg.n, cfg.N, cfg.L, cfg.offset)
     reports = []
-    for _ in range(_flag(cfg.trials, 20)):
+    for _ in range(cfg.trials):
         phi = identities.random_smooth_state(grid, rng)
-        reports.extend(identities.verify_dilation_pythagoras(phi, tol))
-        reports.extend(identities.verify_dilation_hamiltonian(
-            phi, _flag(cfg.tol, 1e-7)))
+        reports.extend(identities.verify_dilation_pythagoras(phi, cfg.tol))
+        reports.extend(identities.verify_dilation_hamiltonian(phi, cfg.tol))
     return _aggregate(reports)
 
 
 def run_hardy(cfg: SuiteConfig) -> list[EqualityReport]:
-    n = _flag(cfg.n, 3)
+    n, tol = cfg.n, cfg.tol
+    if n < 3:
+        raise ValueError(f"the Hardy identities require dimension >= 3, got --n {n}")
     if cfg.radial:
         return _aggregate(_radial_reports(identities.verify_hardy,
                                           LaguerreQuadrature(n), cfg,
                                           np.random.default_rng(cfg.seed)))
-    fine = _grid(cfg, n, 96 if n == 3 else 32, default_offset=0.5)
-    tol = _flag(cfg.tol, HARDY_GRID_TOL[fine.scheme])
+    fine = GridSpec(n, (96 if n == 3 else 32) if cfg.N is None else cfg.N,
+                    cfg.L, cfg.offset)
     # The 1/|x|^2-weighted norm on the tensor grid has an O(h^(n-2))
     # midpoint quadrature error, so the right side of the Pythagorean
     # identity is checked after removing that term by Richardson
     # extrapolation with a half-resolution control grid.  For the
     # unit-norm isotropic Gaussian both sides equal n/2 exactly.
-    coarse = GridSpec(n=fine.n, N=fine.N // 2, L=fine.L,
-                      offset=fine.offset, scheme=fine.scheme)
+    coarse = replace(fine, N=fine.N // 2)
     reports, sides = [], {}
     for grid in (coarse, fine):
         psi = realize(GaussianSpec("coherent", n=n), grid)
@@ -266,36 +265,31 @@ def run_coulomb(cfg: SuiteConfig) -> list[EqualityReport]:
     return _aggregate(reports)
 
 
-def _minimize(target: str, cfg: SuiteConfig,
-              max_iters: int | None = None) -> tuple[dict, list[EqualityReport]]:
+def _minimize(target: str, cfg: SuiteConfig, max_iters: int = _MINIMIZE["max_iters"]
+              ) -> tuple[dict, list[EqualityReport]]:
     """One search minimizer on the configured grid: its summary and reports."""
-    grid = _grid(cfg, _flag(cfg.n, 1), 256)
-    tol = _flag(cfg.tol, SEARCH_TOL[grid.scheme])
+    grid = GridSpec(cfg.n, cfg.N, cfg.L, cfg.offset)
     runner = (minimize_sum_functional if target == "sum"
               else minimize_product_functional)
-    res = runner(grid, cfg.seed, SearchOptions(max_iters=_flag(max_iters, 40000)))
+    res = runner(grid, cfg.seed, SearchOptions(max_iters=max_iters))
     extra = ({"converged": res.converged} if target == "sum"
              else {"lambda_est": res.lambda_est})
     summary = {"value": res.value, "target": float(grid.n),
                "iterations": res.iterations, "converged": res.converged,
                "fidelity": res.fidelity, **extra}
     return summary, [
-        compare(f"search.{target}.value", res.value, float(grid.n), tol,
+        compare(f"search.{target}.value", res.value, float(grid.n), cfg.tol,
                 context={"iterations": res.iterations, **extra}),
         bound(f"search.{target}.fidelity", 0.999, res.fidelity, 0.0)]
 
 
-def _probe(n: int | None = None, R: float | None = None,
-           points: int | None = None) -> tuple[dict, list[EqualityReport]]:
+def _probe(n: int, R: float, points: int) -> tuple[dict, list[EqualityReport]]:
     """The non-attainment probe at radii 10 < 100 < min(1000, R): rows, reports."""
-    r_max = _flag(R, 1000.0)
-    radii = (10.0, 100.0, min(1000.0, r_max))
+    radii = (10.0, 100.0, min(1000.0, R))
     if radii[2] <= radii[1]:
         raise ValueError(f"--R must exceed {radii[1]:g} so the probed radii "
-                         f"increase, got {r_max:g}")
-    quad = RadialQuadrature(n=_flag(n, 3), r_max=r_max,
-                            points=_flag(points, 200000))
-    rows = probe_nonattainment(quad, radii)
+                         f"increase, got {R:g}")
+    rows = probe_nonattainment(RadialQuadrature(n=n, r_max=R, points=points), radii)
     rhos = [row["rho"] for row in rows]
     return {"rows": rows}, [
         bound("search.nonattainment.above_one", 1.0, min(rhos), 0.0,
@@ -307,7 +301,7 @@ def _probe(n: int | None = None, R: float | None = None,
 
 def run_search_suite(cfg: SuiteConfig) -> list[EqualityReport]:
     return [*_minimize("sum", cfg)[1], *_minimize("product", cfg)[1],
-            *_probe()[1]]
+            *_probe(**_resolve("search nonattainment", {}))[1]]
 
 
 RUNNERS = {
@@ -337,7 +331,10 @@ def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
     names = list(RUNNERS) if cfg.suite == "all" else [cfg.suite]
     reports: list[EqualityReport] = []
     for name in names:
-        reports.extend(RUNNERS[name](cfg))
+        row = _resolve(_row(name, cfg.radial), asdict(cfg))
+        reports.extend(RUNNERS[name](replace(cfg, **row)))
+    if cfg.tol is None:
+        reports = [_loosen(rep) for rep in reports]
     reports.sort(key=lambda rep: rep.identity_id)
     failing = sorted({rep.identity_id for rep in reports if not rep.passed})
     payload = {
@@ -393,8 +390,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--N", type=int, help="grid points per axis")
     parser.add_argument("--L", type=float, help="box half-width (default 12)")
     parser.add_argument("--offset", type=float, help="grid offset in spacings")
-    parser.add_argument("--scheme", choices=grids.SCHEMES,
-                        help="derivative scheme (default spectral_periodic)")
     parser.add_argument("--tol", type=float, help="override the suite tolerance")
     parser.add_argument("--trials", type=int, help="number of random trials")
     parser.add_argument("--dim", type=int, help="max vector dimension (default 32)")
@@ -457,12 +452,14 @@ def _cmd_search(args) -> int:
     command = f"search {args.target}"
     _refuse_unread(command, {k: v for k, v in vars(args).items()
                              if k not in ("command", "target")})
+    given = _resolve(command, vars(args))
     if args.target == "nonattainment":
-        out, reports = _probe(args.n, args.R, args.points)
+        out, reports = _probe(**given)
     else:
         cfg = _config(args, "search")   # fields from --config, checked too
         _refuse_unread(command, {**asdict(cfg), "suite": None})
-        out, reports = _minimize(args.target, cfg, args.max_iters)
+        cfg = replace(cfg, **_resolve("search", asdict(cfg)))
+        out, reports = _minimize(args.target, cfg, given["max_iters"])
     print(json.dumps(out, indent=2))
     return 0 if all(rep.passed for rep in reports) else 1
 

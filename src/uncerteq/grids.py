@@ -38,8 +38,8 @@ class GridSpec:
             raise ValueError("dimension must be >= 1")
         if self.N < 2:
             raise ValueError("need at least two points per axis")
-        if self.L <= 0:
-            raise ValueError("half-width must be positive")
+        if not 0.0 < self.L < math.inf:
+            raise ValueError(f"half-width must be finite and positive, got {self.L}")
         if not 0.0 <= self.offset < 1.0:
             raise ValueError("offset must lie in [0, 1)")
         if self.scheme not in SCHEMES:

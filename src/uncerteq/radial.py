@@ -38,8 +38,10 @@ class RadialQuadrature:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
-        if self.r_max <= 0 or self.points < 2:
-            raise ValueError("need a positive radius and at least two points")
+        if not 0.0 < self.r_max < math.inf:
+            raise ValueError(f"radius must be finite and positive, got {self.r_max}")
+        if self.points < 2:
+            raise ValueError("need at least two points")
 
     @property
     def dr(self) -> float:

@@ -136,9 +136,9 @@ def test_run_hardy_verifies_each_grid_once(monkeypatch):
         return verify_hardy(psi, tol)
 
     monkeypatch.setattr(cli.identities, "verify_hardy", counting)
-    reports = cli.run_hardy(SuiteConfig(suite="hardy", N=64, L=8.0))
+    _, payload = run_suite(SuiteConfig(suite="hardy", N=64, L=8.0))
     assert calls == [32, 64]
-    assert [r.identity_id for r in reports] == [
+    assert [r["identity_id"] for r in payload["reports"]] == [
         "grad.pointwise_split", "hardy.chain.gradient",
         "hardy.chain.potential", "hardy.grid.value_lhs",
         "hardy.grid.value_rhs"]
@@ -162,14 +162,6 @@ def test_search_command_uses_the_suite_checks(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["value"] == 0.99
 
 
-def test_search_tolerance_follows_the_scheme(capsys):
-    # central_diff_4 puts the discrete sum minimum 9.6e-6 below n: inside the
-    # difference schemes' 1e-4, outside the spectral scheme's 1e-8.
-    assert main(["search", "sum", "--scheme", "central_diff_4"]) == 0
-    value = json.loads(capsys.readouterr().out)["value"]
-    assert 1e-8 < 1.0 - value <= 1e-4
-
-
 def test_search_command_reads_the_config_file(tmp_path, capsys):
     # N=7 is odd, which the spectral scheme refuses: a usage error.
     cfg_path = tmp_path / "cfg.json"
@@ -187,11 +179,19 @@ def test_search_command_reads_the_config_file(tmp_path, capsys):
     ["verify", "dilation", "--n", "2", "--N", "32", "--L", "8"],
     ["verify", "appendix", "--dim", "1"],
     ["search", "sum", "--R", "40"],
-    ["verify", "coulomb", "--trials", "1", "--N", "7", "--scheme",
-     "central_diff_2"],
+    ["verify", "coulomb", "--trials", "1", "--N", "7"],
     ["verify", "hardy", "--radial", "--trials", "1", "--offset", "0.5"],
     ["search", "nonattainment", "--R", "100"],
     ["search", "nonattainment", "--R", "60"],
+    # A tolerance of inf passed everything, NaN or below 0 failed everything.
+    ["verify", "appendix", "--tol", "inf"],
+    ["verify", "appendix", "--tol", "nan"],
+    ["verify", "appendix", "--tol", "-1"],
+    ["verify", "momentum-position", "--L", "nan"],
+    ["verify", "momentum-position", "--L", "inf"],
+    ["search", "nonattainment", "--R", "inf"],
+    ["search", "nonattainment", "--R", "nan"],
+    ["verify", "hardy", "--n", "1"],
 ])
 def test_zero_and_out_of_range_flags_are_usage_errors(argv, capsys):
     # A 0 is a value, not a request for the suite default.
@@ -199,9 +199,22 @@ def test_zero_and_out_of_range_flags_are_usage_errors(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, says", [
+    (["verify", "section2", "--tol", "inf"], "--tol must be finite"),
+    (["search", "sum", "--tol", "-1"], "--tol must be finite"),
+    (["verify", "dilation", "--L", "nan"], "half-width must be finite"),
+    (["search", "nonattainment", "--R", "inf"], "radius must be finite"),
+    # No N makes a grid fit the Hardy identities below n = 3.
+    (["verify", "hardy", "--n", "2"], "require dimension >= 3, got --n 2"),
+])
+def test_an_out_of_range_value_names_what_it_breaks(argv, says, capsys):
+    assert main(argv) == 2
+    assert says in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("suite", [["coulomb"], ["hardy", "--radial"]])
 @pytest.mark.parametrize("flag", [["--N", "64"], ["--offset", "0.25"],
-                                  ["--scheme", "central_diff_4"]])
+                                  ["--L", "3"]])
 def test_radial_suites_name_the_grid_flag_they_refuse(suite, flag, capsys):
     # These suites build no grid; recording the flag would describe a
     # configuration that never ran.
@@ -222,7 +235,7 @@ def test_nonattainment_radius_that_stops_the_radii_increasing_names_it(R, capsys
 # Every other flag the command's parser takes, and every other config key,
 # is a usage error that names the flag.
 _VERIFY = ("seed", "out", "csv", "config")
-_GRID = ("tol", "n", "N", "L", "offset", "scheme")
+_GRID = ("tol", "n", "N", "L", "offset")
 READ_FLAGS = {
     ("verify", "appendix"): ("tol", "trials", "dim", *_VERIFY),
     ("verify", "section2"): ("tol", "trials", "dim", *_VERIFY),
@@ -238,6 +251,8 @@ READ_FLAGS = {
     ("search", "product"): (*_GRID, "max_iters", "seed", "config"),
     ("search", "nonattainment"): ("n", "R", "points"),
 }
+# No command but refine reads scheme: verify and search have no --scheme
+# flag and no scheme config key.
 _VALUES = {"n": 3, "N": 64, "L": 8.0, "offset": 0.25,
            "scheme": "central_diff_4", "tol": 1e-9, "trials": 2, "dim": 4,
            "seed": 1, "radial": True, "out": "r.json", "csv": "r.csv",
@@ -272,12 +287,24 @@ def _argv(command, field, route, tmp_path, monkeypatch):
             *([] if value is True else [str(value)])]
 
 
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:   # argparse refuses a flag the parser lacks
+        return exc.code
+
+
 @pytest.mark.parametrize("command, field, route", _pairs(read=False))
 def test_a_flag_the_command_does_not_read_is_a_usage_error(
         command, field, route, tmp_path, monkeypatch, capsys):
-    assert main(_argv(command, field, route, tmp_path, monkeypatch)) == 2
-    flag = "--" + field.replace("_", "-")
-    assert f"error: {flag} does not apply to" in capsys.readouterr().err
+    assert _exit_code(_argv(command, field, route, tmp_path, monkeypatch)) == 2
+    err = capsys.readouterr().err
+    if field == "scheme":
+        assert ("unrecognized arguments: --scheme" in err
+                or "unknown config keys: ['scheme']" in err)
+    else:
+        flag = "--" + field.replace("_", "-")
+        assert f"error: {flag} does not apply to" in err
 
 
 @pytest.mark.parametrize("command, field, route", _pairs(read=True))
@@ -290,6 +317,21 @@ def test_a_flag_the_command_reads_is_accepted(command, field, route, tmp_path,
     monkeypatch.setattr(cli, "_probe", lambda n, R, points: ({}, []))
     assert main(_argv(command, field, route, tmp_path, monkeypatch)) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command, route", [
+    pytest.param(command, route, id=" ".join((*command, route)))
+    for command in [("verify", "momentum-position"), ("verify", "dilation"),
+                    ("verify", "hardy"), ("verify", "search"),
+                    ("verify", "all"), ("search", "sum"), ("search", "product")]
+    for route in ("flag", "config")])
+def test_only_refine_takes_a_scheme(command, route, tmp_path, monkeypatch,
+                                    capsys):
+    # The grid suites and the search always run the spectral scheme; a
+    # difference scheme there failed their identities at the defaults.
+    argv = _argv(command, "scheme", route, tmp_path, monkeypatch)
+    assert _exit_code(argv) == 2
+    assert "scheme" in capsys.readouterr().err
 
 
 def test_verify_all_reads_every_suite_field():
@@ -394,6 +436,12 @@ def test_refinement_study_finds_second_order(tmp_path):
     assert rows[-1][0] == "fitted_order"
 
 
+def test_refine_reads_the_scheme(capsys):
+    assert main(["refine", "pm.trace", "--scheme", "central_diff_4", "--N", "64",
+                 "--N", "128", "--N", "256"]) == 0
+    assert 3.7 <= json.loads(capsys.readouterr().out)["fitted_order"] <= 4.3
+
+
 def test_refine_command(tmp_path, capsys):
     table = tmp_path / "refine.csv"
     code = main(["refine", "pm.trace", "--N", "128", "--N", "256",
@@ -463,7 +511,7 @@ def test_batched_suites_match_a_pair_by_pair_oracle(suite, seed, trials, dim):
 
 def test_vector_pairs_come_in_bounded_stacks_of_the_suite_draws():
     cfg = SuiteConfig(suite="appendix", trials=40, dim=4096)
-    stacks = list(cli._vector_pairs(cfg, np.random.default_rng(5), 1000))
+    stacks = list(cli._vector_pairs(cfg, np.random.default_rng(5)))
     assert [len(u) for u, v in stacks] == [8] * 5
     rng = np.random.default_rng(5)
     u, v = (np.concatenate(x) for x in zip(*stacks))
@@ -495,3 +543,22 @@ def test_an_explicit_tol_reaches_every_id(suite, ids, default, tol):
     _, payload = run_suite(SuiteConfig(suite=suite, trials=1, tol=tol))
     tols = {r["identity_id"]: r["tol"] for r in payload["reports"]}
     assert {tols[i] for i in ids} == {default if tol is None else tol}
+
+
+@pytest.mark.parametrize("row", ["appendix", "section2", "momentum-position",
+                                 "dilation", "hardy", "hardy --radial",
+                                 "coulomb", "search"])
+def test_the_table_is_what_runs(row):
+    # Every non-None default of the row, given explicitly, runs the same
+    # suite as none given.  tol is left out: an explicit --tol also reaches
+    # the LOOSE_TOL ids.
+    suite, _, radial = row.partition(" --")
+    explicit = {k: v for k, v in cli.READS[row][1].items()
+                if v is not None and k != "tol"}
+
+    def body(**fields):
+        cfg = SuiteConfig(suite=suite, radial=bool(radial) or None, **fields)
+        code, payload = run_suite(cfg)
+        return code, json.dumps([payload["reports"], payload["failing"]])
+
+    assert body(**explicit) == body()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from uncerteq.cli import SuiteConfig, run_hardy
+from uncerteq.cli import SuiteConfig, run_suite
 from uncerteq.grids import (GridSpec, StateField, VectorField, _radius,
                             _radius_sq, coulomb, dilation_generator, gradient,
                             momentum, neg_laplacian,
@@ -245,7 +245,7 @@ def test_run_hardy_transform_count(monkeypatch):
     # x.grad(psi/|x|)); the pointwise split takes one more on the fine grid.
     # Every hardy state is real, so every transform is a real-input one.
     counts = _count_ffts(monkeypatch)
-    run_hardy(SuiteConfig(suite="hardy", N=64, L=8.0))
+    run_suite(SuiteConfig(suite="hardy", N=64, L=8.0))
     assert counts == {"fft": 0, "ifft": 0, "rfft": 21, "irfft": 21}
 
 
