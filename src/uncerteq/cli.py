@@ -218,8 +218,6 @@ def run_dilation(cfg: SuiteConfig) -> list[EqualityReport]:
 
 def run_hardy(cfg: SuiteConfig) -> list[EqualityReport]:
     n, tol = cfg.n, cfg.tol
-    if n < 3:
-        raise ValueError(f"the Hardy identities require dimension >= 3, got --n {n}")
     if cfg.radial:
         return _aggregate(_radial_reports(identities.verify_hardy,
                                           LaguerreQuadrature(n), cfg,
@@ -329,6 +327,10 @@ def _refuse_unread(command: str, given: dict) -> None:
 def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
     """Execute the selected suites and assemble the versioned report."""
     names = list(RUNNERS) if cfg.suite == "all" else [cfg.suite]
+    # Checked before any suite runs, so that verify all fails at once.
+    if "hardy" in names and cfg.n is not None and cfg.n < 3:
+        raise ValueError("the Hardy identities require dimension >= 3, "
+                         f"got --n {cfg.n}")
     reports: list[EqualityReport] = []
     for name in names:
         row = _resolve(_row(name, cfg.radial), asdict(cfg))
@@ -459,6 +461,9 @@ def _cmd_search(args) -> int:
         cfg = _config(args, "search")   # fields from --config, checked too
         _refuse_unread(command, {**asdict(cfg), "suite": None})
         cfg = replace(cfg, **_resolve("search", asdict(cfg)))
+        if given["max_iters"] < 1:
+            raise ValueError("--max-iters must be at least 1; a search of no "
+                             "iterations fails vacuously")
         out, reports = _minimize(args.target, cfg, given["max_iters"])
     print(json.dumps(out, indent=2))
     return 0 if all(rep.passed for rep in reports) else 1

@@ -116,7 +116,8 @@ def realize(spec: GaussianSpec, grid: GridSpec) -> StateField:
     s = spec.factor
     a = -s.real
     amp = (a * spec.lam / math.pi) ** (spec.n / 4.0) * spec.norm
-    phase = cmath.exp(1j * spec.theta)
-    r2 = _radius_sq(grid)
-    values = phase * amp * np.exp(0.5 * s * spec.lam * r2)
+    # A real spec (theta = 0, real factor) gives a real, float64 field.
+    phase = cmath.exp(1j * spec.theta) if spec.theta else 1.0
+    rate = 0.5 * (s if s.imag else s.real) * spec.lam
+    values = phase * amp * np.exp(rate * _radius_sq(grid))
     return StateField(grid, values)

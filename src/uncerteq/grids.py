@@ -4,10 +4,11 @@ The box is [-L, L)^n with N points per axis at x_j = -L + (j + offset) h,
 h = 2L/N.  A nonzero offset keeps every sample away from the origin, which
 the singular operators (1/|x|, x/|x|) require.  Derivatives come from the
 periodic Fourier transform or from periodic central differences; test states
-are smooth and rapidly decaying, so the periodic wrap carries no mass.  The
-Fourier path picks its transform from the data: a field whose imaginary part
-is identically zero (every Hardy state) takes the real-input transform on
-the half spectrum, any other field the complex one.
+are smooth and rapidly decaying, so the periodic wrap carries no mass.  Real
+input is stored as float64, anything else as complex128, and the operators
+keep the dtype of their input.  The Fourier path picks its transform from
+the dtype: a real field (every Hardy state) takes the real-input transform on
+the half spectrum, a complex one the full transform.
 """
 
 from __future__ import annotations
@@ -111,7 +112,8 @@ class _GridQuantity:
     __slots__ = ("grid", "data")
 
     def __init__(self, grid: GridSpec, data: np.ndarray):
-        data = np.asarray(data, dtype=np.complex128)
+        data = np.asarray(data, dtype=np.complex128 if np.iscomplexobj(data)
+                          else np.float64)
         if data.shape != self._expected_shape(grid):
             raise ValueError(
                 f"data shape {data.shape} does not match grid "
@@ -127,13 +129,13 @@ class _GridQuantity:
     def inner(self, other) -> complex:
         if type(other) is not type(self) or other.grid != self.grid:
             raise ValueError("grid or kind mismatch in scalar product")
-        return complex(np.sum(self.data * np.conj(other.data)) * self.grid.weight)
+        return complex(np.vdot(other.data, self.data) * self.grid.weight)
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.data) ** 2)) * self.grid.weight
+        return float(np.vdot(self.data, self.data).real) * self.grid.weight
 
     def __add__(self, other):
         if type(other) is not type(self) or other.grid != self.grid:
@@ -146,16 +148,21 @@ class _GridQuantity:
         return type(self)(self.grid, self.data - other.data)
 
     def __mul__(self, scalar):
-        return type(self)(self.grid, self.data * complex(scalar))
+        return type(self)(self.grid, self.data * _scalar(scalar))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        return type(self)(self.grid, self.data / complex(scalar))
+        return type(self)(self.grid, self.data / _scalar(scalar))
+
+
+def _scalar(value) -> float | complex:
+    """``value`` as a Python number; a real one stays real."""
+    return complex(value) if np.iscomplexobj(value) else float(value)
 
 
 class StateField(_GridQuantity):
-    """Complex scalar function sampled on a GridSpec."""
+    """Real or complex scalar function sampled on a GridSpec."""
 
     def _expected_shape(self, grid: GridSpec) -> tuple[int, ...]:
         return grid.shape
@@ -171,7 +178,7 @@ class StateField(_GridQuantity):
 
 
 class VectorField(_GridQuantity):
-    """C^n-valued function on a GridSpec; one component per axis."""
+    """R^n- or C^n-valued function on a GridSpec; one component per axis."""
 
     def _expected_shape(self, grid: GridSpec) -> tuple[int, ...]:
         return (grid.n,) + grid.shape
@@ -181,19 +188,19 @@ def _spectral_axis(grid: GridSpec, values: np.ndarray, axis: int,
                    symbol) -> np.ndarray:
     """Multiply the transform of ``values`` along ``axis`` by ``symbol(k)``.
 
-    Real data (imaginary part identically zero) take the real-input
-    transform and the half spectrum k = 0..N/2; complex data take the full
-    one.  Either way the symbol is multiplied into the spectrum in place, so
-    the spectrum is the only temporary of the size of the data.
+    Real data take the real-input transform and the half spectrum
+    k = 0..N/2; complex data take the full one.  Either way the symbol is
+    multiplied into the spectrum in place, so the spectrum is the only
+    temporary of the size of the data.
     """
     shape = [1] * grid.n
     shape[axis] = -1
-    if values.imag.any():
+    if np.iscomplexobj(values):
         fk = np.fft.fft(values, axis=axis)
         fk *= symbol(grid.wavenumbers()).reshape(shape)
         return np.fft.ifft(fk, axis=axis)
     k = 2.0 * math.pi * np.fft.rfftfreq(grid.N, d=grid.h)
-    fk = np.fft.rfft(values.real, axis=axis)
+    fk = np.fft.rfft(values, axis=axis)
     fk *= symbol(k).reshape(shape)
     return np.fft.irfft(fk, n=grid.N, axis=axis)
 
@@ -217,7 +224,7 @@ def _derivative_axis(grid: GridSpec, values: np.ndarray, axis: int) -> np.ndarra
 
 def gradient(phi: StateField) -> VectorField:
     grid = phi.grid
-    comps = np.empty((grid.n,) + grid.shape, dtype=np.complex128)
+    comps = np.empty((grid.n,) + grid.shape, dtype=phi.data.dtype)
     for axis in range(grid.n):
         comps[axis] = _derivative_axis(grid, phi.data, axis)
     return VectorField(grid, comps)
@@ -225,7 +232,7 @@ def gradient(phi: StateField) -> VectorField:
 
 def position(phi: StateField) -> VectorField:
     grid = phi.grid
-    comps = np.empty((grid.n,) + grid.shape, dtype=np.complex128)
+    comps = np.empty((grid.n,) + grid.shape, dtype=phi.data.dtype)
     for axis in range(grid.n):
         comps[axis] = grid.coord(axis) * phi.data
     return VectorField(grid, comps)
@@ -237,7 +244,7 @@ def momentum(phi: StateField) -> VectorField:
 
 def _coord_dot(grid: GridSpec, g: np.ndarray, r=1.0) -> np.ndarray:
     """sum_j (x_j / r) g_j, accumulated in axis order."""
-    out = np.zeros(grid.shape, dtype=np.complex128)
+    out = np.zeros(grid.shape, dtype=g.dtype)
     for axis in range(grid.n):
         out += (grid.coord(axis) / r) * g[axis]
     return out
@@ -255,17 +262,16 @@ def dilation_generator(phi: StateField) -> StateField:
 
 def neg_laplacian(phi: StateField) -> StateField:
     grid = phi.grid
-    if grid.scheme == "spectral_periodic":
-        out = np.zeros(grid.shape, dtype=np.complex128)
-        for axis in range(grid.n):
-            out += _spectral_axis(grid, phi.data, axis, np.square)
-        return StateField(grid, out)
-    # Central schemes: apply the first-derivative stencil twice per axis so
-    # that summation by parts ((-lap phi|phi) = ||grad phi||^2) holds exactly.
-    out = np.zeros(grid.shape, dtype=np.complex128)
+    out = np.zeros(grid.shape, dtype=phi.data.dtype)
     for axis in range(grid.n):
-        d = _derivative_axis(grid, phi.data, axis)
-        out -= _derivative_axis(grid, d, axis)
+        if grid.scheme == "spectral_periodic":
+            out += _spectral_axis(grid, phi.data, axis, np.square)
+        else:
+            # Central schemes apply the first-derivative stencil twice, so
+            # that summation by parts ((-lap phi|phi) = ||grad phi||^2) holds
+            # exactly.
+            d = _derivative_axis(grid, phi.data, axis)
+            out -= _derivative_axis(grid, d, axis)
     return StateField(grid, out)
 
 
@@ -282,11 +288,15 @@ def _tangential_part(grid: GridSpec, g: np.ndarray, dr: np.ndarray) -> np.ndarra
     return g
 
 
+def radial_part(g: VectorField) -> StateField:
+    """(x/|x|).g; of g = grad phi it is the radial derivative of phi."""
+    _require_origin_free(g.grid)
+    return StateField(g.grid, _radial_part(g.grid, g.data))
+
+
 def radial_derivative(phi: StateField) -> StateField:
     """(x/|x|).grad phi."""
-    grid = phi.grid
-    _require_origin_free(grid)
-    return StateField(grid, _radial_part(grid, gradient(phi).data))
+    return radial_part(gradient(phi))
 
 
 def radial_derivative_sym(phi: StateField) -> StateField:

@@ -90,25 +90,29 @@ def verify_hardy(psi, tol: float = GRID_TOL) -> list[EqualityReport]:
     ops, n, ctx = _operators(psi)
     if n < 3:
         raise ValueError("the Hardy identities require dimension >= 3")
-    dpsi = ops.radial_derivative(psi)
+    # One gradient of psi gives both ||d_r psi|| and ||grad psi||; it is
+    # dropped before x.grad(psi/|x|) takes the next one.
+    g = ops.gradient(psi)
+    grad_sq = g.norm_sq()
+    dpsi = ops.radial_part(g)
+    del g
     q = ops.coulomb(psi)                   # psi / |x|
-    shifted = dpsi + (0.5 * (n - 2)) * q   # d_r psi + (n-2)/(2|x|) psi
     dr_sq = dpsi.norm_sq()
     q_sq = q.norm_sq()
-    grad_sq = ops.gradient(psi).norm_sq()
+    # ||d_r psi + (n-2)/(2|x|) psi||^2
+    shifted_sq = (dpsi + (0.5 * (n - 2)) * q).norm_sq()
+    del dpsi
 
     # Transfer through phi = psi/|x|: x.grad phi and its (n/2) shift.
     xg_phi = ops.x_dot_grad(q)
-    xg_shifted = xg_phi + (0.5 * n) * q
 
     reports = [
         compare("hardy.pythagoras", dr_sq,
-                shifted.norm_sq() + (0.5 * (n - 2)) ** 2 * q_sq, tol,
-                context=ctx),
+                shifted_sq + (0.5 * (n - 2)) ** 2 * q_sq, tol, context=ctx),
         compare("hardy.radial_shift", xg_phi.norm_sq(),
                 dr_sq + (n - 1) * q_sq, tol, context=ctx),
-        compare("hardy.scaling_shift", xg_shifted.norm_sq(),
-                shifted.norm_sq(), tol, context=ctx),
+        compare("hardy.scaling_shift", (xg_phi + (0.5 * n) * q).norm_sq(),
+                shifted_sq, tol, context=ctx),
         bound("hardy.chain.potential", math.sqrt(q_sq),
               2.0 / (n - 2) * math.sqrt(dr_sq), tol, context=ctx),
         bound("hardy.chain.gradient", math.sqrt(dr_sq), math.sqrt(grad_sq),

@@ -226,6 +226,11 @@ def gradient(state: RadialState) -> RadialState:
     return radial_derivative(state)
 
 
+def radial_part(g: RadialState) -> RadialState:
+    """The radial part of the gradient g, which is all of it for a profile."""
+    return g
+
+
 def spherical_derivative(state: RadialState) -> RadialState:
     """L psi, which vanishes for a radial profile."""
     return RadialState(state.quad, np.zeros(state.quad.points))

@@ -192,6 +192,9 @@ def test_search_command_reads_the_config_file(tmp_path, capsys):
     ["search", "nonattainment", "--R", "inf"],
     ["search", "nonattainment", "--R", "nan"],
     ["verify", "hardy", "--n", "1"],
+    # A cap below 1 ran no iteration and failed search.*.value.
+    ["search", "sum", "--max-iters", "0"],
+    ["search", "product", "--max-iters", "-5"],
 ])
 def test_zero_and_out_of_range_flags_are_usage_errors(argv, capsys):
     # A 0 is a value, not a request for the suite default.
@@ -210,6 +213,18 @@ def test_zero_and_out_of_range_flags_are_usage_errors(argv, capsys):
 def test_an_out_of_range_value_names_what_it_breaks(argv, says, capsys):
     assert main(argv) == 2
     assert says in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_verify_all_refuses_a_hardy_dimension_before_any_suite_runs(
+        n, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "RUNNERS", {
+        name: lambda cfg, name=name: ran.append(name) or []
+        for name in cli.RUNNERS})
+    assert main(["verify", "all", "--n", n]) == 2
+    assert ran == []
+    assert f"require dimension >= 3, got --n {n}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite", [["coulomb"], ["hardy", "--radial"]])

@@ -1,17 +1,20 @@
 """Tests for the tensor-grid discretization and its operators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from uncerteq.cli import SuiteConfig, run_suite
+from uncerteq.gaussians import GaussianSpec, realize
 from uncerteq.grids import (GridSpec, StateField, VectorField, _radius,
                             _radius_sq, coulomb, dilation_generator, gradient,
                             momentum, neg_laplacian,
                             pointwise_gradient_decomposition, position,
                             radial_derivative, radial_derivative_sym,
                             spherical_derivative, x_dot_grad)
+from uncerteq.identities import verify_hardy
 
 
 def _gaussian_1d(grid, lam=1.0):
@@ -73,8 +76,12 @@ def test_field_validation():
     grid = GridSpec(n=1, N=16, L=2.0)
     with pytest.raises(ValueError):
         StateField(grid, np.zeros(8))
-    with pytest.raises(ValueError):
-        StateField(grid, np.full(16, np.nan))
+    # Real data is stored as float64 and checked like complex data.
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.ones(16)
+        values[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            StateField(grid, values)
     with pytest.raises(ValueError):
         VectorField(grid, np.zeros(16))
 
@@ -241,12 +248,29 @@ def test_pointwise_split_transform_count(monkeypatch):
 
 
 def test_run_hardy_transform_count(monkeypatch):
-    # verify_hardy takes three gradients per grid (radial part, |grad psi|,
-    # x.grad(psi/|x|)); the pointwise split takes one more on the fine grid.
-    # Every hardy state is real, so every transform is a real-input one.
+    # verify_hardy takes two gradients per grid: one of psi, read by both
+    # the radial part and |grad psi|, and one of psi/|x| for x.grad; the
+    # pointwise split takes one more on the fine grid.  Every hardy state is
+    # float64, so every transform is a real-input one: 5 gradients of 3.
     counts = _count_ffts(monkeypatch)
     run_suite(SuiteConfig(suite="hardy", N=64, L=8.0))
-    assert counts == {"fft": 0, "ifft": 0, "rfft": 21, "irfft": 21}
+    assert counts == {"fft": 0, "ifft": 0, "rfft": 15, "irfft": 15}
+
+
+def test_verify_hardy_peak_memory_is_bounded():
+    # numpy reports its data buffers to tracemalloc.  With one gradient of
+    # psi, dropped before the next, and every field float64, the traced peak
+    # stays under 10 fields (it was 16 with complex128 fields).
+    grid = GridSpec(n=3, N=48, L=8.0, offset=0.5)
+    psi = realize(GaussianSpec("coherent", n=3), grid)
+    _radius(grid)   # the cached |x| belongs to the grid, not the verifier
+    tracemalloc.start()
+    try:
+        verify_hardy(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 8 * grid.N ** 3    # 10 float64 fields
 
 
 def _real_state(n):
@@ -267,7 +291,7 @@ def test_real_input_path_matches_the_complex_path(n, op):
     phi = _real_state(n)
     real_path = op(phi).data
     complex_path = -1j * op(1j * phi).data
-    assert np.all(real_path.imag == 0.0)
+    assert real_path.dtype == np.float64
     assert np.max(np.abs(real_path - complex_path)) <= 1e-13
 
 
@@ -286,3 +310,56 @@ def test_radius_caches_hold_at_most_two_grids():
         assert GridSpec(n=1, N=N, L=4.0, offset=0.5).excludes_origin
     assert _radius.cache_info().currsize <= 2
     assert _radius_sq.cache_info().currsize <= 2
+
+
+@pytest.mark.parametrize("spec, dtype", [
+    (GaussianSpec("coherent", n=2), np.float64),
+    (GaussianSpec("squeezed", n=2, lam=1.5), np.float64),
+    (GaussianSpec("coherent", n=2, theta=0.3), np.complex128),
+    (GaussianSpec("squeezed_gen", n=2, sgn_factor=complex(-0.8, 0.6)),
+     np.complex128),
+])
+def test_realize_is_float64_exactly_when_the_spec_is_real(spec, dtype):
+    assert realize(spec, GridSpec(n=2, N=64, L=9.0)).data.dtype == dtype
+
+
+@pytest.mark.parametrize("op", [
+    gradient, position, x_dot_grad, neg_laplacian, coulomb,
+    lambda phi: 2.0 * phi, lambda phi: phi / 2, lambda phi: phi + phi])
+@pytest.mark.parametrize("scheme", ["spectral_periodic", "central_diff_4"])
+def test_real_fields_stay_float64(op, scheme):
+    phi = StateField.from_callable(
+        GridSpec(n=3, N=24, L=7.0, offset=0.5, scheme=scheme),
+        lambda x, y, z: x * np.exp(-0.5 * (x ** 2 + y ** 2 + z ** 2)))
+    assert phi.data.dtype == np.float64
+    assert op(phi).data.dtype == np.float64
+
+
+@pytest.mark.parametrize("op", [
+    lambda phi: 1j * phi, lambda phi: phi / 1j, momentum, dilation_generator,
+    radial_derivative_sym])
+def test_imaginary_factors_make_complex_fields(op):
+    phi = _real_state(3)
+    assert op(phi).data.dtype == np.complex128
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_real_inner_products_match_the_complex_ones(n):
+    phi = _real_state(n)
+    psi = x_dot_grad(phi) + phi
+    as_complex = [StateField(f.grid, f.data.astype(np.complex128))
+                  for f in (phi, psi)]
+    assert phi.inner(psi) == pytest.approx(as_complex[0].inner(as_complex[1]),
+                                           rel=1e-15)
+    assert psi.inner(phi) == pytest.approx(as_complex[1].inner(phi), rel=1e-15)
+    for real, cplx in zip((phi, psi), as_complex):
+        assert real.norm_sq() == pytest.approx(cplx.norm_sq(), rel=1e-15)
+    g = gradient(phi)
+    assert g.norm_sq() == pytest.approx(
+        VectorField(g.grid, g.data.astype(np.complex128)).norm_sq(), rel=1e-15)
+
+
+def test_real_arithmetic_that_overflows_is_refused():
+    phi = StateField(GridSpec(n=1, N=16, L=2.0), np.full(16, 1e308))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        phi * 10.0
