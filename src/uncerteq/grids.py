@@ -71,9 +71,6 @@ class GridSpec:
         shape[axis] = self.N
         return self.axis_coords().reshape(shape)
 
-    def wavenumbers(self) -> np.ndarray:
-        return 2.0 * math.pi * np.fft.fftfreq(self.N, d=self.h)
-
     @property
     def excludes_origin(self) -> bool:
         return float(_radius(self).min()) > 0.0
@@ -97,6 +94,15 @@ def _radius(grid: GridSpec) -> np.ndarray:
     r = np.sqrt(_radius_sq(grid))
     r.setflags(write=False)
     return r
+
+
+@lru_cache(maxsize=8)
+def _wavenumbers(grid: GridSpec, half: bool) -> np.ndarray:
+    """Angular wavenumbers of the full spectrum, or of the half one (rfft)."""
+    freq = np.fft.rfftfreq if half else np.fft.fftfreq
+    k = 2.0 * math.pi * freq(grid.N, d=grid.h)
+    k.setflags(write=False)
+    return k
 
 
 def _require_origin_free(grid: GridSpec):
@@ -197,11 +203,10 @@ def _spectral_axis(grid: GridSpec, values: np.ndarray, axis: int,
     shape[axis] = -1
     if np.iscomplexobj(values):
         fk = np.fft.fft(values, axis=axis)
-        fk *= symbol(grid.wavenumbers()).reshape(shape)
+        fk *= symbol(_wavenumbers(grid, False)).reshape(shape)
         return np.fft.ifft(fk, axis=axis)
-    k = 2.0 * math.pi * np.fft.rfftfreq(grid.N, d=grid.h)
     fk = np.fft.rfft(values, axis=axis)
-    fk *= symbol(k).reshape(shape)
+    fk *= symbol(_wavenumbers(grid, True)).reshape(shape)
     return np.fft.irfft(fk, n=grid.N, axis=axis)
 
 
@@ -210,7 +215,8 @@ def _derivative_axis(grid: GridSpec, values: np.ndarray, axis: int) -> np.ndarra
     if grid.scheme == "spectral_periodic":
         def ik(k):
             # The Nyquist mode (entry N/2 of the full and of the half
-            # spectrum) has no well-defined sign for an odd derivative.
+            # spectrum) has no well-defined sign for an odd derivative.  k is
+            # cached read-only; 1j * k is a fresh array.
             s = 1j * k
             s[grid.N // 2] = 0.0
             return s

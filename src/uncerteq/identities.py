@@ -10,6 +10,7 @@ of the Hardy-type checks need.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -203,12 +204,14 @@ def _hermite_functions(x: np.ndarray, kmax: int) -> np.ndarray:
 _EDGE_DENSITY = 2e-9
 
 
-def _check_grid_adequacy(grid: grids.GridSpec, max_level: int) -> None:
-    """Refuse grids that cut off the top Hermite mode in space or frequency.
+@lru_cache(maxsize=8)
+def _hermite_basis(grid: grids.GridSpec, max_level: int) -> np.ndarray:
+    """Read-only h_0..h_max_level on the grid axis; refuses a grid that cuts
+    off the top mode in space or frequency.
 
     A Hermite function is its own Fourier transform up to a phase, so the
     same profile decides both the box half-width L and the spectral reach
-    pi/h of the grid.
+    pi/h of the grid.  lru_cache keeps no refusal, so each call refuses anew.
     """
     edge, nyquist = _hermite_functions(
         np.array([grid.L, math.pi / grid.h]), max_level)[-1] ** 2
@@ -220,6 +223,9 @@ def _check_grid_adequacy(grid: grids.GridSpec, max_level: int) -> None:
         raise ValueError(
             f"grid too coarse: the top Hermite mode keeps density "
             f"{nyquist:.1e} at the Nyquist wavenumber; increase N")
+    basis = _hermite_functions(grid.axis_coords(), max_level)
+    basis.setflags(write=False)
+    return basis
 
 
 def random_smooth_state(grid: grids.GridSpec, rng: np.random.Generator,
@@ -231,8 +237,7 @@ def random_smooth_state(grid: grids.GridSpec, rng: np.random.Generator,
     carries no boundary mass for L a few units beyond sqrt(2*max_level+1).
     A grid whose box or spacing cuts off the top mode is a ValueError.
     """
-    _check_grid_adequacy(grid, max_level)
-    basis = _hermite_functions(grid.axis_coords(), max_level)
+    basis = _hermite_basis(grid, max_level)
     decay = 0.7 ** np.arange(max_level + 1)
     values = np.zeros(grid.shape, dtype=np.complex128)
     for _ in range(terms):

@@ -155,31 +155,30 @@ def _laguerre_rule(quad: LaguerreQuadrature) -> tuple[np.ndarray, np.ndarray]:
 Quadrature = RadialQuadrature | LaguerreQuadrature
 
 
+def _node_data(quad: Quadrature, data, what: str) -> np.ndarray:
+    """``data`` as float64 if real, else complex128 (as grid fields store
+    theirs), checked for its shape and finiteness."""
+    data = np.asarray(data)
+    if data.dtype != np.complex128 and data.dtype != np.float64:
+        data = data.astype(np.complex128 if data.dtype.kind == "c"
+                           else np.float64)
+    if data.shape != (quad.points,):
+        raise ValueError(f"{what} must match the quadrature nodes")
+    if not np.isfinite(data).all():
+        raise ValueError(f"{what} must be finite")
+    return data
+
+
 class RadialState:
     """Radial profile psi(r) with an optional analytic derivative psi'(r)."""
 
     __slots__ = ("quad", "values", "deriv")
 
     def __init__(self, quad: Quadrature, values, deriv=None):
-        values = np.asarray(values, dtype=np.complex128)
-        if values.shape != (quad.points,):
-            raise ValueError("values must match the quadrature nodes")
-        if not np.isfinite(values).all():
-            raise ValueError("values must be finite")
-        if deriv is not None:
-            deriv = np.asarray(deriv, dtype=np.complex128)
-            if deriv.shape != (quad.points,):
-                raise ValueError("derivative must match the quadrature nodes")
-            if not np.isfinite(deriv).all():
-                raise ValueError("derivative must be finite")
         self.quad = quad
-        self.values = values
-        self.deriv = deriv
-
-    @classmethod
-    def from_profile(cls, quad: Quadrature, fn, dfn) -> "RadialState":
-        r = quad.r
-        return cls(quad, fn(r), dfn(r))
+        self.values = _node_data(quad, values, "values")
+        self.deriv = None if deriv is None else _node_data(quad, deriv,
+                                                           "derivative")
 
     def inner(self, other: "RadialState") -> complex:
         if other.quad != self.quad:
@@ -190,7 +189,9 @@ class RadialState:
         return math.sqrt(self.norm_sq())
 
     def norm_sq(self) -> float:
-        return float(np.real(self.quad.integrate(np.abs(self.values) ** 2)))
+        v = self.values
+        return float(np.real(self.quad.integrate(
+            np.abs(v) ** 2 if v.dtype.kind == "c" else v * v)))
 
     def _combine(self, other, sign):
         if other.quad != self.quad:
@@ -265,12 +266,9 @@ def radial_derivative_sym(state: RadialState) -> RadialState:
 def radial_gaussian(quad: Quadrature, alpha: float = 1.0,
                     amplitude: complex = 1.0) -> RadialState:
     """amplitude * exp(-alpha r^2 / 2) with analytic derivative."""
-    amplitude = complex(amplitude)
-    return RadialState.from_profile(
-        quad,
-        lambda r: amplitude * np.exp(-0.5 * alpha * r ** 2),
-        lambda r: -alpha * r * amplitude * np.exp(-0.5 * alpha * r ** 2),
-    )
+    r, amplitude = quad.r, complex(amplitude)
+    return RadialState(quad, amplitude * np.exp(-0.5 * alpha * r ** 2),
+                       -alpha * r * amplitude * np.exp(-0.5 * alpha * r ** 2))
 
 
 def gaussian_polynomial(quad: Quadrature, coeffs,
@@ -319,9 +317,9 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
 
 
 def _smoothstep_deriv(t: np.ndarray) -> np.ndarray:
-    inside = (t > 0.0) & (t < 1.0)
+    """Its derivative, which the clipping sets to 0 below 0 and above 1."""
     tc = np.clip(t, 0.0, 1.0)
-    return np.where(inside, 30.0 * tc ** 2 * (1.0 - tc) ** 2, 0.0)
+    return 30.0 * tc ** 2 * (1.0 - tc) ** 2
 
 
 def annulus_state(quad: RadialQuadrature, r_inner: float, r_outer: float,
@@ -344,9 +342,12 @@ def annulus_state(quad: RadialQuadrature, r_inner: float, r_outer: float,
         raise ValueError("outer radius exceeds the quadrature range")
     half_n = 0.5 * quad.n
 
-    r = quad.r
-    up_arg = np.log(np.maximum(r, 1e-300) / r_inner) / width
-    dn_arg = np.log(r_outer / np.maximum(r, 1e-300)) / width
+    # The ramps vanish outside [r_inner, r_outer], so the formula is
+    # evaluated on those nodes only and every other node stays exactly 0.
+    lo, hi = np.searchsorted(quad.r, (r_inner, r_outer), side="right")
+    r = quad.r[lo:hi]
+    up_arg = np.log(r / r_inner) / width
+    dn_arg = np.log(r_outer / r) / width
     up = _smoothstep(up_arg)
     dn = _smoothstep(dn_arg)
     window = up * dn
@@ -354,6 +355,7 @@ def annulus_state(quad: RadialQuadrature, r_inner: float, r_outer: float,
                - up * _smoothstep_deriv(dn_arg)) / (width * r)
 
     core = r ** (-half_n)
-    values = window * core
-    deriv = dwindow * core - half_n * window * core / r
+    values, deriv = np.zeros(quad.points), np.zeros(quad.points)
+    values[lo:hi] = window * core
+    deriv[lo:hi] = dwindow * core - half_n * window * core / r
     return RadialState(quad, values, deriv)

@@ -5,8 +5,10 @@ step the exact minimizer on the plane of the state and the search
 direction.  The sum functional is the harmonic Rayleigh quotient whose
 minimum n is attained at the isotropic Gaussian; the product functional
 shares the minimum value but has a one-parameter family of anisotropic
-Gaussian minimizers.  A separate probe documents that the scaling-derivative
-ratio approaches but never attains its lower bound.
+Gaussian minimizers.  The descent loop runs on raw arrays and stops with a
+ValueError at a non-finite value or gradient norm.  A separate probe
+documents that the scaling-derivative ratio approaches but never attains its
+lower bound.
 """
 
 from __future__ import annotations
@@ -44,28 +46,39 @@ def fidelity(a: StateField, b: StateField) -> float:
     return abs(a.inner(b)) / (a.norm() * b.norm())
 
 
-def _tangent(phi: StateField, v: StateField) -> StateField:
+def _re_inner(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> float:
+    """Re<a, b> of grid data, as ``StateField.inner`` computes it."""
+    return (np.vdot(b, a) * grid.weight).real
+
+
+def _tangent(grid: GridSpec, phi: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Projection of ``v`` onto the tangent space of the sphere at ``phi``."""
-    return v - phi.inner(v).real * phi
+    return v - _re_inner(grid, phi, v) * phi
 
 
-def _value_and_gradient(phi: StateField, lap: StateField, product: bool):
-    """Value and Riemannian gradient at the unit-norm ``phi``; lap = -Lap phi.
+def _value_and_gradient(grid: GridSpec, phi: np.ndarray, lap: np.ndarray,
+                        product: bool):
+    """Value, Riemannian gradient and its squared norm at the unit-norm
+    ``phi``; lap = -Lap phi.  A non-finite value or norm is a ValueError.
 
     Both functionals are homogeneous of degree one in X = <x^2 phi, phi> and
     G = <lap, phi>, so the value is wx X + wg G with (wx, wg) = (dF/dX,
     dF/dG): (1, 1) for the sum X + G and (sqrt(G/X), sqrt(X/G)) for the
     product 2 sqrt(X G).  The gradient is 2 (wx x^2 phi + wg lap - value phi).
     """
-    x2phi = StateField(phi.grid, _radius_sq(phi.grid) * phi.data)
-    x_sq, g_sq = x2phi.inner(phi).real, lap.inner(phi).real
+    x2phi = _radius_sq(grid) * phi
+    x_sq, g_sq = _re_inner(grid, x2phi, phi), _re_inner(grid, lap, phi)
     wx, wg = ((math.sqrt(g_sq / x_sq), math.sqrt(x_sq / g_sq)) if product
               else (1.0, 1.0))
     value = wx * x_sq + wg * g_sq
-    return value, 2.0 * (wx * x2phi + wg * lap - value * phi)
+    grad = 2.0 * (wx * x2phi + wg * lap - value * phi)
+    grad_sq = np.vdot(grad, grad).real * grid.weight
+    if not (math.isfinite(value) and math.isfinite(grad_sq)):
+        raise ValueError("field values must be finite")
+    return value, grad, grad_sq
 
 
-def _plane_step(phi, lap, d, lap_d, product: bool) -> float:
+def _plane_step(grid: GridSpec, phi, lap, d, lap_d, product: bool) -> float:
     """Exact minimizing angle t of the functional on cos t phi + sin t d.
 
     ``phi`` and ``d`` are orthonormal in Re<., .>, and ``lap``, ``lap_d``
@@ -74,18 +87,19 @@ def _plane_step(phi, lap, d, lap_d, product: bool) -> float:
     degree two; the critical angles are the roots of z^m dQ/dz.  Returns
     0.0 when no angle lowers Q.
     """
-    r2 = _radius_sq(phi.grid)
+    r2 = _radius_sq(grid)
     forms = []
-    for a_phi, a_d in ((StateField(phi.grid, r2 * phi.data),
-                        StateField(phi.grid, r2 * d.data)), (lap, lap_d)):
+    for a_phi, a_d in ((r2 * phi, r2 * d), (lap, lap_d)):
         # (a + b)/2 + (a - b)/2 cos 2t + c sin 2t as coefficients of
         # z^-1, 1, z, from a = <A phi, phi>, b = <A d, d>, c = Re<A d, phi>.
-        a, b, c = (a_phi.inner(phi).real, a_d.inner(d).real,
-                   a_d.inner(phi).real)
+        a, b, c = (_re_inner(grid, a_phi, phi), _re_inner(grid, a_d, d),
+                   _re_inner(grid, a_d, phi))
         c1 = 0.25 * (a - b) - 0.5j * c
         forms.append(np.array([np.conj(c1), 0.5 * (a + b), c1]))
     cx, cg = forms
     q = np.convolve(cx, cg) if product else cx + cg
+    if not np.isfinite(q).all():
+        raise ValueError("field values must be finite")
     m = len(q) // 2
     k = np.arange(-m, m + 1)
     angles = 0.5 * np.angle(np.roots((k * q)[::-1]))
@@ -109,26 +123,30 @@ def _descend(grid: GridSpec, seed: int, opts: SearchOptions,
     2001) unless it raises the value.  The loop stops at gradient norm
     ``opts.gtol``, or at the rounding floor, where even the negative
     gradient gives no step; both count as converged.
+
+    The loop runs on raw arrays.  Only the start state and the input and
+    result of each -Laplacian are checked fields; every other array feeds
+    the plane step or the value and gradient norm, which raise when not
+    finite.
     """
     from .identities import random_smooth_state
 
-    rng = np.random.default_rng(seed)
-    phi = random_smooth_state(grid, rng)
-    lap = grids.neg_laplacian(phi)
-    value, grad = _value_and_gradient(phi, lap, product)
-    grad_sq = grad.norm_sq()
+    start = random_smooth_state(grid, np.random.default_rng(seed))
+    phi, lap = start.data, grids.neg_laplacian(start).data
+    value, grad, grad_sq = _value_and_gradient(grid, phi, lap, product)
     direction, beta = -1.0 * grad, 0.0
     trace = [(0, value, 0.0)]
     it = 0
     stalled = False
     while math.sqrt(grad_sq) > opts.gtol and it < opts.max_iters:
-        d = _tangent(phi, direction)
-        d = d / d.norm()
-        lap_d = grids.neg_laplacian(d)
-        theta = _plane_step(phi, lap, d, lap_d, product)
+        d = _tangent(grid, phi, direction)
+        d = d / math.sqrt(np.vdot(d, d).real * grid.weight)
+        lap_d = grids.neg_laplacian(StateField(grid, d)).data
+        theta = _plane_step(grid, phi, lap, d, lap_d, product)
         c, s = math.cos(theta), math.sin(theta)
         new_phi, new_lap = c * phi + s * d, c * lap + s * lap_d
-        new_value, new_grad = _value_and_gradient(new_phi, new_lap, product)
+        new_value, new_grad, new_grad_sq = _value_and_gradient(
+            grid, new_phi, new_lap, product)
         if theta == 0.0 or new_value > value:
             # No step even along the negative gradient is the rounding floor;
             # a failed conjugate direction restarts at the negative gradient.
@@ -138,15 +156,16 @@ def _descend(grid: GridSpec, seed: int, opts: SearchOptions,
             direction, beta = -1.0 * grad, 0.0
             continue
         it += 1
-        new_grad_sq = new_grad.norm_sq()
         # new_grad is tangent at new_phi, so it meets the transported old
         # gradient as it meets the old gradient itself.
-        beta = max(0.0, (new_grad_sq - new_grad.inner(grad).real) / grad_sq)
-        direction = beta * _tangent(new_phi, direction) - new_grad
+        beta = max(0.0, (new_grad_sq - _re_inner(grid, new_grad, grad))
+                   / grad_sq)
+        direction = beta * _tangent(grid, new_phi, direction) - new_grad
         phi, lap, value, grad, grad_sq = (new_phi, new_lap, new_value,
                                           new_grad, new_grad_sq)
         trace.append((it, value, theta))
-    return SearchResult(state=phi, value=value, iterations=it,
+    return SearchResult(state=StateField(grid, phi), value=value,
+                        iterations=it,
                         converged=stalled or math.sqrt(grad_sq) <= opts.gtol,
                         trace=trace)
 
@@ -196,8 +215,6 @@ def probe_nonattainment(quad: RadialQuadrature, r_values,
         raise ValueError("the probe runs in dimension >= 3")
     rows = []
     for r_outer in r_values:
-        if math.log(r_outer / r_inner) <= 2 * width:
-            raise ValueError(f"outer radius {r_outer} leaves no annulus")
         phi = annulus_state(quad, r_inner, float(r_outer), width)
         num = radial_x_dot_grad(phi).norm_sq()
         den = (0.5 * quad.n) ** 2 * phi.norm_sq()

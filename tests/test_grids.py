@@ -9,8 +9,9 @@ import pytest
 from uncerteq.cli import SuiteConfig, run_suite
 from uncerteq.gaussians import GaussianSpec, realize
 from uncerteq.grids import (GridSpec, StateField, VectorField, _radius,
-                            _radius_sq, coulomb, dilation_generator, gradient,
-                            momentum, neg_laplacian,
+                            _radius_sq, _wavenumbers, coulomb,
+                            dilation_generator, gradient, momentum,
+                            neg_laplacian,
                             pointwise_gradient_decomposition, position,
                             radial_derivative, radial_derivative_sym,
                             spherical_derivative, x_dot_grad)
@@ -302,6 +303,21 @@ def test_nyquist_cosine_has_zero_derivative_on_both_paths():
     assert np.max(np.abs(phi.values)) == pytest.approx(1.0)
     for state in (phi, 1j * phi):
         assert np.max(np.abs(gradient(state).data)) <= 1e-14
+
+
+def test_cached_wavenumbers_are_read_only_and_unchanged_by_derivatives():
+    grid = GridSpec(n=1, N=32, L=4.0)
+    phi = StateField.from_callable(grid, lambda x: np.sin(x))
+    for half in (False, True):
+        k = _wavenumbers(grid, half)
+        assert not k.flags.writeable
+        assert _wavenumbers(grid, half) is k
+    for state in (phi, 1j * phi):
+        first = gradient(state).data
+        assert np.array_equal(gradient(state).data, first)
+    freqs = (np.fft.fftfreq(grid.N, d=grid.h), np.fft.rfftfreq(grid.N, d=grid.h))
+    for half, freq in zip((False, True), freqs):
+        assert np.array_equal(_wavenumbers(grid, half), 2.0 * math.pi * freq)
 
 
 def test_radius_caches_hold_at_most_two_grids():

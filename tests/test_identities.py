@@ -220,8 +220,10 @@ def test_verifiers_reject_unsupported_state_types():
     (GridSpec(n=1, N=256, L=6.0), "grid too small"),
 ])
 def test_random_smooth_state_refuses_grids_that_cut_off_the_basis(grid, message):
-    with pytest.raises(ValueError, match=message):
-        random_smooth_state(grid, np.random.default_rng(0))
+    # The basis is cached per grid; a refused grid is refused on every call.
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            random_smooth_state(grid, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("grid", [

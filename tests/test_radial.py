@@ -184,6 +184,65 @@ def test_annulus_vanishes_outside_support():
                   <= 1e-12)
 
 
+def _annulus_on_every_node(quad, r_inner, r_outer, width=1.0):
+    """The annulus formula evaluated on all nodes, clipped ramps and all."""
+    def step(t):
+        t = np.clip(t, 0.0, 1.0)
+        return t ** 3 * (10.0 - 15.0 * t + 6.0 * t ** 2)
+
+    def step_deriv(t):
+        tc = np.clip(t, 0.0, 1.0)
+        return np.where((t > 0.0) & (t < 1.0),
+                        30.0 * tc ** 2 * (1.0 - tc) ** 2, 0.0)
+
+    half_n, r = 0.5 * quad.n, quad.r
+    up_arg = np.log(np.maximum(r, 1e-300) / r_inner) / width
+    dn_arg = np.log(r_outer / np.maximum(r, 1e-300)) / width
+    up, dn = step(up_arg), step(dn_arg)
+    window = up * dn
+    dwindow = (step_deriv(up_arg) * dn - up * step_deriv(dn_arg)) / (width * r)
+    core = r ** (-half_n)
+    return window * core, dwindow * core - half_n * window * core / r
+
+
+@pytest.mark.parametrize("r_outer", [10.0, 100.0, 1000.0])
+def test_annulus_is_its_full_node_formula_and_zero_off_support(r_outer):
+    quad = RadialQuadrature(3, 1100.0, 220000)
+    phi = annulus_state(quad, 1.0, r_outer)
+    values, deriv = _annulus_on_every_node(quad, 1.0, r_outer)
+    assert phi.values.dtype == phi.deriv.dtype == np.float64
+    assert phi.values.tobytes() == values.tobytes()
+    assert phi.deriv.tobytes() == deriv.tobytes()
+    off = (quad.r < 1.0) | (quad.r > r_outer)
+    assert off.any()
+    for data in (phi.values, phi.deriv):
+        assert np.all(data[off] == 0.0) and not np.signbit(data[off]).any()
+
+
+def test_state_keeps_real_data_real():
+    quad = RadialQuadrature(3, 10.0, 100)
+    rng = np.random.default_rng(3)
+    real = RadialState(quad, rng.standard_normal(quad.points),
+                       np.arange(quad.points))
+    assert real.values.dtype == real.deriv.dtype == np.float64
+    mixed = RadialState(quad, np.ones(quad.points) + 0j,
+                        np.ones(quad.points, dtype=np.complex64))
+    assert mixed.values.dtype == mixed.deriv.dtype == np.complex128
+    assert real.norm_sq() == (real * 1.0).norm_sq()   # complex copy
+    assert x_dot_grad(real).values.dtype == np.float64
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_state_rejects_non_finite_real_values_and_derivatives(bad):
+    quad = RadialQuadrature(3, 10.0, 100)
+    broken = np.ones(quad.points)
+    broken[17] = bad
+    with pytest.raises(ValueError, match="values must be finite"):
+        RadialState(quad, broken, np.ones(quad.points))
+    with pytest.raises(ValueError, match="derivative must be finite"):
+        RadialState(quad, np.ones(quad.points), broken)
+
+
 def test_spherical_derivative_of_a_radial_profile_vanishes():
     quad = RadialQuadrature(3, 20.0, 2000)
     state = random_radial_state(quad, np.random.default_rng(5))

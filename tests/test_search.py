@@ -8,9 +8,10 @@ import pytest
 from uncerteq import grids
 from uncerteq.cli import SuiteConfig, run_suite
 from uncerteq.gaussians import GaussianSpec, realize
-from uncerteq.grids import GridSpec, gradient, neg_laplacian, position
+from uncerteq.grids import (GridSpec, StateField, gradient, neg_laplacian,
+                            position)
 from uncerteq.identities import random_smooth_state
-from uncerteq.search import (SearchOptions, _plane_step, _tangent,
+from uncerteq.search import (SearchOptions, _descend, _plane_step, _tangent,
                              _value_and_gradient, fidelity,
                              minimize_product_functional,
                              minimize_sum_functional, probe_nonattainment)
@@ -54,9 +55,18 @@ def test_sum_minimum_matches_dense_eigensolver():
     assert res.value == pytest.approx(ground, abs=1e-10)
 
 
+def _value_and_gradient_of(phi, product):
+    """Value, gradient array and its squared norm at the field ``phi``."""
+    return _value_and_gradient(GRID, phi.data, neg_laplacian(phi).data,
+                               product)
+
+
 def _fresh_value(phi, product):
-    phi = phi / phi.norm()
-    return _value_and_gradient(phi, neg_laplacian(phi), product)[0]
+    return _value_and_gradient_of(phi / phi.norm(), product)[0]
+
+
+def _tangent_field(phi, v):
+    return StateField(GRID, _tangent(GRID, phi.data, v.data))
 
 
 @pytest.mark.parametrize("product", [False, True], ids=["sum", "product"])
@@ -65,8 +75,8 @@ def test_gradient_matches_finite_difference(product):
     # retraction, against the real inner product with the gradient.
     rng = np.random.default_rng(4)
     phi = random_smooth_state(GRID, rng)
-    d = _tangent(phi, random_smooth_state(GRID, rng))
-    _, grad = _value_and_gradient(phi, neg_laplacian(phi), product)
+    d = _tangent_field(phi, random_smooth_state(GRID, rng))
+    grad = StateField(GRID, _value_and_gradient_of(phi, product)[1])
     h = 1e-5
     plus = _fresh_value(phi + h * d, product)
     minus = _fresh_value(phi - h * d, product)
@@ -87,12 +97,13 @@ def test_plane_step_is_exact(product, near_converged):
         minimize = (minimize_product_functional if product
                     else minimize_sum_functional)
         phi = minimize(GRID, 0, opts).state
-        d = -1.0 * _value_and_gradient(phi, neg_laplacian(phi), product)[1]
+        d = StateField(GRID, -1.0 * _value_and_gradient_of(phi, product)[1])
     else:
         phi = random_smooth_state(GRID, rng)
-        d = _tangent(phi, random_smooth_state(GRID, rng))
+        d = _tangent_field(phi, random_smooth_state(GRID, rng))
     d = d / d.norm()
-    theta = _plane_step(phi, neg_laplacian(phi), d, neg_laplacian(d), product)
+    theta = _plane_step(GRID, phi.data, neg_laplacian(phi).data, d.data,
+                        neg_laplacian(d).data, product)
     assert theta != 0.0
     best = _fresh_value(math.cos(theta) * phi + math.sin(theta) * d, product)
     assert best < _fresh_value(phi, product)
@@ -117,6 +128,53 @@ def test_search_applies_the_laplacian_once_per_iteration(monkeypatch):
     minimize_sum_functional(GRID, 0)
     minimize_product_functional(GRID, 0)
     assert len(calls) <= 550
+
+
+@pytest.mark.parametrize("minimize", [minimize_sum_functional,
+                                      minimize_product_functional])
+def test_search_builds_two_fields_per_iteration(minimize, monkeypatch):
+    # The loop runs on raw arrays: per direction it builds only the checked
+    # input of -Laplacian and its result.  The constant covers the start
+    # state, its -Laplacian, the result state and the overlap's Gaussian.
+    built = []
+    init = grids._GridQuantity.__init__
+
+    def counted(self, grid, data):
+        if isinstance(self, StateField):
+            built.append(1)
+        init(self, grid, data)
+
+    monkeypatch.setattr(grids._GridQuantity, "__init__", counted)
+    for seed in (0, 7):
+        built.clear()
+        res = minimize(GRID, seed)
+        assert res.iterations > 50
+        assert len(built) <= 2 * res.iterations + 10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad_call", [1, 5], ids=["start", "in_loop"])
+@pytest.mark.parametrize("product", [False, True], ids=["sum", "product"])
+def test_a_non_finite_laplacian_stops_the_descent(bad, bad_call, product,
+                                                  monkeypatch):
+    # -Laplacian results are checked fields; one that is not finite anyway
+    # (its data overwritten after the check) must end the loop at once, as
+    # the non-finite value or plane-step coefficients it feeds.
+    calls = []
+    apply = grids.neg_laplacian
+
+    def broken(phi):
+        calls.append(1)
+        out = apply(phi)
+        if len(calls) == bad_call:
+            out.data[7] = bad
+        return out
+
+    monkeypatch.setattr(grids, "neg_laplacian", broken)
+    with np.errstate(invalid="ignore", over="ignore"), \
+            pytest.raises(ValueError, match="field values must be finite"):
+        _descend(GRID, 0, SearchOptions(), product)
+    assert len(calls) == bad_call
 
 
 @pytest.mark.parametrize("minimize", [minimize_sum_functional,
@@ -165,7 +223,7 @@ def test_rounding_floor_stop_counts_as_converged():
     # keeps the value from rising, can stop the descent before max_iters.
     opts = SearchOptions(max_iters=40000, gtol=0.0)
     res = minimize_sum_functional(GRID, seed=1000017, opts=opts)
-    _, grad = _value_and_gradient(res.state, neg_laplacian(res.state), False)
+    grad = StateField(GRID, _value_and_gradient_of(res.state, False)[1])
     assert grad.norm() > opts.gtol
     assert res.iterations < opts.max_iters
     assert res.converged
