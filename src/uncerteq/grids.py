@@ -8,7 +8,8 @@ are smooth and rapidly decaying, so the periodic wrap carries no mass.  Real
 input is stored as float64, anything else as complex128, and the operators
 keep the dtype of their input.  The Fourier path picks its transform from
 the dtype: a real field (every Hardy state) takes the real-input transform on
-the half spectrum, a complex one the full transform.
+the half spectrum, a complex one the full transform.  Derivatives are written
+into the caller's buffer, and x.grad is summed axis by axis.
 """
 
 from __future__ import annotations
@@ -191,27 +192,27 @@ class VectorField(_GridQuantity):
 
 
 def _spectral_axis(grid: GridSpec, values: np.ndarray, axis: int,
-                   symbol) -> np.ndarray:
+                   symbol, out: np.ndarray | None = None) -> np.ndarray:
     """Multiply the transform of ``values`` along ``axis`` by ``symbol(k)``.
 
     Real data take the real-input transform and the half spectrum
     k = 0..N/2; complex data take the full one.  Either way the symbol is
-    multiplied into the spectrum in place, so the spectrum is the only
-    temporary of the size of the data.
+    multiplied into the spectrum in place and the result goes to ``out`` if
+    given, so the spectrum is the only temporary of the size of the data.
     """
     shape = [1] * grid.n
     shape[axis] = -1
     if np.iscomplexobj(values):
         fk = np.fft.fft(values, axis=axis)
         fk *= symbol(_wavenumbers(grid, False)).reshape(shape)
-        return np.fft.ifft(fk, axis=axis)
+        return np.fft.ifft(fk, axis=axis, out=out)
     fk = np.fft.rfft(values, axis=axis)
     fk *= symbol(_wavenumbers(grid, True)).reshape(shape)
-    return np.fft.irfft(fk, n=grid.N, axis=axis)
+    return np.fft.irfft(fk, n=grid.N, axis=axis, out=out)
 
 
-def _derivative_axis(grid: GridSpec, values: np.ndarray, axis: int) -> np.ndarray:
-    h = grid.h
+def _derivative_axis(grid: GridSpec, values: np.ndarray, axis: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
     if grid.scheme == "spectral_periodic":
         def ik(k):
             # The Nyquist mode (entry N/2 of the full and of the half
@@ -220,19 +221,20 @@ def _derivative_axis(grid: GridSpec, values: np.ndarray, axis: int) -> np.ndarra
             s = 1j * k
             s[grid.N // 2] = 0.0
             return s
-        return _spectral_axis(grid, values, axis, ik)
+        return _spectral_axis(grid, values, axis, ik, out)
     if grid.scheme == "central_diff_2":
-        return (np.roll(values, -1, axis) - np.roll(values, 1, axis)) / (2 * h)
-    # central_diff_4
-    return (-np.roll(values, -2, axis) + 8 * np.roll(values, -1, axis)
-            - 8 * np.roll(values, 1, axis) + np.roll(values, 2, axis)) / (12 * h)
+        num, den = np.roll(values, -1, axis) - np.roll(values, 1, axis), 2
+    else:  # central_diff_4
+        num, den = (-np.roll(values, -2, axis) + 8 * np.roll(values, -1, axis)
+                    - 8 * np.roll(values, 1, axis) + np.roll(values, 2, axis)), 12
+    return np.divide(num, den * grid.h, out=out)
 
 
 def gradient(phi: StateField) -> VectorField:
     grid = phi.grid
     comps = np.empty((grid.n,) + grid.shape, dtype=phi.data.dtype)
     for axis in range(grid.n):
-        comps[axis] = _derivative_axis(grid, phi.data, axis)
+        _derivative_axis(grid, phi.data, axis, comps[axis])
     return VectorField(grid, comps)
 
 
@@ -248,16 +250,14 @@ def momentum(phi: StateField) -> VectorField:
     return -1j * gradient(phi)
 
 
-def _coord_dot(grid: GridSpec, g: np.ndarray, r=1.0) -> np.ndarray:
-    """sum_j (x_j / r) g_j, accumulated in axis order."""
-    out = np.zeros(grid.shape, dtype=g.dtype)
-    for axis in range(grid.n):
-        out += (grid.coord(axis) / r) * g[axis]
-    return out
-
-
 def x_dot_grad(phi: StateField) -> StateField:
-    return StateField(phi.grid, _coord_dot(phi.grid, gradient(phi).data))
+    grid = phi.grid
+    out = np.zeros(grid.shape, dtype=phi.data.dtype)
+    d = np.empty_like(out)
+    for axis in range(grid.n):
+        _derivative_axis(grid, phi.data, axis, d)
+        out += np.multiply(grid.coord(axis), d, out=d)
+    return StateField(grid, out)
 
 
 def dilation_generator(phi: StateField) -> StateField:
@@ -282,15 +282,21 @@ def neg_laplacian(phi: StateField) -> StateField:
 
 
 def _radial_part(grid: GridSpec, g: np.ndarray) -> np.ndarray:
-    """(x/|x|).g for gradient data g."""
-    return _coord_dot(grid, g, _radius(grid))
-
-
-def _tangential_part(grid: GridSpec, g: np.ndarray, dr: np.ndarray) -> np.ndarray:
-    """g - (x/|x|) dr, overwriting g, where dr is the radial part of g."""
-    r = _radius(grid)
+    """(x/|x|).g for gradient data g, accumulated in axis order."""
+    out = np.zeros(grid.shape, dtype=g.dtype)
+    buf = np.empty_like(out)
     for axis in range(grid.n):
-        g[axis] -= (grid.coord(axis) / r) * dr
+        out += np.multiply(np.divide(grid.coord(axis), _radius(grid), out=buf),
+                           g[axis], out=buf)
+    return out
+
+
+def _tangential_part(grid: GridSpec, g: np.ndarray, dr: np.ndarray,
+                     buf: np.ndarray | None = None) -> np.ndarray:
+    """g - (x/|x|) dr into g, dr the radial part of g; buf: scratch or None."""
+    for axis in range(grid.n):
+        g[axis] -= np.multiply(np.divide(grid.coord(axis), _radius(grid),
+                                         out=buf), dr, out=buf)
     return g
 
 
@@ -327,24 +333,31 @@ def spherical_derivative(phi: StateField) -> VectorField:
     return VectorField(grid, _tangential_part(grid, g, _radial_part(grid, g)))
 
 
-def pointwise_gradient_decomposition(phi: StateField,
-                                     tol: float = 1e-10) -> EqualityReport:
-    """|grad phi|^2 = |radial part|^2 + sum_j |spherical part|^2, integrated.
-
-    One gradient feeds both sides: the left reads it before the spherical
-    part overwrites it.
-    """
-    grid = phi.grid
-    _require_origin_free(grid)
-    g = gradient(phi).data
-    lhs_point = np.sum(np.abs(g) ** 2, axis=0)
-    dr = _radial_part(grid, g)
-    rhs_point = np.abs(dr) ** 2
-    for comp in _tangential_part(grid, g, dr):
-        rhs_point = rhs_point + np.abs(comp) ** 2
+def pointwise_split(g: VectorField, dr: StateField,
+                    tol: float = 1e-10) -> EqualityReport:
+    """|grad phi|^2 = |d_r phi|^2 + |L phi|^2, pointwise and integrated, from
+    g = grad phi (overwritten once read) and dr, its radial part."""
+    grid = g.grid
+    sq = np.empty(grid.shape)
+    real = not np.iscomplexobj(dr.data)
+    lhs_point = np.zeros(grid.shape)
+    for comp in g.data:
+        lhs_point += np.square(comp if real else np.abs(comp, out=sq), out=sq)
+    tangential = _tangential_part(grid, g.data, dr.data, sq if real else None)
+    rhs_point = np.square(dr.data if real else np.abs(dr.data), out=sq)
+    for comp in tangential:
+        rhs_point += np.square(comp, out=comp) if real else np.abs(comp) ** 2
     lhs = float(np.sum(lhs_point)) * grid.weight
     rhs = float(np.sum(rhs_point)) * grid.weight
-    max_point = float(np.max(np.abs(lhs_point - rhs_point)))
+    lhs_point -= rhs_point
+    max_point = float(np.max(np.abs(lhs_point, out=lhs_point)))
     return compare("grad.pointwise_split", lhs, rhs, tol,
                    context={"grid": grid.to_dict(),
                             "max_pointwise_residual": max_point})
+
+
+def pointwise_gradient_decomposition(phi: StateField,
+                                     tol: float = 1e-10) -> EqualityReport:
+    """``pointwise_split`` of one gradient of phi."""
+    g = gradient(phi)
+    return pointwise_split(g, radial_part(g), tol)

@@ -91,11 +91,12 @@ def verify_hardy(psi, tol: float = GRID_TOL) -> list[EqualityReport]:
     ops, n, ctx = _operators(psi)
     if n < 3:
         raise ValueError("the Hardy identities require dimension >= 3")
-    # One gradient of psi gives both ||d_r psi|| and ||grad psi||; it is
-    # dropped before x.grad(psi/|x|) takes the next one.
+    # One gradient of psi gives ||d_r psi||, ||grad psi|| and the grid's
+    # pointwise split; it is dropped before x.grad(psi/|x|) takes the next.
     g = ops.gradient(psi)
     grad_sq = g.norm_sq()
     dpsi = ops.radial_part(g)
+    split = [grids.pointwise_split(g, dpsi, tol)] if ops is grids else []
     del g
     q = ops.coulomb(psi)                   # psi / |x|
     dr_sq = dpsi.norm_sq()
@@ -107,7 +108,7 @@ def verify_hardy(psi, tol: float = GRID_TOL) -> list[EqualityReport]:
     # Transfer through phi = psi/|x|: x.grad phi and its (n/2) shift.
     xg_phi = ops.x_dot_grad(q)
 
-    reports = [
+    return [
         compare("hardy.pythagoras", dr_sq,
                 shifted_sq + (0.5 * (n - 2)) ** 2 * q_sq, tol, context=ctx),
         compare("hardy.radial_shift", xg_phi.norm_sq(),
@@ -118,8 +119,7 @@ def verify_hardy(psi, tol: float = GRID_TOL) -> list[EqualityReport]:
               2.0 / (n - 2) * math.sqrt(dr_sq), tol, context=ctx),
         bound("hardy.chain.gradient", math.sqrt(dr_sq), math.sqrt(grad_sq),
               tol, context=ctx),
-    ]
-    return reports
+    ] + split
 
 
 def verify_dilation_hamiltonian(phi: StateField,

@@ -342,10 +342,13 @@ def annulus_state(quad: RadialQuadrature, r_inner: float, r_outer: float,
         raise ValueError("outer radius exceeds the quadrature range")
     half_n = 0.5 * quad.n
 
-    # The ramps vanish outside [r_inner, r_outer], so the formula is
-    # evaluated on those nodes only and every other node stays exactly 0.
-    lo, hi = np.searchsorted(quad.r, (r_inner, r_outer), side="right")
-    r = quad.r[lo:hi]
+    # The window is 0 outside [r_inner, r_outer] and exactly 1 (derivative 0)
+    # from r_inner e^width to r_outer e^-width (1e-9 inside, for rounding).
+    lo, a, b, hi = np.searchsorted(
+        quad.r, (r_inner, r_inner * math.exp(width) * (1 + 1e-9),
+                 r_outer * math.exp(-width) * (1 - 1e-9), r_outer), side="right")
+    ramp = np.r_[lo:a, b:hi]
+    r = quad.r[ramp]
     up_arg = np.log(r / r_inner) / width
     dn_arg = np.log(r_outer / r) / width
     up = _smoothstep(up_arg)
@@ -356,6 +359,9 @@ def annulus_state(quad: RadialQuadrature, r_inner: float, r_outer: float,
 
     core = r ** (-half_n)
     values, deriv = np.zeros(quad.points), np.zeros(quad.points)
-    values[lo:hi] = window * core
-    deriv[lo:hi] = dwindow * core - half_n * window * core / r
+    values[ramp] = window * core
+    deriv[ramp] = dwindow * core - half_n * window * core / r
+    core = quad.r[a:b] ** (-half_n)
+    values[a:b] = core
+    deriv[a:b] = -(half_n * core / quad.r[a:b])
     return RadialState(quad, values, deriv)

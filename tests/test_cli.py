@@ -63,6 +63,18 @@ def test_cli_import_leaves_scipy_ndimage_unloaded():
     assert proc.stdout.splitlines() == [cli.__file__, "False", "0 False"]
 
 
+def test_suites_run_without_scipy():
+    # The program needs numpy alone: with scipy unimportable, a grid suite and
+    # a radial suite still run and pass.
+    code = ("import os, sys; sys.modules['scipy'] = None; import uncerteq.cli; "
+            "print(*(uncerteq.cli.main([*args, '--out', os.devnull]) for args in "
+            "(['verify', 'hardy', '--N', '64', '--L', '8'], "
+            "['verify', 'coulomb', '--trials', '2'])))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == ["0", "0"]
+
+
 def test_verify_appendix_exits_clean(tmp_path):
     out = tmp_path / "report.json"
     code = main(["verify", "appendix", "--trials", "40", "--dim", "8",

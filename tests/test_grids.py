@@ -249,13 +249,91 @@ def test_pointwise_split_transform_count(monkeypatch):
 
 
 def test_run_hardy_transform_count(monkeypatch):
-    # verify_hardy takes two gradients per grid: one of psi, read by both
-    # the radial part and |grad psi|, and one of psi/|x| for x.grad; the
-    # pointwise split takes one more on the fine grid.  Every hardy state is
-    # float64, so every transform is a real-input one: 5 gradients of 3.
+    # verify_hardy takes two gradients per grid: one of psi, read by the
+    # radial part, |grad psi| and the pointwise split, and one of psi/|x| for
+    # x.grad.  Every hardy state is float64, so every transform is a
+    # real-input one: 4 gradients of 3.
     counts = _count_ffts(monkeypatch)
     run_suite(SuiteConfig(suite="hardy", N=64, L=8.0))
-    assert counts == {"fft": 0, "ifft": 0, "rfft": 15, "irfft": 15}
+    assert counts == {"fft": 0, "ifft": 0, "rfft": 12, "irfft": 12}
+
+
+def _off_centre_state(n, N, phase=False):
+    # Not radial, so the spherical part L psi is not zero.
+    grid = GridSpec(n=n, N=N, L=6.0, offset=0.5)
+
+    def fn(*x):
+        r2 = sum((xj - 0.4 * (j + 1)) ** 2 for j, xj in enumerate(x))
+        psi = (1.0 + 0.5 * x[0]) * np.exp(-0.5 * r2)
+        return psi * np.exp(0.3j * x[-1]) if phase else psi
+
+    return StateField.from_callable(grid, fn)
+
+
+@pytest.mark.parametrize("n, N", [(3, 16), (4, 12)])
+@pytest.mark.parametrize("phase", [False, True])
+def test_verify_hardy_split_is_the_pointwise_decomposition(n, N, phase):
+    # verify_hardy builds the split from the gradient it already took; the
+    # report must be the one a separate gradient gives, to the bit.
+    psi = _off_centre_state(n, N, phase)
+    split = {r.identity_id: r for r in verify_hardy(psi, 1e-9)}[
+        "grad.pointwise_split"]
+    alone = pointwise_gradient_decomposition(psi, 1e-9)
+    assert split.lhs == alone.lhs and split.rhs == alone.rhs
+    assert (split.context["max_pointwise_residual"]
+            == alone.context["max_pointwise_residual"])
+    assert split.to_dict() == alone.to_dict()
+    assert split.passed
+
+
+def test_verify_hardy_reports_no_split_on_a_radial_profile():
+    from uncerteq.radial import LaguerreQuadrature, radial_gaussian
+    psi = radial_gaussian(LaguerreQuadrature(3))
+    ids = [r.identity_id for r in verify_hardy(psi)]
+    assert "grad.pointwise_split" not in ids
+    assert len(ids) == len(set(ids)) == 5
+
+
+def _traced_peak(fn):
+    fn()       # first calls allocate numpy's FFT caches
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Each grid holds fields of at least 2 MB, so numpy's fixed 8192-element
+# ufunc buffers are small beside one field.
+_MEMORY_GRIDS = [(2, 512), (3, 64), (4, 24)]
+
+
+@pytest.mark.parametrize("n, N", _MEMORY_GRIDS)
+def test_gradient_holds_its_components_and_one_spectrum(n, N):
+    # Each axis is transformed back into its component, so the peak is the
+    # n components plus one half spectrum, (N/2 + 1)/(N/2) of a field:
+    # measured n + 1.07 (n = 2), n + 1.10 and n + 1.13 (n = 4), against n + 2
+    # when each axis made its own result.  Bound: n + 1.5 fields.
+    psi = _off_centre_state(n, N)
+    assert _traced_peak(lambda: gradient(psi)) <= (n + 1.5) * psi.data.nbytes
+
+
+@pytest.mark.parametrize("n, N", _MEMORY_GRIDS)
+def test_x_dot_grad_holds_three_fields_in_every_dimension(n, N):
+    # The accumulator, one derivative and its spectrum: measured 3.07, 3.10
+    # and 3.13 fields, against n + 2 with the whole gradient.  Bound: 3.5.
+    psi = _off_centre_state(n, N)
+    assert _traced_peak(lambda: x_dot_grad(psi)) <= 3.5 * psi.data.nbytes
+
+
+def test_run_hardy_peak_memory_is_bounded():
+    # The whole suite at N = 64 (control grid 32): measured 7.04 fine-grid
+    # fields, against 9.0 when run_hardy took a fifth gradient for the
+    # split.  Bound: 7.5 fields.
+    field = 8 * 64 ** 3
+    peak = _traced_peak(lambda: run_suite(SuiteConfig(suite="hardy", N=64, L=8.0)))
+    assert peak <= 7.5 * field
 
 
 def test_verify_hardy_peak_memory_is_bounded():
