@@ -16,6 +16,7 @@ from uncerteq.grids import (GridSpec, StateField, VectorField, _radius,
                             radial_derivative, radial_derivative_sym,
                             spherical_derivative, x_dot_grad)
 from uncerteq.identities import verify_hardy
+from uncerteq.radial import LaguerreQuadrature, radial_gaussian
 
 
 def _gaussian_1d(grid, lam=1.0):
@@ -287,7 +288,6 @@ def test_verify_hardy_split_is_the_pointwise_decomposition(n, N, phase):
 
 
 def test_verify_hardy_reports_no_split_on_a_radial_profile():
-    from uncerteq.radial import LaguerreQuadrature, radial_gaussian
     psi = radial_gaussian(LaguerreQuadrature(3))
     ids = [r.identity_id for r in verify_hardy(psi)]
     assert "grad.pointwise_split" not in ids
