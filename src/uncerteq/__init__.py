@@ -21,9 +21,9 @@ from .identities import (random_smooth_state, saturation_flags,
                          verify_dilation_hamiltonian,
                          verify_dilation_pythagoras, verify_hardy,
                          verify_position_momentum, verify_radial_coulomb)
-from .radial import (LaguerreQuadrature, RadialQuadrature, RadialState,
-                     annulus_state, gaussian_polynomial, radial_gaussian,
-                     random_radial_state)
+from .radial import (LaguerreQuadrature, LogRadialQuadrature, RadialQuadrature,
+                     RadialState, annulus_state, gaussian_polynomial,
+                     radial_gaussian, random_radial_state)
 from .report import EqualityReport, bound, compare
 from .search import (SearchOptions, SearchResult, fidelity,
                      minimize_product_functional, minimize_sum_functional,

@@ -25,7 +25,7 @@ from .forms import pair_reports
 from .gaussians import GaussianSpec, exact_moments, realize
 from .grids import GridSpec
 from .identities import GRID_TOL, refinement_study  # also public as cli.refinement_study
-from .radial import (LaguerreQuadrature, RadialQuadrature, radial_gaussian,
+from .radial import (LaguerreQuadrature, LogRadialQuadrature, radial_gaussian,
                      random_radial_state)
 from .report import EqualityReport, bound, compare
 from .search import (SearchOptions, minimize_product_functional,
@@ -61,8 +61,7 @@ READS = {
     "search": ("a grid", _GRID),
     "search sum": ("a grid", _MINIMIZE),
     "search product": ("a grid", _MINIMIZE),
-    "search nonattainment": ("a radial midpoint rule",
-                             {"n": 3, "R": 1000.0, "points": 200000}),
+    "search nonattainment": ("a log-r Gauss-Legendre rule", {"n": 3, "R": 1000.0}),
     "all": ("each suite's own states",
             dict.fromkeys((*_GRID, "trials", "dim", "radial"))),
 }
@@ -280,13 +279,13 @@ def _minimize(target: str, cfg: SuiteConfig, max_iters: int = _MINIMIZE["max_ite
         bound(f"search.{target}.fidelity", 0.999, res.fidelity, 0.0)]
 
 
-def _probe(n: int, R: float, points: int) -> tuple[dict, list[EqualityReport]]:
+def _probe(n: int, R: float) -> tuple[dict, list[EqualityReport]]:
     """The non-attainment probe at radii 10 < 100 < min(1000, R): rows, reports."""
     radii = (10.0, 100.0, min(1000.0, R))
     if radii[2] <= radii[1]:
         raise ValueError(f"--R must exceed {radii[1]:g} so the probed radii "
                          f"increase, got {R:g}")
-    rows = probe_nonattainment(RadialQuadrature(n=n, r_max=R, points=points), radii)
+    rows = probe_nonattainment(LogRadialQuadrature(n=n, r_max=R), radii)
     rhos = [row["rho"] for row in rows]
     return {"rows": rows}, [
         bound("search.nonattainment.above_one", 1.0, min(rhos), 0.0,
@@ -417,8 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="sum, product: iteration cap (default 40000)")
     p_search.add_argument("--R", type=float,
                           help="nonattainment: radial range (default 1000)")
-    p_search.add_argument("--points", type=int,
-                          help="nonattainment: midpoint nodes (default 200000)")
 
     p_refine = sub.add_parser("refine", help="grid-refinement study")
     p_refine.add_argument("identity", help="identity id, e.g. pm.trace")

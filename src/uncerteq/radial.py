@@ -8,8 +8,13 @@ radial measure r^{n-1} dr:
   the Gaussian-times-polynomial profiles p(r^2) exp(-r^2/2).  Every integral
   the verifiers take of such profiles is t^(n/2-2) (polynomial in t) e^(-t),
   which the rule integrates exactly.
-* :class:`RadialQuadrature`, the midpoint rule on (0, r_max], for profiles
-  that are not Gaussian, such as the compactly supported annulus.
+* :class:`LogRadialQuadrature`, composite Gauss-Legendre in s = ln(r/r_inner)
+  on the panels of the annulus of :func:`annulus_state`: its two ramps and
+  its plateau.  In s the measure is r^n ds and the annulus is r^(-n/2) w(s),
+  so every integrand of the scaling ratio is a polynomial of degree <= 10
+  in s on each panel, which 8 nodes per panel integrate exactly.
+* :class:`RadialQuadrature`, the midpoint rule on (0, r_max], for any other
+  profile.
 """
 
 from __future__ import annotations
@@ -76,8 +81,31 @@ def _weights(quad: RadialQuadrature) -> np.ndarray:
     return w
 
 
+class _GaussRule:
+    """Nodes ``r`` and ``weights`` that ``_build`` makes once per rule."""
+
+    @property
+    def r(self) -> np.ndarray:
+        return _gauss_rule(self)[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return _gauss_rule(self)[1]
+
+    def integrate(self, values: np.ndarray) -> complex:
+        return complex(np.sum(values * self.weights))
+
+
+@lru_cache(maxsize=64)
+def _gauss_rule(quad: _GaussRule) -> tuple[np.ndarray, np.ndarray]:
+    r, weights = quad._build()
+    r.setflags(write=False)
+    weights.setflags(write=False)
+    return r, weights
+
+
 @dataclass(frozen=True)
-class LaguerreQuadrature:
+class LaguerreQuadrature(_GaussRule):
     """Generalized Gauss-Laguerre rule in t = r^2 with the radial measure of R^n.
 
     With alpha = n/2 - 2 the measure is r^{n-1} dr = t^(alpha+1) dt / 2, so
@@ -101,40 +129,32 @@ class LaguerreQuadrature:
             raise ValueError("the Gauss-Laguerre radial rule needs dimension "
                              ">= 3; alpha = n/2 - 2 must exceed -1")
 
-    @property
-    def r(self) -> np.ndarray:
-        return _laguerre_rule(self)[0]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return _laguerre_rule(self)[1]
-
-    def integrate(self, values: np.ndarray) -> complex:
-        return complex(np.sum(values * self.weights))
+    def _build(self) -> tuple[np.ndarray, np.ndarray]:
+        t, w = _gauss_laguerre(self.points, 0.5 * self.n - 2.0)
+        return np.sqrt(t), 0.5 * sphere_area(self.n) * w * np.exp(t) * t
 
     def to_dict(self) -> dict:
         return {"n": self.n, "points": self.points}
 
 
-def _gauss_laguerre(m: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of m-point Gauss quadrature for t^alpha e^(-t) on (0, inf).
+def _golub_welsch(diag: np.ndarray, off: np.ndarray,
+                  mass: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights from the Jacobi matrix of a weight of total
+    ``mass``: diagonal ``diag``, off-diagonal ``off[1:]`` (off[0] = 0 starts
+    the recurrence).
 
-    Golub-Welsch nodes: the eigenvalues of the Jacobi matrix of the
-    generalized Laguerre polynomials, with diagonal 2k + alpha + 1 and
-    off-diagonal sqrt(k (k + alpha)).  Each weight is the Christoffel number
-    1 / sum_k p_k(t_i)^2 over the orthonormal polynomials, run by the same
-    recurrence.  The usual squared first eigenvector components carry an
-    absolute error near 1e-32, which the outer weights (down to 1e-48 at 32
-    nodes) do not survive, and the high moments rest on them: the integral
-    of t^30 came out 4e-8 off that way, against 1e-14 here.
+    The nodes are the matrix's eigenvalues.  Each weight is the Christoffel
+    number 1 / sum_k p_k(t_i)^2 over the orthonormal polynomials, run by the
+    three-term recurrence.  The usual squared first eigenvector components
+    carry an absolute error near 1e-32, which the outer Laguerre weights
+    (down to 1e-48 at 32 nodes) do not survive, and the high moments rest on
+    them: the integral of t^30 came out 4e-8 off that way, against 1e-14 here.
     """
-    k = np.arange(m)
-    diag = 2.0 * k + alpha + 1.0
-    off = np.sqrt(k * (k + alpha))          # off[0] = 0 starts the recurrence
+    m = diag.size
     t = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[1:], 1)
                            + np.diag(off[1:], -1))
     p_prev = np.zeros(m)
-    p = np.full(m, 1.0 / math.sqrt(math.gamma(alpha + 1.0)))
+    p = np.full(m, 1.0 / math.sqrt(mass))
     total = p * p
     for j in range(m - 1):
         p_prev, p = p, ((t - diag[j]) * p - off[j] * p_prev) / off[j + 1]
@@ -142,17 +162,77 @@ def _gauss_laguerre(m: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return t, 1.0 / total
 
 
-@lru_cache(maxsize=64)
-def _laguerre_rule(quad: LaguerreQuadrature) -> tuple[np.ndarray, np.ndarray]:
-    t, w = _gauss_laguerre(quad.points, 0.5 * quad.n - 2.0)
-    r = np.sqrt(t)
-    weights = 0.5 * sphere_area(quad.n) * w * np.exp(t) * t
-    r.setflags(write=False)
-    weights.setflags(write=False)
-    return r, weights
+def _gauss_laguerre(m: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of m-point Gauss quadrature for t^alpha e^(-t) on
+    (0, inf): generalized Laguerre, diagonal 2k + alpha + 1, off-diagonal
+    sqrt(k (k + alpha))."""
+    k = np.arange(m)
+    return _golub_welsch(2.0 * k + alpha + 1.0, np.sqrt(k * (k + alpha)),
+                         math.gamma(alpha + 1.0))
 
 
-Quadrature = RadialQuadrature | LaguerreQuadrature
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of m-point Gauss quadrature on [-1, 1]: Legendre,
+    diagonal 0, off-diagonal k / sqrt(4 k^2 - 1)."""
+    k = np.arange(m)
+    return _golub_welsch(np.zeros(m), np.sqrt(k * k / (4.0 * k * k - 1.0)),
+                         2.0)
+
+
+def _check_annulus(r_inner: float, r_outer: float, width: float) -> None:
+    """Refuse an annulus whose radii or ramp width make no cutoff profile."""
+    if not 0.0 < r_inner < math.inf:
+        raise ValueError("the uncut profile is not square integrable; r_inner "
+                         f"must be finite and positive, got {r_inner}")
+    if not 0.0 < width < math.inf:
+        raise ValueError(f"width must be finite and positive, got {width}")
+    if not math.log(r_outer / r_inner) > 2 * width:
+        raise ValueError("outer radius too small for the cutoff ramps")
+
+
+@dataclass(frozen=True)
+class LogRadialQuadrature(_GaussRule):
+    """Composite Gauss-Legendre rule in s = ln(r/r_inner) on [r_inner, r_max].
+
+    The panels are [0, width], [width, l - width] and [l - width, l] with
+    l = ln(r_max/r_inner): the two ramps and the plateau of
+    ``annulus_state(quad, r_inner, r_max, width)``.  With r^{n-1} dr = r^n ds
+    a Legendre node s_i of weight w_i becomes the radial node r_inner e^(s_i)
+    with weight |S^{n-1}| w_i r_i^n.  On the annulus r^(-n/2) w(s) the
+    integrands |phi|^2 r^n = w^2 and |r phi'|^2 r^n = (w' - (n/2) w)^2 are
+    polynomials in s of degree <= 10 on each panel (w is a quintic ramp or
+    1), which 6 nodes per panel integrate exactly; 8 leave room.
+    """
+
+    n: int
+    r_max: float
+    r_inner: float = 1.0
+    width: float = 1.0
+    panel_points: ClassVar[int] = 8
+    points: ClassVar[int] = 3 * panel_points
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("dimension must be >= 1")
+        if not 0.0 < self.r_max < math.inf:
+            raise ValueError(f"radius must be finite and positive, got {self.r_max}")
+        _check_annulus(self.r_inner, self.r_max, self.width)
+
+    def _build(self) -> tuple[np.ndarray, np.ndarray]:
+        x, w = _gauss_legendre(self.panel_points)
+        ell = math.log(self.r_max / self.r_inner)
+        edges = np.array([0.0, self.width, ell - self.width, ell])
+        half = np.diff(edges)[:, None] / 2
+        s = ((edges[:-1] + edges[1:])[:, None] / 2 + half * x).ravel()
+        r = self.r_inner * np.exp(s)
+        return r, sphere_area(self.n) * (half * w).ravel() * r ** self.n
+
+    def to_dict(self) -> dict:
+        return {"n": self.n, "r_max": self.r_max, "r_inner": self.r_inner,
+                "width": self.width, "points": self.points}
+
+
+Quadrature = RadialQuadrature | LaguerreQuadrature | LogRadialQuadrature
 
 
 def _node_data(quad: Quadrature, data, what: str) -> np.ndarray:
@@ -322,8 +402,8 @@ def _smoothstep_deriv(t: np.ndarray) -> np.ndarray:
     return 30.0 * tc ** 2 * (1.0 - tc) ** 2
 
 
-def annulus_state(quad: RadialQuadrature, r_inner: float, r_outer: float,
-                  width: float = 1.0) -> RadialState:
+def annulus_state(quad: RadialQuadrature | LogRadialQuadrature, r_inner: float,
+                  r_outer: float, width: float = 1.0) -> RadialState:
     """Smoothed cutoff of the scale-critical profile r^(-n/2).
 
     The bare r^(-n/2) profile is not square integrable (its mass diverges
@@ -331,13 +411,11 @@ def annulus_state(quad: RadialQuadrature, r_inner: float, r_outer: float,
     outer radius are mandatory.  The profile is scale-invariant, so the C^2
     ramps span the given width in log r; ramps of fixed length in r itself
     would contribute a derivative cost growing linearly with the outer
-    radius and swamp the logarithmic main term.
+    radius and swamp the logarithmic main term.  Any rule with sorted nodes
+    serves; ``LogRadialQuadrature(n, r_outer, r_inner, width)`` integrates
+    the state's norms exactly.
     """
-    if r_inner <= 0.0:
-        raise ValueError("the uncut profile is not square integrable; "
-                         "the inner radius must be positive")
-    if math.log(r_outer / r_inner) <= 2 * width:
-        raise ValueError("outer radius too small for the cutoff ramps")
+    _check_annulus(r_inner, r_outer, width)
     if r_outer > quad.r_max:
         raise ValueError("outer radius exceeds the quadrature range")
     half_n = 0.5 * quad.n

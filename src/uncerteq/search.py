@@ -8,7 +8,9 @@ shares the minimum value but has a one-parameter family of anisotropic
 Gaussian minimizers.  The descent loop runs on raw arrays and stops with a
 ValueError at a non-finite value or gradient norm.  A separate probe
 documents that the scaling-derivative ratio approaches but never attains its
-lower bound.
+lower bound.  It integrates each annulus on a log-r Gauss-Legendre rule
+whose panels are the annulus's ramps and plateau, where the integrands are
+polynomials in log r, so its ratios are exact up to rounding.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 from . import grids
 from .gaussians import GaussianSpec, realize
 from .grids import GridSpec, StateField, _radius_sq
-from .radial import RadialQuadrature, annulus_state, x_dot_grad as radial_x_dot_grad
+from .radial import (LogRadialQuadrature, RadialQuadrature, annulus_state,
+                     x_dot_grad as radial_x_dot_grad)
 
 
 @dataclass(frozen=True)
@@ -83,9 +86,9 @@ def _plane_step(grid: GridSpec, phi, lap, d, lap_d, product: bool) -> float:
 
     ``phi`` and ``d`` are orthonormal in Re<., .>, and ``lap``, ``lap_d``
     are -Laplacian of them.  The sum is the Laurent polynomial Q = X + G of
-    degree one in z = e^{2it}, and the product is monotone in Q = X G, of
-    degree two; the critical angles are the roots of z^m dQ/dz.  Returns
-    0.0 when no angle lowers Q.
+    degree one in z = e^{2it}, least at an angle in closed form; the product
+    is monotone in Q = X G, of degree two.  Returns 0.0 when no angle lowers
+    Q.
     """
     r2 = _radius_sq(grid)
     forms = []
@@ -101,13 +104,22 @@ def _plane_step(grid: GridSpec, phi, lap, d, lap_d, product: bool) -> float:
     if not np.isfinite(q).all():
         raise ValueError("field values must be finite")
     m = len(q) // 2
-    k = np.arange(-m, m + 1)
-    angles = 0.5 * np.angle(np.roots((k * q)[::-1]))
+    if m == 2 and q[-1] != 0.0:
+        # The critical angles are the roots of z^2 dQ/dz: the eigenvalues of
+        # its companion matrix, built as np.roots builds it.
+        p = (np.arange(-2, 3) * q)[::-1]
+        companion = np.diag(np.ones(3, p.dtype), -1)
+        companion[0, :] = -p[1:] / p[0]
+        angles = 0.5 * np.angle(np.linalg.eigvals(companion))
+    else:
+        # The sum, or a product without its z^2 term, is q_0 + 2 Re(q_1 z),
+        # least at q_1 z = -|q_1|; at q_1 = 0 the drop below is 0.
+        angles = np.array([0.5 * math.atan2(q[m + 1].imag, -q[m + 1].real)])
     # Q(t) - Q(0) is the sum over k >= 1 of 2 Re(q_k (e^{2ikt} - 1)); writing
     # e^{2ikt} - 1 = 2i sin(kt) e^{ikt} keeps small decreases exact.
-    kp, qp, t = k[m + 1:], q[m + 1:], angles[:, None]
+    kp, qp, t = np.arange(1, m + 1), q[m + 1:], angles[:, None]
     drops = (4j * qp * np.sin(kp * t) * np.exp(1j * kp * t)).real.sum(axis=1)
-    if drops.size == 0 or drops.min() >= 0.0:
+    if drops.min() >= 0.0:
         return 0.0
     return float(angles[np.argmin(drops)])
 
@@ -203,20 +215,27 @@ def minimize_product_functional(grid: GridSpec, seed: int,
     return result
 
 
-def probe_nonattainment(quad: RadialQuadrature, r_values,
+def probe_nonattainment(quad: RadialQuadrature | LogRadialQuadrature, r_values,
                         r_inner: float = 1.0, width: float = 1.0) -> list[dict]:
     """Ratio ||x.grad phi||^2 / ((n/2)^2 ||phi||^2) for widening annuli.
 
     The ratio stays strictly above 1 for every finite outer radius and
     decreases toward 1 as the annulus widens, witnessing that the bound is
-    approached but never attained.
+    approached but never attained.  ``quad`` gives the dimension and the
+    largest outer radius.  Each annulus is integrated on its own
+    ``LogRadialQuadrature``, whose panels are its ramps and plateau, so the
+    ratio is exact up to rounding: with l = ln(R/r_inner),
+    rho(R) = 1 + 80 / (7 n^2 width (l - (281/231) width)).
     """
     if quad.n < 3:
         raise ValueError("the probe runs in dimension >= 3")
     rows = []
-    for r_outer in r_values:
-        phi = annulus_state(quad, r_inner, float(r_outer), width)
+    for r_outer in map(float, r_values):
+        if r_outer > quad.r_max:
+            raise ValueError("outer radius exceeds the quadrature range")
+        rule = LogRadialQuadrature(quad.n, r_outer, r_inner, width)
+        phi = annulus_state(rule, r_inner, r_outer, width)
         num = radial_x_dot_grad(phi).norm_sq()
         den = (0.5 * quad.n) ** 2 * phi.norm_sq()
-        rows.append({"R": float(r_outer), "rho": num / den})
+        rows.append({"R": r_outer, "rho": num / den})
     return rows

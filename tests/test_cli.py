@@ -187,7 +187,7 @@ def test_search_command_reads_the_config_file(tmp_path, capsys):
     ["verify", "appendix", "--trials", "0"],
     ["search", "nonattainment", "--n", "2"],
     ["search", "nonattainment", "--R", "0"],
-    ["search", "nonattainment", "--points", "0"],
+    ["search", "nonattainment", "--n", "0"],
     ["verify", "dilation", "--n", "2", "--N", "32", "--L", "8"],
     ["verify", "appendix", "--dim", "1"],
     ["search", "sum", "--R", "40"],
@@ -276,10 +276,12 @@ READ_FLAGS = {
     ("verify", "all"): (*_GRID, "trials", "dim", "radial", *_VERIFY),
     ("search", "sum"): (*_GRID, "max_iters", "seed", "config"),
     ("search", "product"): (*_GRID, "max_iters", "seed", "config"),
-    ("search", "nonattainment"): ("n", "R", "points"),
+    ("search", "nonattainment"): ("n", "R"),
 }
 # No command but refine reads scheme: verify and search have no --scheme
-# flag and no scheme config key.
+# flag and no scheme config key.  No command reads points: the probe's
+# annuli are integrated on exact rules, so it has no node count to set.
+_NO_PARSER = ("scheme", "points")
 _VALUES = {"n": 3, "N": 64, "L": 8.0, "offset": 0.25,
            "scheme": "central_diff_4", "tol": 1e-9, "trials": 2, "dim": 4,
            "seed": 1, "radial": True, "out": "r.json", "csv": "r.csv",
@@ -326,9 +328,9 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(
         command, field, route, tmp_path, monkeypatch, capsys):
     assert _exit_code(_argv(command, field, route, tmp_path, monkeypatch)) == 2
     err = capsys.readouterr().err
-    if field == "scheme":
-        assert ("unrecognized arguments: --scheme" in err
-                or "unknown config keys: ['scheme']" in err)
+    if field in _NO_PARSER:
+        assert (f"unrecognized arguments: --{field}" in err
+                or f"unknown config keys: ['{field}']" in err)
     else:
         flag = "--" + field.replace("_", "-")
         assert f"error: {flag} does not apply to" in err
@@ -341,7 +343,7 @@ def test_a_flag_the_command_reads_is_accepted(command, field, route, tmp_path,
     for suite in cli.RUNNERS:
         monkeypatch.setitem(cli.RUNNERS, suite, lambda cfg: [])
     monkeypatch.setattr(cli, "_minimize", lambda target, cfg, max_iters: ({}, []))
-    monkeypatch.setattr(cli, "_probe", lambda n, R, points: ({}, []))
+    monkeypatch.setattr(cli, "_probe", lambda n, R: ({}, []))
     assert main(_argv(command, field, route, tmp_path, monkeypatch)) == 0
     assert capsys.readouterr().err == ""
 
@@ -410,8 +412,7 @@ def test_config_file_drives_verify(tmp_path):
 
 
 def test_search_nonattainment_command(capsys):
-    code = main(["search", "nonattainment", "--R", "1100",
-                 "--points", "120000"])
+    code = main(["search", "nonattainment", "--R", "1100"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     rhos = [row["rho"] for row in payload["rows"]]

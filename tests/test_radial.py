@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from uncerteq.radial import (LaguerreQuadrature, RadialQuadrature,
-                             RadialState, _gauss_laguerre, annulus_state,
+from uncerteq.radial import (LaguerreQuadrature, LogRadialQuadrature,
+                             RadialQuadrature, RadialState, _gauss_laguerre,
+                             _gauss_legendre, annulus_state,
                              coulomb, gaussian_polynomial, radial_derivative,
                              radial_derivative_sym,
                              radial_gaussian, random_radial_state, sphere_area,
@@ -217,6 +218,71 @@ def test_annulus_is_its_full_node_formula_and_zero_off_support(r_outer):
     assert off.any()
     for data in (phi.values, phi.deriv):
         assert np.all(data[off] == 0.0) and not np.signbit(data[off]).any()
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("quad", [RadialQuadrature(3, 1100.0, 20000),
+                                  LogRadialQuadrature(3, 100.0)],
+                         ids=["midpoint", "log"])
+def test_annulus_refuses_a_width_or_inner_radius_that_is_not_positive(bad,
+                                                                      quad):
+    # A zero or negative width gave a window of 1 everywhere on the support
+    # and a ratio of exactly 1: the bound attained, which it never is.
+    with pytest.raises(ValueError, match="width must be finite and positive"):
+        annulus_state(quad, 1.0, 100.0, width=bad)
+    with pytest.raises(ValueError, match="r_inner must be finite and positive"):
+        annulus_state(quad, bad, 100.0)
+
+
+def test_log_rule_validation():
+    with pytest.raises(ValueError, match="dimension"):
+        LogRadialQuadrature(0, 100.0)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="radius must be finite"):
+            LogRadialQuadrature(3, bad)
+    with pytest.raises(ValueError, match="width must be finite"):
+        LogRadialQuadrature(3, 100.0, width=0.0)
+    with pytest.raises(ValueError, match="r_inner must be finite"):
+        LogRadialQuadrature(3, 100.0, r_inner=-1.0)
+    with pytest.raises(ValueError, match="too small for the cutoff ramps"):
+        LogRadialQuadrature(3, 5.0)      # log(5) is under two ramp widths
+
+
+@pytest.mark.parametrize("m", [6, 8, 12])
+def test_gauss_legendre_is_exact_to_degree_2m_minus_1(m):
+    x, w = _gauss_legendre(m)
+    assert np.all(np.diff(x) > 0.0)
+    for k in range(2 * m):
+        assert np.sum(w * x ** k) == pytest.approx(
+            (1.0 + (-1.0) ** k) / (k + 1), abs=1e-14)
+
+
+def test_log_rule_nodes_fill_the_annulus_panels():
+    quad = LogRadialQuadrature(4, 300.0, r_inner=2.0, width=0.7)
+    s = np.log(quad.r / 2.0)
+    edges = (0.0, 0.7, math.log(150.0) - 0.7, math.log(150.0))
+    per = quad.panel_points
+    assert quad.r.shape == quad.weights.shape == (quad.points,) == (3 * per,)
+    for j in range(3):
+        panel = s[j * per:(j + 1) * per]
+        assert edges[j] < panel.min() and panel.max() < edges[j + 1]
+    # The weights carry |S^3| r^4 ds, so r^-4 integrates to |S^3| ln(R/r_inner).
+    assert np.sum(quad.weights / quad.r ** 4) == pytest.approx(
+        sphere_area(4) * math.log(150.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("n, r_inner, r_outer, width", [
+    (3, 1.0, 10.0, 1.0), (3, 1.0, 1000.0, 1.0), (4, 1.0, 300.0, 0.7),
+    (4, 2.0, 100.0, 1.0), (5, 1.0, 500.0, 0.7)])
+def test_annulus_norm_on_the_log_rule_is_its_closed_form(n, r_inner, r_outer,
+                                                         width):
+    # |phi|^2 r^n = w(s)^2, whose ramps integrate to 181/462 of their width.
+    quad = LogRadialQuadrature(n, r_outer, r_inner, width)
+    phi = annulus_state(quad, r_inner, r_outer, width)
+    exact = sphere_area(n) * (math.log(r_outer / r_inner)
+                              - 281.0 / 231.0 * width)
+    assert phi.norm_sq() == pytest.approx(exact, rel=1e-13)
+    assert np.all(phi.values > 0.0)     # every node is inside the support
 
 
 def test_state_keeps_real_data_real():

@@ -8,14 +8,14 @@ import pytest
 from uncerteq import grids
 from uncerteq.cli import SuiteConfig, run_suite
 from uncerteq.gaussians import GaussianSpec, realize
-from uncerteq.grids import (GridSpec, StateField, gradient, neg_laplacian,
-                            position)
+from uncerteq.grids import (GridSpec, StateField, _radius_sq, gradient,
+                            neg_laplacian, position)
 from uncerteq.identities import random_smooth_state
 from uncerteq.search import (SearchOptions, _descend, _plane_step, _tangent,
                              _value_and_gradient, fidelity,
                              minimize_product_functional,
                              minimize_sum_functional, probe_nonattainment)
-from uncerteq.radial import RadialQuadrature
+from uncerteq.radial import LogRadialQuadrature, RadialQuadrature
 
 GRID = GridSpec(n=1, N=256, L=12.0)
 FAST = SearchOptions(max_iters=20000)
@@ -112,6 +112,49 @@ def test_plane_step_is_exact(product, near_converged):
     values = [_fresh_value(math.cos(t) * phi + math.sin(t) * d, product)
               for t in sample]
     assert best <= min(values) + 1e-13
+
+
+def _spike_plane(lap_scale, lap_d_scale):
+    """phi and d as unit spikes at x = +-3h, where |x|^2 agrees bit for bit,
+    with -Laplacian stand-ins lap_scale phi and lap_d_scale d: X is flat on
+    the plane and G = lap_scale cos^2 t + lap_d_scale sin^2 t."""
+    phi, d = np.zeros(GRID.N, complex), np.zeros(GRID.N, complex)
+    phi[GRID.N // 2 + 3] = d[GRID.N // 2 - 3] = 1.0 / math.sqrt(GRID.weight)
+    assert _radius_sq(GRID)[GRID.N // 2 + 3] == _radius_sq(GRID)[GRID.N // 2 - 3]
+    return phi, lap_scale * phi, d, lap_d_scale * d
+
+
+@pytest.mark.parametrize("product", [False, True], ids=["sum", "product"])
+def test_plane_step_on_a_flat_plane_is_zero(product):
+    # c_1 = 0 for the sum, and for the product every coefficient but the
+    # constant one vanishes, its leading one first.
+    theta = _plane_step(GRID, *_spike_plane(2.0, 2.0), product)
+    assert theta == 0.0
+
+
+@pytest.mark.parametrize("product", [False, True], ids=["sum", "product"])
+def test_plane_step_with_a_zero_leading_coefficient_minimizes_the_rest(product):
+    # X flat makes the product's degree-two coefficient X_1 G_1 zero; the
+    # step still minimizes G, here by turning phi into d.
+    theta = _plane_step(GRID, *_spike_plane(3.0, 1.0), product)
+    assert theta == pytest.approx(0.5 * math.pi, abs=1e-15)
+    # G would rise, so no step.
+    assert _plane_step(GRID, *_spike_plane(1.0, 3.0), product) == 0.0
+
+
+# Iteration counts at n = 1, N = 256, max_iters 40000, seeds 0-4, as the
+# search gave before its plane step left np.roots.
+PINNED_ITERATIONS = {"sum": (95, 102, 93, 114, 93),
+                     "product": (131, 148, 112, 178, 148)}
+
+
+@pytest.mark.parametrize("target", ["sum", "product"])
+def test_iteration_counts_are_pinned(target):
+    minimize = (minimize_sum_functional if target == "sum"
+                else minimize_product_functional)
+    opts = SearchOptions(max_iters=40000)
+    assert tuple(minimize(GRID, seed, opts).iterations
+                 for seed in range(5)) == PINNED_ITERATIONS[target]
 
 
 def test_search_applies_the_laplacian_once_per_iteration(monkeypatch):
@@ -260,3 +303,39 @@ def test_nonattainment_validation():
     quad = RadialQuadrature(3, 100.0, 1000)
     with pytest.raises(ValueError):
         probe_nonattainment(quad, (5.0,))  # no room for the cutoff ramps
+
+
+def _rho_closed_form(n, r_outer, r_inner=1.0, width=1.0):
+    """1 + int w'^2 / ((n/2)^2 int w^2) for the annulus window w(s)."""
+    ell = math.log(r_outer / r_inner)
+    return 1.0 + 80.0 / (7.0 * n * n * width * (ell - 281.0 / 231.0 * width))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("width", [1.0, 0.7])
+@pytest.mark.parametrize("rule", [lambda n: RadialQuadrature(n, 1100.0, 2),
+                                  lambda n: LogRadialQuadrature(n, 1000.0)],
+                         ids=["midpoint", "log"])
+def test_nonattainment_ratio_is_its_closed_form(n, width, rule):
+    radii = (10.0, 100.0, 300.0, 1000.0)
+    for row in probe_nonattainment(rule(n), radii, width=width):
+        assert row["rho"] == pytest.approx(
+            _rho_closed_form(n, row["R"], width=width), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_nonattainment_refuses_a_width_that_is_not_positive(bad):
+    # Width 0 or -1 returned rho = 1.0 at every radius, the bound attained.
+    with pytest.raises(ValueError, match="width must be finite and positive"):
+        probe_nonattainment(RadialQuadrature(3, 1100.0, 20000),
+                            (10, 100, 1000), width=bad)
+    with pytest.raises(ValueError, match="r_inner must be finite and positive"):
+        probe_nonattainment(RadialQuadrature(3, 1100.0, 20000),
+                            (10, 100, 1000), r_inner=bad)
+
+
+def test_nonattainment_keeps_to_the_range_of_the_rule_it_is_given():
+    with pytest.raises(ValueError, match="exceeds the quadrature range"):
+        probe_nonattainment(RadialQuadrature(3, 500.0, 1000), (10.0, 1000.0))
+    with pytest.raises(ValueError, match="exceeds the quadrature range"):
+        probe_nonattainment(LogRadialQuadrature(3, 500.0), (1000.0,))
