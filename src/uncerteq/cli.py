@@ -25,8 +25,8 @@ from .forms import pair_reports
 from .gaussians import GaussianSpec, exact_moments, realize
 from .grids import GridSpec
 from .identities import GRID_TOL, refinement_study  # also public as cli.refinement_study
-from .radial import (LaguerreQuadrature, LogRadialQuadrature, radial_gaussian,
-                     random_radial_state)
+from .radial import (LaguerreQuadrature, LogRadialQuadrature, RadialState,
+                     radial_gaussian, random_radial_state)
 from .report import EqualityReport, bound, compare
 from .search import (SearchOptions, minimize_product_functional,
                      minimize_sum_functional, probe_nonattainment)
@@ -159,10 +159,19 @@ def _vector_pairs(cfg: SuiteConfig, rng):
 
 
 def _radial_reports(verify, quad, cfg: SuiteConfig, rng) -> list[EqualityReport]:
-    """``verify`` on the radial Gaussian and on ``trials`` random states."""
-    states = [radial_gaussian(quad)]
-    states += [random_radial_state(quad, rng) for _ in range(cfg.trials)]
-    return [rep for psi in states for rep in verify(psi, cfg.tol)]
+    """``verify`` on stacks of at most STACK_ENTRIES node values: the radial
+    Gaussian (row 0), then ``trials`` states drawn as random_radial_state would."""
+    rows = max(1, complexspace.STACK_ENTRIES // quad.points)
+    total, reports = cfg.trials + 1, []
+    for start in range(0, total, rows):
+        count = min(rows, total - start) - (start == 0)   # row 0: the Gaussian
+        psi = random_radial_state(quad, rng, states=count)
+        if start == 0:
+            g = radial_gaussian(quad)
+            psi = RadialState(quad, np.vstack([g.values, psi.values]),
+                              np.vstack([g.deriv, psi.deriv]))
+        reports += verify(psi, cfg.tol)
+    return reports
 
 
 def _pair_suite(cfg: SuiteConfig, check) -> list[EqualityReport]:
@@ -231,12 +240,12 @@ def run_hardy(cfg: SuiteConfig) -> list[EqualityReport]:
     reports, sides = [], {}
     for grid in (coarse, fine):
         psi = realize(GaussianSpec("coherent", n=n), grid)
-        for rep in identities.verify_hardy(psi, tol):
+        for rep in identities.verify_hardy(psi, tol, split=grid is fine):
             if rep.identity_id == "hardy.pythagoras":
                 sides[grid.N] = (rep.lhs.real, rep.rhs.real)
             elif rep.identity_id.startswith("hardy.chain."):
                 reports.append(rep)
-            elif rep.identity_id == "grad.pointwise_split" and grid is fine:
+            elif rep.identity_id == "grad.pointwise_split":
                 split = rep
     target = 0.5 * n
     ctx = {"grid": fine.to_dict(), "control_N": coarse.N}
@@ -254,11 +263,9 @@ def run_coulomb(cfg: SuiteConfig) -> list[EqualityReport]:
     # On the Gauss-Laguerre rule the worst radcoul.* residual over 250 suite
     # seeds (s * 1000003 + k, s = 1..10, k < 25) at each n = 3..8 was
     # 6.3e-15; GRID_TOL keeps a factor of 1.6e6, as on hardy --radial.
-    reports = []
-    for n in ((3, 5) if cfg.n is None else (cfg.n,)):
-        reports += _radial_reports(identities.verify_radial_coulomb,
-                                   LaguerreQuadrature(n), cfg, rng)
-    return _aggregate(reports)
+    return _aggregate([rep for n in ((3, 5) if cfg.n is None else (cfg.n,))
+                       for rep in _radial_reports(identities.verify_radial_coulomb,
+                                                  LaguerreQuadrature(n), cfg, rng)])
 
 
 def _minimize(target: str, cfg: SuiteConfig, max_iters: int = _MINIMIZE["max_iters"]

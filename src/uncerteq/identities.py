@@ -20,7 +20,7 @@ from .forms import PairSample, extremizer_parts
 from .gaussians import GaussianSpec, realize
 from .grids import StateField
 from .radial import RadialState
-from .report import EqualityReport, bound, compare
+from .report import EqualityReport, bound, compare, worst
 
 GRID_TOL = 1e-8
 
@@ -86,8 +86,11 @@ def verify_dilation_pythagoras(state, tol: float = GRID_TOL) -> list[EqualityRep
     ]
 
 
-def verify_hardy(psi, tol: float = GRID_TOL) -> list[EqualityReport]:
-    """Hardy-type equality with exact remainder, plus its transfer forms."""
+def verify_hardy(psi, tol: float = GRID_TOL,
+                 split: bool = True) -> list[EqualityReport]:
+    """Hardy-type equality with exact remainder, plus its transfer forms;
+    ``split`` adds a tensor grid's pointwise split.  On a stack of radial
+    profiles each id reports its first worst row."""
     ops, n, ctx = _operators(psi)
     if n < 3:
         raise ValueError("the Hardy identities require dimension >= 3")
@@ -96,7 +99,7 @@ def verify_hardy(psi, tol: float = GRID_TOL) -> list[EqualityReport]:
     g = ops.gradient(psi)
     grad_sq = g.norm_sq()
     dpsi = ops.radial_part(g)
-    split = [grids.pointwise_split(g, dpsi, tol)] if ops is grids else []
+    pointwise = [grids.pointwise_split(g, dpsi, tol)] if split and ops is grids else []
     del g
     q = ops.coulomb(psi)                   # psi / |x|
     dr_sq = dpsi.norm_sq()
@@ -108,18 +111,16 @@ def verify_hardy(psi, tol: float = GRID_TOL) -> list[EqualityReport]:
     # Transfer through phi = psi/|x|: x.grad phi and its (n/2) shift.
     xg_phi = ops.x_dot_grad(q)
 
-    return [
-        compare("hardy.pythagoras", dr_sq,
-                shifted_sq + (0.5 * (n - 2)) ** 2 * q_sq, tol, context=ctx),
-        compare("hardy.radial_shift", xg_phi.norm_sq(),
-                dr_sq + (n - 1) * q_sq, tol, context=ctx),
-        compare("hardy.scaling_shift", (xg_phi + (0.5 * n) * q).norm_sq(),
-                shifted_sq, tol, context=ctx),
-        bound("hardy.chain.potential", math.sqrt(q_sq),
-              2.0 / (n - 2) * math.sqrt(dr_sq), tol, context=ctx),
-        bound("hardy.chain.gradient", math.sqrt(dr_sq), math.sqrt(grad_sq),
-              tol, context=ctx),
-    ] + split
+    return [*worst(["hardy.pythagoras", "hardy.radial_shift",
+                    "hardy.scaling_shift"],
+                   [dr_sq, xg_phi.norm_sq(), (xg_phi + (0.5 * n) * q).norm_sq()],
+                   [shifted_sq + (0.5 * (n - 2)) ** 2 * q_sq,
+                    dr_sq + (n - 1) * q_sq, shifted_sq], tol, context=ctx),
+            *worst(["hardy.chain.potential", "hardy.chain.gradient"],
+                   [np.sqrt(q_sq), np.sqrt(dr_sq)],
+                   [2.0 / (n - 2) * np.sqrt(dr_sq), np.sqrt(grad_sq)], tol,
+                   inequality=True, context=ctx),
+            *pointwise]
 
 
 def verify_dilation_hamiltonian(phi: StateField,
@@ -146,7 +147,9 @@ def verify_dilation_hamiltonian(phi: StateField,
 
 
 def verify_radial_coulomb(state, tol: float = GRID_TOL) -> list[EqualityReport]:
-    """Identities from the symmetrized radial derivative / 1/|x| pair."""
+    """Identities from the symmetrized radial derivative / 1/|x| pair.
+
+    On a stack of radial profiles each id reports its first worst row."""
     ops, n, ctx = _operators(state)
     if n < 3:
         raise ValueError("the radial/Coulomb identities require dimension >= 3")
@@ -154,7 +157,7 @@ def verify_radial_coulomb(state, tol: float = GRID_TOL) -> list[EqualityReport]:
     b_phi = ops.coulomb(state)
     a = a_phi.norm()
     b = b_phi.norm()
-    if a == 0.0 or b == 0.0:
+    if not (np.all(a) and np.all(b)):
         raise ValueError("degenerate state for the radial/Coulomb pair")
     dpsi = ops.radial_derivative(state)
     dr_sq = dpsi.norm_sq()
@@ -167,22 +170,19 @@ def verify_radial_coulomb(state, tol: float = GRID_TOL) -> list[EqualityReport]:
     sph_sq = ops.spherical_derivative(state).norm_sq()
     ortho = (b_phi - 2j * a_phi).inner(b_phi).real
     return [
-        compare("radcoul.potential_sq", b_sq, -2.0 * p.imag, tol,
-                scale=a * b, context=ctx),
-        compare("radcoul.sum_norm", b_sq, a * b * (2.0 - combo.norm_sq()),
-                tol, scale=a * b, context=ctx),
-        compare("radcoul.sym_norm", a * a,
-                dr_sq - 0.25 * (n - 1) * (n - 3) * b_sq, tol, context=ctx),
-        compare("radcoul.orthogonality", ortho, 0.0, tol,
-                scale=b_sq + 2.0 * a * b, context=ctx),
-        compare("radcoul.pythagoras", 4.0 * a * a,
-                pyth.norm_sq() + b_sq, tol, context=ctx),
-        compare("radcoul.hardy_quadrupled", 4.0 * dr_sq,
-                4.0 * shifted.norm_sq() + (n - 2) ** 2 * b_sq, tol,
-                context=ctx),
-        compare("radcoul.gradient_split", grad_sq - sph_sq, dr_sq, tol,
-                context=ctx),
-        bound("radcoul.relative_bound", b, 2.0 * a, tol, context=ctx),
+        *worst(["radcoul.potential_sq", "radcoul.sum_norm", "radcoul.sym_norm",
+                "radcoul.orthogonality", "radcoul.pythagoras",
+                "radcoul.hardy_quadrupled", "radcoul.gradient_split"],
+               [b_sq, b_sq, a * a, ortho, 4.0 * a * a, 4.0 * dr_sq,
+                grad_sq - sph_sq],
+               [-2.0 * p.imag, a * b * (2.0 - combo.norm_sq()),
+                dr_sq - 0.25 * (n - 1) * (n - 3) * b_sq, 0.0,
+                pyth.norm_sq() + b_sq,
+                4.0 * shifted.norm_sq() + (n - 2) ** 2 * b_sq, dr_sq], tol,
+               scale=[a * b, a * b, 0.0, b_sq + 2.0 * a * b, 0.0, 0.0, 0.0],
+               context=ctx),
+        *worst(["radcoul.relative_bound"], [b], [2.0 * a], tol,
+               inequality=True, context=ctx),
     ]
 
 

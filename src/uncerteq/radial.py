@@ -15,6 +15,12 @@ radial measure r^{n-1} dr:
   in s on each panel, which 8 nodes per panel integrate exactly.
 * :class:`RadialQuadrature`, the midpoint rule on (0, r_max], for any other
   profile.
+
+A :class:`RadialState` holds one profile or a (states, nodes) stack of them,
+and takes every norm and inner product per row, ``np.sum(values * weights,
+axis=-1)``, the bits of the sum over that row alone.  The radial suites verify
+their states in stacks of at most ``complexspace.STACK_ENTRIES`` node values,
+so memory stays bounded whatever the trial count.
 """
 
 from __future__ import annotations
@@ -27,77 +33,44 @@ from typing import ClassVar
 import numpy as np
 
 
+MAX_DIMENSION = 343     # math.gamma(n/2) overflows a float from n = 344 on
+
+
 def sphere_area(n: int) -> float:
     """Surface measure of the unit sphere in R^n."""
+    if n > MAX_DIMENSION:
+        raise ValueError(f"dimension {n} is too large for the radial rules; "
+                         f"the largest supported dimension is {MAX_DIMENSION}")
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-@dataclass(frozen=True)
-class RadialQuadrature:
-    """Midpoint rule on (0, r_max] with the radial measure of R^n."""
-
-    n: int
-    r_max: float
-    points: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("dimension must be >= 1")
-        if not 0.0 < self.r_max < math.inf:
-            raise ValueError(f"radius must be finite and positive, got {self.r_max}")
-        if self.points < 2:
-            raise ValueError("need at least two points")
-
-    @property
-    def dr(self) -> float:
-        return self.r_max / self.points
-
-    @property
-    def r(self) -> np.ndarray:
-        return _nodes(self)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return _weights(self)
-
-    def integrate(self, values: np.ndarray) -> complex:
-        return complex(np.sum(values * self.weights))
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "r_max": self.r_max, "points": self.points}
+def _check_rule(n: int, r_max: float) -> None:
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    if not 0.0 < r_max < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {r_max}")
 
 
-@lru_cache(maxsize=64)
-def _nodes(quad: RadialQuadrature) -> np.ndarray:
-    r = (np.arange(quad.points) + 0.5) * quad.dr
-    r.setflags(write=False)
-    return r
-
-
-@lru_cache(maxsize=64)
-def _weights(quad: RadialQuadrature) -> np.ndarray:
-    w = sphere_area(quad.n) * _nodes(quad) ** (quad.n - 1) * quad.dr
-    w.setflags(write=False)
-    return w
-
-
-class _GaussRule:
+class _Rule:
     """Nodes ``r`` and ``weights`` that ``_build`` makes once per rule."""
 
     @property
     def r(self) -> np.ndarray:
-        return _gauss_rule(self)[0]
+        return _rule(self)[0]
 
     @property
     def weights(self) -> np.ndarray:
-        return _gauss_rule(self)[1]
+        return _rule(self)[1]
 
-    def integrate(self, values: np.ndarray) -> complex:
-        return complex(np.sum(values * self.weights))
+    def integrate(self, values: np.ndarray):
+        return np.sum(values * self.weights, axis=-1)   # one sum per row
+
+    def to_dict(self) -> dict:
+        return {**vars(self), "points": self.points}
 
 
 @lru_cache(maxsize=64)
-def _gauss_rule(quad: _GaussRule) -> tuple[np.ndarray, np.ndarray]:
+def _rule(quad: _Rule) -> tuple[np.ndarray, np.ndarray]:
     r, weights = quad._build()
     r.setflags(write=False)
     weights.setflags(write=False)
@@ -105,7 +78,30 @@ def _gauss_rule(quad: _GaussRule) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class LaguerreQuadrature(_GaussRule):
+class RadialQuadrature(_Rule):
+    """Midpoint rule on (0, r_max] with the radial measure of R^n."""
+
+    n: int
+    r_max: float
+    points: int
+    integrate = _Rule.integrate     # wrapped by name by perfbench/spans.py
+
+    def __post_init__(self):
+        _check_rule(self.n, self.r_max)
+        if self.points < 2:
+            raise ValueError("need at least two points")
+
+    @property
+    def dr(self) -> float:
+        return self.r_max / self.points
+
+    def _build(self) -> tuple[np.ndarray, np.ndarray]:
+        r = (np.arange(self.points) + 0.5) * self.dr
+        return r, sphere_area(self.n) * r ** (self.n - 1) * self.dr
+
+
+@dataclass(frozen=True)
+class LaguerreQuadrature(_Rule):
     """Generalized Gauss-Laguerre rule in t = r^2 with the radial measure of R^n.
 
     With alpha = n/2 - 2 the measure is r^{n-1} dr = t^(alpha+1) dt / 2, so
@@ -130,11 +126,9 @@ class LaguerreQuadrature(_GaussRule):
                              ">= 3; alpha = n/2 - 2 must exceed -1")
 
     def _build(self) -> tuple[np.ndarray, np.ndarray]:
+        area = sphere_area(self.n)     # refuses n > MAX_DIMENSION first
         t, w = _gauss_laguerre(self.points, 0.5 * self.n - 2.0)
-        return np.sqrt(t), 0.5 * sphere_area(self.n) * w * np.exp(t) * t
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "points": self.points}
+        return np.sqrt(t), 0.5 * area * w * np.exp(t) * t
 
 
 def _golub_welsch(diag: np.ndarray, off: np.ndarray,
@@ -191,7 +185,7 @@ def _check_annulus(r_inner: float, r_outer: float, width: float) -> None:
 
 
 @dataclass(frozen=True)
-class LogRadialQuadrature(_GaussRule):
+class LogRadialQuadrature(_Rule):
     """Composite Gauss-Legendre rule in s = ln(r/r_inner) on [r_inner, r_max].
 
     The panels are [0, width], [width, l - width] and [l - width, l] with
@@ -212,10 +206,7 @@ class LogRadialQuadrature(_GaussRule):
     points: ClassVar[int] = 3 * panel_points
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("dimension must be >= 1")
-        if not 0.0 < self.r_max < math.inf:
-            raise ValueError(f"radius must be finite and positive, got {self.r_max}")
+        _check_rule(self.n, self.r_max)
         _check_annulus(self.r_inner, self.r_max, self.width)
 
     def _build(self) -> tuple[np.ndarray, np.ndarray]:
@@ -227,22 +218,16 @@ class LogRadialQuadrature(_GaussRule):
         r = self.r_inner * np.exp(s)
         return r, sphere_area(self.n) * (half * w).ravel() * r ** self.n
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "r_max": self.r_max, "r_inner": self.r_inner,
-                "width": self.width, "points": self.points}
-
 
 Quadrature = RadialQuadrature | LaguerreQuadrature | LogRadialQuadrature
 
 
-def _node_data(quad: Quadrature, data, what: str) -> np.ndarray:
+def _node_data(quad: Quadrature, data, what: str, shape=None) -> np.ndarray:
     """``data`` as float64 if real, else complex128 (as grid fields store
-    theirs), checked for its shape and finiteness."""
-    data = np.asarray(data)
-    if data.dtype != np.complex128 and data.dtype != np.float64:
-        data = data.astype(np.complex128 if data.dtype.kind == "c"
-                           else np.float64)
-    if data.shape != (quad.points,):
+    theirs): one row of node values or a (states, nodes) stack, of ``shape``
+    if given, checked for finiteness once for the whole stack."""
+    data = np.asarray(data, np.complex128 if np.iscomplexobj(data) else np.float64)
+    if data.ndim > 2 or data.shape != (shape or (*data.shape[:-1], quad.points)):
         raise ValueError(f"{what} must match the quadrature nodes")
     if not np.isfinite(data).all():
         raise ValueError(f"{what} must be finite")
@@ -250,28 +235,31 @@ def _node_data(quad: Quadrature, data, what: str) -> np.ndarray:
 
 
 class RadialState:
-    """Radial profile psi(r) with an optional analytic derivative psi'(r)."""
+    """Radial profile psi(r) with an optional analytic derivative psi'(r), or
+    a (states, nodes) stack of them: checked for finiteness once per stack,
+    with one norm, inner product or complex scalar factor per row."""
 
     __slots__ = ("quad", "values", "deriv")
+    __array_ufunc__ = None      # ndarray * state defers to __rmul__
 
     def __init__(self, quad: Quadrature, values, deriv=None):
         self.quad = quad
         self.values = _node_data(quad, values, "values")
-        self.deriv = None if deriv is None else _node_data(quad, deriv,
-                                                           "derivative")
+        self.deriv = None if deriv is None else _node_data(
+            quad, deriv, "derivative", self.values.shape)
 
-    def inner(self, other: "RadialState") -> complex:
+    def inner(self, other: "RadialState"):
         if other.quad != self.quad:
             raise ValueError("quadrature mismatch")
         return self.quad.integrate(self.values * np.conj(other.values))
 
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
+    def norm(self):
+        return np.sqrt(self.norm_sq())
 
-    def norm_sq(self) -> float:
+    def norm_sq(self):
         v = self.values
-        return float(np.real(self.quad.integrate(
-            np.abs(v) ** 2 if v.dtype.kind == "c" else v * v)))
+        return self.quad.integrate(np.abs(v) ** 2 if v.dtype.kind == "c"
+                                   else v * v)
 
     def _combine(self, other, sign):
         if other.quad != self.quad:
@@ -288,7 +276,7 @@ class RadialState:
         return self._combine(other, -1.0)
 
     def __mul__(self, scalar):
-        scalar = complex(scalar)
+        scalar = np.asarray(scalar, dtype=np.complex128)[..., None]  # per row
         deriv = None if self.deriv is None else self.deriv * scalar
         return RadialState(self.quad, self.values * scalar, deriv)
 
@@ -314,7 +302,7 @@ def radial_part(g: RadialState) -> RadialState:
 
 def spherical_derivative(state: RadialState) -> RadialState:
     """L psi, which vanishes for a radial profile."""
-    return RadialState(state.quad, np.zeros(state.quad.points))
+    return RadialState(state.quad, np.zeros(state.values.shape))
 
 
 def x_dot_grad(state: RadialState) -> RadialState:
@@ -353,7 +341,8 @@ def radial_gaussian(quad: Quadrature, alpha: float = 1.0,
 
 def gaussian_polynomial(quad: Quadrature, coeffs,
                         alpha: float = 1.0) -> RadialState:
-    """p(r^2) exp(-alpha r^2/2) for polynomial coefficients in r^2.
+    """p(r^2) exp(-alpha r^2/2) for polynomial coefficients in r^2, lowest
+    first; a (states, degree + 1) array of them gives a stack.
 
     At alpha = 1 a LaguerreQuadrature integrates the verifiers' products of
     such states exactly.  The midpoint rule does not: with the measure
@@ -361,30 +350,34 @@ def gaussian_polynomial(quad: Quadrature, coeffs,
     r = 0 is algebraic in the spacing, not spectral.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
-    dc = c[1:] * np.arange(1, c.size)
+    dc = c[..., 1:] * np.arange(1, c.shape[-1])
+    r, t = quad.r, quad.r ** 2
 
-    def fn(r):
-        return np.polyval(c[::-1], r ** 2) * np.exp(-0.5 * alpha * r ** 2)
+    def polyval(coef):      # np.polyval's Horner order, per row of coef
+        y = np.zeros_like(t)
+        for k in range(coef.shape[-1] - 1, -1, -1):
+            y = y * t + coef[..., k, None]
+        return y
 
-    def dfn(r):
-        p = np.polyval(c[::-1], r ** 2)
-        dp = np.polyval(dc[::-1], r ** 2) if dc.size else 0.0
-        return (2.0 * r * dp - alpha * r * p) * np.exp(-0.5 * alpha * r ** 2)
-
-    return RadialState(quad, fn(quad.r), dfn(quad.r))
+    p, gauss = polyval(c), np.exp(-0.5 * alpha * t)
+    dp = polyval(dc) if dc.shape[-1] else 0.0
+    return RadialState(quad, p * gauss, (2.0 * r * dp - alpha * r * p) * gauss)
 
 
 def random_radial_state(quad: Quadrature, rng: np.random.Generator,
                         degree: int = 3, alpha: float = 1.0,
-                        normalize: bool = True) -> RadialState:
-    """Random Gaussian-times-even-polynomial profile, optionally normalized."""
-    coeffs = (rng.standard_normal(degree + 1)
-              + 1j * rng.standard_normal(degree + 1))
+                        normalize: bool = True,
+                        states: int | None = None) -> RadialState:
+    """Random Gaussian-times-even-polynomial profile, optionally normalized;
+    with ``states``, a stack of as many, drawn as successive calls draw them."""
+    shape = (2, degree + 1) if states is None else (states, 2, degree + 1)
+    z = rng.standard_normal(shape)
+    coeffs = z[..., 0, :] + 1j * z[..., 1, :]
     coeffs *= 0.5 ** np.arange(degree + 1)
     state = gaussian_polynomial(quad, coeffs, alpha=alpha)
     if normalize:
         nrm = state.norm()
-        if nrm == 0.0:
+        if np.any(nrm == 0.0):
             raise ValueError("degenerate random profile")
         state = state * (1.0 / nrm)
     return state
@@ -420,26 +413,19 @@ def annulus_state(quad: RadialQuadrature | LogRadialQuadrature, r_inner: float,
         raise ValueError("outer radius exceeds the quadrature range")
     half_n = 0.5 * quad.n
 
-    # The window is 0 outside [r_inner, r_outer] and exactly 1 (derivative 0)
-    # from r_inner e^width to r_outer e^-width (1e-9 inside, for rounding).
-    lo, a, b, hi = np.searchsorted(
-        quad.r, (r_inner, r_inner * math.exp(width) * (1 + 1e-9),
-                 r_outer * math.exp(-width) * (1 - 1e-9), r_outer), side="right")
-    ramp = np.r_[lo:a, b:hi]
-    r = quad.r[ramp]
+    # The window is 0 outside [r_inner, r_outer]; on the plateau both ramps
+    # clip to exactly 1, with derivative 0.
+    lo, hi = np.searchsorted(quad.r, (r_inner, r_outer), side="right")
+    r = quad.r[lo:hi]
     up_arg = np.log(r / r_inner) / width
     dn_arg = np.log(r_outer / r) / width
-    up = _smoothstep(up_arg)
-    dn = _smoothstep(dn_arg)
+    up, dn = _smoothstep(up_arg), _smoothstep(dn_arg)
     window = up * dn
     dwindow = (_smoothstep_deriv(up_arg) * dn
                - up * _smoothstep_deriv(dn_arg)) / (width * r)
 
     core = r ** (-half_n)
     values, deriv = np.zeros(quad.points), np.zeros(quad.points)
-    values[ramp] = window * core
-    deriv[ramp] = dwindow * core - half_n * window * core / r
-    core = quad.r[a:b] ** (-half_n)
-    values[a:b] = core
-    deriv[a:b] = -(half_n * core / quad.r[a:b])
+    values[lo:hi] = window * core
+    deriv[lo:hi] = dwindow * core - half_n * window * core / r
     return RadialState(quad, values, deriv)

@@ -54,27 +54,34 @@ def bound(identity_id: str, smaller: float, larger: float, tol: float,
     inequality holds up to relative slack ``tol``.  A side that is not finite
     proves nothing, so it counts as an infinite violation.
     """
+    smaller, larger = float(smaller), float(larger)
     if math.isfinite(smaller) and math.isfinite(larger):
-        violation = max(0.0, float(smaller) - float(larger))
+        violation = max(0.0, smaller - larger)
         rel = violation / max(abs(smaller), abs(larger), scale, 1.0)
     else:
         violation = rel = math.inf
     ctx = dict(context or {})
-    ctx.setdefault("smaller", float(smaller))
-    ctx.setdefault("larger", float(larger))
+    ctx.setdefault("smaller", smaller)
+    ctx.setdefault("larger", larger)
     return EqualityReport(identity_id, complex(violation), 0.0 + 0.0j,
                           violation, rel, tol, rel <= tol, ctx)
 
 
 def worst(ids: list[str], lhs, rhs, tol: float, scale=0.0,
-          inequality: bool = False) -> list[EqualityReport]:
+          inequality: bool = False, context: dict | None = None
+          ) -> list[EqualityReport]:
     """Per identity in ``ids``, the report of its first worst row.
 
-    ``lhs``, ``rhs`` and ``scale`` broadcast to (len(ids), N rows).  Rows are
+    ``lhs``, ``rhs`` and ``scale`` broadcast to (len(ids), N rows); a list or
+    tuple holds one entry per id, a scalar or a row array each.  Rows are
     ranked by the residual of :func:`compare` (of :func:`bound`, ``lhs`` the
     smaller side, if ``inequality``), a non-finite side first; that function
-    builds the report."""
-    lhs, rhs, scale = np.broadcast_arrays(lhs, rhs, scale)
+    builds the report, with ``context``."""
+    lhs, rhs, scale = (np.array(np.broadcast_arrays(*x))
+                       if isinstance(x, (list, tuple)) else x
+                       for x in (lhs, rhs, scale))
+    lhs, rhs, scale = (x.reshape(len(ids), -1)
+                       for x in np.broadcast_arrays(lhs, rhs, scale))
     with np.errstate(all="ignore"):
         gap = np.maximum(lhs - rhs, 0.0) if inequality else np.abs(lhs - rhs)
         rel = gap / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)),
@@ -82,5 +89,5 @@ def worst(ids: list[str], lhs, rhs, tol: float, scale=0.0,
     rel[~(np.isfinite(lhs) & np.isfinite(rhs))] = math.inf
     check = bound if inequality else compare
     return [check(name, lhs[k, i].item(), rhs[k, i].item(), tol,
-                  scale=scale[k, i].item())
+                  scale=scale[k, i].item(), context=context)
             for k, (name, i) in enumerate(zip(ids, np.argmax(rel, axis=-1)))]

@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,17 +144,35 @@ def test_run_hardy_verifies_each_grid_once(monkeypatch):
     calls = []
     verify_hardy = identities.verify_hardy
 
-    def counting(psi, tol):
-        calls.append(psi.grid.N)
-        return verify_hardy(psi, tol)
+    def counting(psi, tol, **kwargs):
+        calls.append((psi.grid.N, kwargs.get("split", True)))
+        return verify_hardy(psi, tol, **kwargs)
 
     monkeypatch.setattr(cli.identities, "verify_hardy", counting)
     _, payload = run_suite(SuiteConfig(suite="hardy", N=64, L=8.0))
-    assert calls == [32, 64]
+    # Only the fine grid's pointwise split is reported, so only it is built.
+    assert calls == [(32, False), (64, True)]
     assert [r["identity_id"] for r in payload["reports"]] == [
         "grad.pointwise_split", "hardy.chain.gradient",
         "hardy.chain.potential", "hardy.grid.value_lhs",
         "hardy.grid.value_rhs"]
+
+
+def test_run_coulomb_memory_is_bounded_by_the_stack_cap():
+    # Stacks of at most complexspace.STACK_ENTRIES node values (1,024 states
+    # of 32 nodes): the traced peak at 20,000 trials per dimension measured
+    # 6.1 MB, against 114 MB with one stack per dimension, whose values alone
+    # take 20,001 * 32 * 16 B = 10.2 MB.  Bound: 10 MB.
+    cfg = SuiteConfig(suite="coulomb", trials=20000, tol=1e-8)
+    cli.run_coulomb(SuiteConfig(suite="coulomb", trials=1, tol=1e-8))  # rules
+    tracemalloc.start()
+    try:
+        reports = cli.run_coulomb(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(rep.passed for rep in reports)
+    assert peak < 10e6
 
 
 def test_verify_search_at_small_lambda_start():
@@ -225,6 +244,17 @@ def test_zero_and_out_of_range_flags_are_usage_errors(argv, capsys):
 def test_an_out_of_range_value_names_what_it_breaks(argv, says, capsys):
     assert main(argv) == 2
     assert says in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["344", str(10 ** 6)])
+@pytest.mark.parametrize("command", [["verify", "coulomb"],
+                                     ["verify", "hardy", "--radial"],
+                                     ["search", "nonattainment"]])
+def test_radial_rules_name_their_largest_dimension(command, n, capsys):
+    # Gamma(n/2) in the sphere's area overflows from n = 344 on, which was
+    # an OverflowError traceback (exit 1).
+    assert main([*command, "--n", n]) == 2
+    assert "largest supported dimension is 343" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", ["1", "2"])

@@ -287,6 +287,16 @@ def test_verify_hardy_split_is_the_pointwise_decomposition(n, N, phase):
     assert split.passed
 
 
+def test_verify_hardy_builds_no_split_unless_asked(monkeypatch):
+    # run_hardy asks only the fine grid for its split, which no other report
+    # needs.
+    psi = _off_centre_state(3, 16)
+    with_split = verify_hardy(psi, 1e-9)
+    monkeypatch.setattr("uncerteq.grids.pointwise_split",
+                        lambda *args: pytest.fail("split built"))
+    assert verify_hardy(psi, 1e-9, split=False) == with_split[:-1]
+
+
 def test_verify_hardy_reports_no_split_on_a_radial_profile():
     psi = radial_gaussian(LaguerreQuadrature(3))
     ids = [r.identity_id for r in verify_hardy(psi)]

@@ -15,7 +15,8 @@ from uncerteq.identities import (_hermite_functions, random_smooth_state,
                                  verify_dilation_pythagoras, verify_hardy,
                                  verify_position_momentum,
                                  verify_radial_coulomb)
-from uncerteq.radial import (LaguerreQuadrature, RadialQuadrature,
+from uncerteq.cli import _aggregate
+from uncerteq.radial import (LaguerreQuadrature, RadialQuadrature, RadialState,
                              radial_gaussian, random_radial_state)
 
 GRID = GridSpec(n=1, N=256, L=12.0)
@@ -139,6 +140,26 @@ def test_radial_identities_hold_on_the_laguerre_rule(n, seed):
         assert {r.identity_id.split(".")[0] for r in reports} == {
             "hardy", "radcoul"}
         assert [r.identity_id for r in reports if not r.passed] == []
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize("verify", [verify_hardy, verify_radial_coulomb])
+def test_a_stack_reports_the_worst_of_its_rows_verified_alone(verify, n):
+    # Row 0 is the Gaussian, as in the suites.  Each id's report is the first
+    # worst row's own report, to the bit, whether the rows are verified as
+    # stacks of one or as 1-D profiles.
+    quad = LaguerreQuadrature(n)
+    head = radial_gaussian(quad)
+    rows = random_radial_state(quad, np.random.default_rng(n), states=40)
+    stack = RadialState(quad, np.vstack([head.values, rows.values]),
+                        np.vstack([head.deriv, rows.deriv]))
+    as_stacks = [rep for i in range(41) for rep in verify(
+        RadialState(quad, stack.values[i:i + 1], stack.deriv[i:i + 1]))]
+    as_profiles = [rep for i in range(41) for rep in verify(
+        RadialState(quad, stack.values[i], stack.deriv[i]))]
+    reports = verify(stack)
+    assert len(reports) == len({rep.identity_id for rep in reports})
+    assert _aggregate(reports) == _aggregate(as_stacks) == _aggregate(as_profiles)
 
 
 def test_radial_coulomb_coefficient_is_trivial_only_in_three_dimensions():

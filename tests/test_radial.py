@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from uncerteq.radial import (LaguerreQuadrature, LogRadialQuadrature,
-                             RadialQuadrature, RadialState, _gauss_laguerre,
+from uncerteq.radial import (MAX_DIMENSION, LaguerreQuadrature,
+                             LogRadialQuadrature, RadialQuadrature, RadialState,
+                             _gauss_laguerre,
                              _gauss_legendre, annulus_state,
                              coulomb, gaussian_polynomial, radial_derivative,
                              radial_derivative_sym,
@@ -19,6 +20,17 @@ def test_sphere_area_low_dimensions():
     assert sphere_area(2) == pytest.approx(2.0 * math.pi, rel=1e-15)
     assert sphere_area(3) == pytest.approx(4.0 * math.pi, rel=1e-15)
     assert sphere_area(4) == pytest.approx(2.0 * math.pi ** 2, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [MAX_DIMENSION + 1, 10 ** 6])
+def test_sphere_area_names_the_largest_dimension(n):
+    assert math.isfinite(sphere_area(MAX_DIMENSION))
+    with pytest.raises(ValueError, match=f"dimension is {MAX_DIMENSION}"):
+        sphere_area(n)
+    for quad in (LaguerreQuadrature(n), RadialQuadrature(n, 10.0, 100),
+                 LogRadialQuadrature(n, 100.0)):
+        with pytest.raises(ValueError, match="largest supported dimension"):
+            quad.weights
 
 
 def test_quadrature_validation():
@@ -328,3 +340,43 @@ def test_state_rejects_non_finite_values_and_derivatives(bad):
     with np.errstate(invalid="ignore"), pytest.raises(ValueError,
                                                       match="finite"):
         radial_gaussian(quad) * bad
+
+
+def test_a_stacked_draw_is_the_successive_single_draws():
+    quad = LaguerreQuadrature(4)
+    rng_stack, rng_single = np.random.default_rng(5), np.random.default_rng(5)
+    stack = random_radial_state(quad, rng_stack, states=6)
+    rows = [random_radial_state(quad, rng_single) for _ in range(6)]
+    assert stack.values.shape == (6, quad.points)
+    assert stack.values.tobytes() == np.array([r.values for r in rows]).tobytes()
+    assert stack.deriv.tobytes() == np.array([r.deriv for r in rows]).tobytes()
+    np.testing.assert_array_equal(stack.norm(), [r.norm() for r in rows])
+    assert rng_stack.standard_normal() == rng_single.standard_normal()
+
+
+def test_a_stack_with_one_non_finite_row_is_refused():
+    quad = LaguerreQuadrature(3)
+    values = random_radial_state(quad, np.random.default_rng(2), states=4).values
+    for bad in (np.nan, np.inf):
+        broken = values.copy()
+        broken[2, 5] = bad
+        with pytest.raises(ValueError, match="values must be finite"):
+            RadialState(quad, broken)
+        with pytest.raises(ValueError, match="derivative must be finite"):
+            RadialState(quad, values, broken)
+    # The derivative stack has the values' shape.
+    with pytest.raises(ValueError, match="match the quadrature nodes"):
+        RadialState(quad, values, values[0])
+    with pytest.raises(ValueError, match="match the quadrature nodes"):
+        RadialState(quad, values[None])
+
+
+def test_per_row_factors_scale_each_row():
+    quad = LaguerreQuadrature(3)
+    stack = random_radial_state(quad, np.random.default_rng(9), states=3)
+    scaled = np.array([2.0, -1j, 0.5]) * stack
+    for i, factor in enumerate((2.0, -1j, 0.5)):
+        row = RadialState(quad, stack.values[i], stack.deriv[i]) * factor
+        assert scaled.values[i].tobytes() == row.values.tobytes()
+        assert scaled.deriv[i].tobytes() == row.deriv.tobytes()
+    np.testing.assert_allclose(scaled.norm(), [2.0, 1.0, 0.5], rtol=1e-14)

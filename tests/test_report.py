@@ -66,3 +66,26 @@ def test_worst_row_report_is_the_rows_own_report():
         rows = [compare(rep.identity_id, lhs[k, i], rhs[k, i], 0.5,
                         scale=scale[i]) for i in range(50)]
         assert rep == _aggregate(rows)[0]
+
+
+@pytest.mark.parametrize("inequality", [False, True])
+def test_worst_keeps_the_given_context(inequality):
+    ctx = {"radial": {"n": 3, "points": 32}}
+    check = bound if inequality else compare
+    (rep,) = worst(["x"], np.array([[1.0, 3.0]]), np.array([[1.0, 2.0]]), 0.1,
+                   inequality=inequality, context=ctx)
+    assert rep == check("x", 3.0, 2.0, 0.1, context=ctx)
+    assert next(iter(rep.context)) == "radial"   # a bound adds its sides after
+    assert ctx == {"radial": {"n": 3, "points": 32}}
+
+
+def test_worst_takes_one_entry_per_id_scalar_or_row():
+    # Per id: a side or scale may be one number for every row.
+    a, b = worst(["a", "b"], [np.array([1.0, 4.0]), 2.0],
+                 [1.0, np.array([2.0, 2.5])], 0.1,
+                 scale=[0.0, np.array([9.0, 1.0])])
+    assert a == compare("a", 4.0, 1.0, 0.1)
+    assert b == compare("b", 2.0, 2.5, 0.1, scale=1.0)
+    # Scalars on every side are one row, as a tensor-grid verifier gives.
+    (c,) = worst(["c"], [1.0], [1.5], 0.1)
+    assert c == compare("c", 1.0, 1.5, 0.1)
