@@ -34,6 +34,7 @@ import numpy as np
 
 
 MAX_DIMENSION = 343     # math.gamma(n/2) overflows a float from n = 344 on
+_LOG_MAX = math.log(np.finfo(np.float64).max)
 
 
 def sphere_area(n: int) -> float:
@@ -210,13 +211,17 @@ class LogRadialQuadrature(_Rule):
         _check_annulus(self.r_inner, self.r_max, self.width)
 
     def _build(self) -> tuple[np.ndarray, np.ndarray]:
+        area = sphere_area(self.n)     # refuses n > MAX_DIMENSION first
+        if self.n * math.log(self.r_max) > _LOG_MAX:    # r^n <= r_max^n
+            raise ValueError(f"the weights r^n overflow at r_max = {self.r_max:g}: "
+                             f"the largest n is {int(_LOG_MAX / math.log(self.r_max))}")
         x, w = _gauss_legendre(self.panel_points)
         ell = math.log(self.r_max / self.r_inner)
         edges = np.array([0.0, self.width, ell - self.width, ell])
         half = np.diff(edges)[:, None] / 2
         s = ((edges[:-1] + edges[1:])[:, None] / 2 + half * x).ravel()
         r = self.r_inner * np.exp(s)
-        return r, sphere_area(self.n) * (half * w).ravel() * r ** self.n
+        return r, area * (half * w).ravel() * r ** self.n
 
 
 Quadrature = RadialQuadrature | LaguerreQuadrature | LogRadialQuadrature
@@ -315,9 +320,7 @@ def x_dot_grad(state: RadialState) -> RadialState:
 def coulomb(state: RadialState) -> RadialState:
     """psi/r; the derivative (psi'/r - psi/r^2) is propagated when known."""
     r = state.quad.r
-    deriv = None
-    if state.deriv is not None:
-        deriv = state.deriv / r - state.values / r ** 2
+    deriv = None if state.deriv is None else state.deriv / r - state.values / r ** 2
     return RadialState(state.quad, state.values / r, deriv)
 
 

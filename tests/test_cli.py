@@ -246,6 +246,34 @@ def test_an_out_of_range_value_names_what_it_breaks(argv, says, capsys):
     assert says in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n, r_max, largest", [("103", 1000, 102),
+                                               ("110", 1000, 102),
+                                               ("200", 100, 154)])
+def test_nonattainment_names_the_largest_n_its_weights_allow(n, r_max, largest,
+                                                            capsys):
+    # The log rule's weights carry r^n: at n = 110 and 200 they overflowed,
+    # rho printed NaN and the command exited 0.
+    assert main(["search", "nonattainment", "--n", n]) == 2
+    assert (f"at r_max = {r_max}: the largest n is {largest}"
+            in capsys.readouterr().err)
+
+
+def test_nonattainment_at_the_largest_n_passes(capsys):
+    assert main(["search", "nonattainment", "--n", "102"]) == 0
+    rhos = [row["rho"] for row in json.loads(capsys.readouterr().out)["rows"]]
+    assert rhos[0] > rhos[1] > rhos[2] > 1.0
+
+
+@pytest.mark.parametrize("n, says", [("5", "grid exceeds the 2^24 point cap"),
+                                     ("4", "grid too coarse")])
+def test_tensor_grid_hardy_usage_errors_name_the_radial_rule(n, says, capsys):
+    # The default N = 32 is over the 2^24-point cap at n = 5 and too coarse
+    # at n = 4; the radial rule needs no grid.
+    assert main(["verify", "hardy", "--n", n]) == 2
+    err = capsys.readouterr().err
+    assert says in err and f"verify hardy --radial --n {n}" in err
+
+
 @pytest.mark.parametrize("n", ["344", str(10 ** 6)])
 @pytest.mark.parametrize("command", [["verify", "coulomb"],
                                      ["verify", "hardy", "--radial"],

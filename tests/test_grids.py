@@ -250,13 +250,13 @@ def test_pointwise_split_transform_count(monkeypatch):
 
 
 def test_run_hardy_transform_count(monkeypatch):
-    # verify_hardy takes two gradients per grid: one of psi, read by the
-    # radial part, |grad psi| and the pointwise split, and one of psi/|x| for
-    # x.grad.  Every hardy state is float64, so every transform is a
-    # real-input one: 4 gradients of 3.
+    # verify_hardy takes one gradient per grid, of psi, read by the radial
+    # part, |grad psi| and the pointwise split; a grid takes no x.grad of
+    # psi/|x|.  Every hardy state is float64, so every transform is a
+    # real-input one: 2 gradients of 3.
     counts = _count_ffts(monkeypatch)
     run_suite(SuiteConfig(suite="hardy", N=64, L=8.0))
-    assert counts == {"fft": 0, "ifft": 0, "rfft": 12, "irfft": 12}
+    assert counts == {"fft": 0, "ifft": 0, "rfft": 6, "irfft": 6}
 
 
 def _off_centre_state(n, N, phase=False):
@@ -295,6 +295,21 @@ def test_verify_hardy_builds_no_split_unless_asked(monkeypatch):
     monkeypatch.setattr("uncerteq.grids.pointwise_split",
                         lambda *args: pytest.fail("split built"))
     assert verify_hardy(psi, 1e-9, split=False) == with_split[:-1]
+
+
+@pytest.mark.parametrize("split, ids", [
+    (True, ["hardy.pythagoras", "hardy.chain.potential", "hardy.chain.gradient",
+            "grad.pointwise_split"]),
+    (False, ["hardy.pythagoras", "hardy.chain.potential", "hardy.chain.gradient"]),
+])
+def test_verify_hardy_takes_no_transfer_forms_on_a_grid(split, ids, monkeypatch):
+    # psi/|x| has a cusp at the origin that a periodic spectral derivative
+    # does not resolve, so the transfer forms are radial only; a grid never
+    # takes x.grad(psi/|x|).
+    psi = _off_centre_state(3, 16)
+    monkeypatch.setattr("uncerteq.grids.x_dot_grad",
+                        lambda *args: pytest.fail("x.grad taken on a grid"))
+    assert [r.identity_id for r in verify_hardy(psi, 1e-9, split=split)] == ids
 
 
 def test_verify_hardy_reports_no_split_on_a_radial_profile():

@@ -258,6 +258,10 @@ def test_log_rule_validation():
         LogRadialQuadrature(3, 100.0, r_inner=-1.0)
     with pytest.raises(ValueError, match="too small for the cutoff ramps"):
         LogRadialQuadrature(3, 5.0)      # log(5) is under two ramp widths
+    # r^n <= r_max^n bounds the weights; 1000^103 overflows a float.
+    assert np.isfinite(LogRadialQuadrature(102, 1000.0).weights).all()
+    with pytest.raises(ValueError, match="at r_max = 1000: the largest n is 102"):
+        LogRadialQuadrature(103, 1000.0).weights
 
 
 @pytest.mark.parametrize("m", [6, 8, 12])

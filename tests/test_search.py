@@ -311,7 +311,8 @@ def _rho_closed_form(n, r_outer, r_inner=1.0, width=1.0):
     return 1.0 + 80.0 / (7.0 * n * n * width * (ell - 281.0 / 231.0 * width))
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+# n = 102 is the largest n whose weights r^n stay finite up to r = 1000.
+@pytest.mark.parametrize("n", [3, 4, 5, 102])
 @pytest.mark.parametrize("width", [1.0, 0.7])
 @pytest.mark.parametrize("rule", [lambda n: RadialQuadrature(n, 1100.0, 2),
                                   lambda n: LogRadialQuadrature(n, 1000.0)],
