@@ -67,6 +67,24 @@ READS = {
 }
 
 
+# What a config-file value of each SuiteConfig field type must be: a bool is
+# no int and no float here, though Python counts it as an int.
+_KINDS = {"int": ("an int", int), "float": ("a number", (int, float)),
+          "bool": ("true or false", bool), "str": ("a string", str)}
+
+
+def _check_type(key: str, annotation: str, value) -> None:
+    """Refuse a config-file value that does not suit its field's annotation,
+    such as "int | None"."""
+    kind = annotation.split()[0]
+    if value is None and annotation.endswith("None"):
+        return
+    if (not isinstance(value, _KINDS[kind][1])
+            or isinstance(value, bool) and kind != "bool"):
+        raise ValueError(f"config key {key!r} must be {_KINDS[kind][0]}, "
+                         f"got {value!r}")
+
+
 @dataclass
 class SuiteConfig:
     suite: str = "all"
@@ -91,6 +109,9 @@ class SuiteConfig:
             unknown = set(data) - {f.name for f in fields(cls)}
             if unknown:
                 raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            for f in fields(cls):
+                if f.name in data:
+                    _check_type(f.name, f.type, data[f.name])
         data.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**data)
 
@@ -107,6 +128,9 @@ class SuiteConfig:
                              "pass vacuously")
         if self.dim is not None and self.dim < 2:
             raise ValueError(f"--dim must be at least 2, got {self.dim}")
+        if self.dim is not None and self.dim > grids.MAX_POINTS:
+            raise ValueError(f"--dim must be at most 2^24 = {grids.MAX_POINTS}, "
+                             f"the grid's point cap, got {self.dim}")
         if self.tol is not None and not 0.0 <= self.tol < math.inf:
             raise ValueError(f"--tol must be finite and at least 0, got {self.tol}")
 

@@ -7,6 +7,10 @@ the five-part saturation classification.  The family and the classification
 take a whole (N, d) stack of zero-padded pairs at once (the CLI stacks at
 most max(1, STACK_ENTRIES // d) pairs) and report only the worst pair of
 each identity; a single pair is a stack of one and gives the same bits.
+The stacks are validated once and worked on entry-major, as C-contiguous
+real and imaginary (d, N) planes: a row sum then reduces over the outer
+axis, which numpy does as N-wide adds in entry order, strictly left to
+right, so the bits do not depend on N or on zero padding.
 """
 
 from __future__ import annotations
@@ -65,12 +69,12 @@ class ComplexVector:
         return float(np.linalg.norm(self.entries))
 
     def __add__(self, other: "ComplexVector") -> "ComplexVector":
-        u, v = _stacks(self, other)     # refuses a dimension mismatch
-        return ComplexVector(u[0] + v[0])
+        _stacks(self, other)            # refuses a dimension mismatch
+        return ComplexVector(self.entries + getattr(other, "entries", other))
 
     def __sub__(self, other: "ComplexVector") -> "ComplexVector":
-        u, v = _stacks(self, other)
-        return ComplexVector(u[0] - v[0])
+        _stacks(self, other)
+        return ComplexVector(self.entries - getattr(other, "entries", other))
 
     def __mul__(self, scalar) -> "ComplexVector":
         return ComplexVector(self.entries * complex(scalar))
@@ -97,32 +101,39 @@ def default_angles(rng: np.random.Generator | None = None,
 
 
 def _stacks(u, v) -> tuple[np.ndarray, np.ndarray]:
-    """Two vectors, or two (N, d) stacks of row vectors, as 2-D arrays."""
+    """Two vectors, or two (N, d) stacks of row vectors, entry-major: each as
+    a (2, d, N) array of its real and imaginary planes, C-contiguous."""
     u, v = (np.atleast_2d(np.asarray(getattr(x, "entries", x), np.complex128))
             for x in (u, v))
     if (u.shape != v.shape or u.ndim != 2 or u.size == 0
             or not (np.isfinite(u).all() and np.isfinite(v).all())):
         raise ValueError(f"entries must be finite, non-empty and of one shape, "
                          f"got shapes {u.shape} and {v.shape}")
-    return u, v
+    return np.array((u.real.T, u.imag.T)), np.array((v.real.T, v.imag.T))
 
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
-    # Strictly left to right, in place: trailing zeros leave the bits of a
-    # sum unchanged, so a padded row sums as the bare vector does.
-    return np.add.accumulate(x, axis=-1, out=x)[..., -1]
+    # Sums over the entry axis (-2) strictly left to right, so trailing zeros
+    # leave the bits unchanged and a padded row sums as the bare vector does.
+    # Over the outer of two axes, numpy adds N-wide rows in entry order and
+    # writes no partial sums; with N = 1 it would drop that axis and sum the
+    # d contiguous entries pairwise, so a stack of one accumulates in place.
+    if x.shape[-1] > 1:
+        return np.add.reduce(x, axis=-2)
+    return np.add.accumulate(x, axis=-2, out=x)[..., -1, :]
 
 
 def _norms_and_product(u: np.ndarray, v: np.ndarray):
-    """||u||, ||v|| and (u|v) of each row pair, in real arithmetic."""
-    ur, ui, vr, vi = u.real, u.imag, v.real, v.imag
-    a2, b2, pr, pi = ur * ur, vr * vr, ur * vr, ui * vr
-    a2 += ui * ui
-    b2 += vi * vi
-    pr += ui * vi
-    pi -= ur * vi
-    return (np.sqrt(_row_sum(a2)), np.sqrt(_row_sum(b2)),
-            _row_sum(pr) + 1j * _row_sum(pi))
+    """||u||, ||v|| and (u|v) of each row pair of two (2, d, N) stacks, in
+    real arithmetic, holding few (d, N) products at a time."""
+    (ur, ui), (vr, vi) = u, v
+
+    def dot(x, y, z, w, combine=np.add):    # row sums of x y + z w (or -)
+        s = x * y
+        return _row_sum(combine(s, z * w, out=s))
+
+    return (np.sqrt(dot(ur, ur, ui, ui)), np.sqrt(dot(vr, vr, vi, vi)),
+            dot(ur, vr, ui, vi) + 1j * dot(ui, vr, ur, vi, np.subtract))
 
 
 def phase_family(u, v, angles: Sequence[float] = FIXED_ANGLES):
@@ -138,11 +149,12 @@ def phase_family(u, v, angles: Sequence[float] = FIXED_ANGLES):
     a, b, p = _norms_and_product(u, v)
     if not ((a > 0.0) & (b > 0.0)).all():
         raise ValueError("zero vectors are excluded")
-    ur, ui = u.real / a[:, None], u.imag / a[:, None]
-    vr, vi = v.real / b[:, None], v.imag / b[:, None]
+    u /= a      # in place: _stacks made u and v
+    v /= b
+    (ur, ui), (vr, vi) = u, v               # (d, N) planes
 
     def t(w: np.ndarray) -> np.ndarray:     # phases w of shape (P, 1) or (P, N)
-        c, s = w.real[..., None], w.imag[..., None]
+        c, s = w.real[:, None], w.imag[:, None]     # working arrays (P, d, N)
         wr, wi = c * vr, c * vi
         wr -= s * vi
         wr += ur
@@ -155,7 +167,7 @@ def phase_family(u, v, angles: Sequence[float] = FIXED_ANGLES):
     rots = [complex(math.cos(theta), math.sin(theta)) for theta in angles]
     fixed = list(dict.fromkeys(
         [-1.0, 1.0, -1j, 1j, *(r * w for w in rots for r in (1, 1j, -1j))]))
-    step = max(1, STACK_ENTRIES // u.size)  # phases per working array
+    step = max(1, STACK_ENTRIES // ur.size)     # phases per working array
     tv = dict(zip(fixed, np.concatenate([t(np.array(fixed[k:k + step])[:, None])
                                          for k in range(0, len(fixed), step)])))
     absp = np.hypot(p.real, p.imag)
@@ -271,7 +283,7 @@ def extremizer_rows(u, v, tol: float = DEFAULT_TOL) -> np.ndarray:
         screen |= np.abs(x - ab) / np.maximum(np.maximum(x, ab), 1.0) <= tol
     flags = np.zeros((len(ab), 5), dtype=bool)
     for i in np.flatnonzero(screen):
-        ui, vi = u[i], v[i]
+        ui, vi = (x[0, :, i] + 1j * x[1, :, i] for x in (u, v))
         flags[i] = classify_saturation(
             float(a[i]), float(b[i]), complex(p[i]),
             lambda al, be: float(np.linalg.norm(al * ui + be * vi)), tol).as_tuple()

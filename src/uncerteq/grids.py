@@ -23,6 +23,7 @@ import numpy as np
 from .report import EqualityReport, compare
 
 SCHEMES = ("spectral_periodic", "central_diff_2", "central_diff_4")
+MAX_POINTS = 2 ** 24    # points per grid; also the largest --dim of a vector pair
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class GridSpec:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.scheme == "spectral_periodic" and self.N % 2:
             raise ValueError("spectral scheme requires an even point count")
-        if self.N ** self.n > 2 ** 24:
+        if self.N ** self.n > MAX_POINTS:
             raise ValueError("grid exceeds the 2^24 point cap")
 
     @property

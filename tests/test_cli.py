@@ -16,7 +16,7 @@ from uncerteq.complexspace import (cs_equality_residuals, default_angles,
                                    extremizer_class, random_vector)
 from uncerteq.forms import (PairSample, decomposition_check, sr_equalities,
                             sr_inequality_chain)
-from uncerteq.grids import GridSpec
+from uncerteq.grids import MAX_POINTS, GridSpec
 from uncerteq.report import bound
 from uncerteq.search import SearchResult
 
@@ -431,6 +431,58 @@ def test_vector_dimension_below_two_names_the_flag():
     # reaches the same check as the flag.
     with pytest.raises(ValueError, match="--dim"):
         SuiteConfig(suite="appendix", dim=1)
+
+
+def test_vector_dimension_above_the_point_cap_names_the_flag():
+    # A pair of 10^9 entries asked for about 30 GB and ended in numpy's
+    # memory error with exit 1; the cap refuses it before any allocation.
+    assert SuiteConfig(suite="appendix", dim=MAX_POINTS).dim == 2 ** 24
+    with pytest.raises(ValueError, match=r"--dim must be at most 2\^24"):
+        SuiteConfig(suite="section2", dim=MAX_POINTS + 1)
+
+
+@pytest.mark.parametrize("suite", ["appendix", "section2"])
+def test_vector_dimension_above_the_point_cap_is_a_usage_error(suite, capsys):
+    assert main(["verify", suite, "--dim", "1000000000", "--trials", "1"]) == 2
+    assert ("--dim must be at most 2^24 = 16777216, the grid's point cap"
+            in capsys.readouterr().err)
+
+
+_WRONG_TYPES = [({"dim": 3.5}, "an int"), ({"trials": 2.5}, "an int"),
+                ({"dim": "8"}, "an int"), ({"seed": 1.5}, "an int"),
+                ({"tol": "1e-3"}, "a number"), ({"dim": True}, "an int"),
+                ({"tol": False}, "a number"), ({"radial": 1}, "true or false"),
+                ({"out": 5}, "a string"), ({"seed": None}, "an int")]
+
+
+@pytest.mark.parametrize("data, kind", _WRONG_TYPES)
+def test_config_value_of_the_wrong_type_names_the_key(data, kind, tmp_path):
+    # Each was a TypeError traceback with exit 1, or (seed null) a run on an
+    # unseeded generator; {"dim": true} was refused only because True < 2.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    (key,) = data
+    with pytest.raises(ValueError, match=f"config key '{key}' must be {kind}, got"):
+        SuiteConfig.from_sources(str(cfg_path), {"suite": "appendix"})
+
+
+def test_config_values_of_their_field_type_are_taken(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"tol": 1, "L": 8, "N": 64, "radial": False,
+                                    "seed": 3, "dim": None, "out": "r.json"}))
+    cfg = SuiteConfig.from_sources(str(cfg_path), {"suite": "hardy"})
+    assert (cfg.tol, cfg.L, cfg.N, cfg.radial, cfg.seed, cfg.dim, cfg.out) == (
+        1, 8, 64, False, 3, None, "r.json")
+
+
+@pytest.mark.parametrize("data, kind", _WRONG_TYPES[:5])
+def test_config_value_of_the_wrong_type_is_a_usage_error(data, kind, tmp_path,
+                                                         capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main(["verify", "appendix", "--config", str(cfg_path)]) == 2
+    (key,) = data
+    assert f"error: config key '{key}' must be {kind}" in capsys.readouterr().err
 
 
 def test_zero_tolerance_is_kept(tmp_path):

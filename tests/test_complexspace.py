@@ -289,3 +289,36 @@ def test_batch_flags_match_the_scalar_classifier_row_by_row():
             lambda a, b: float(np.linalg.norm(a * u.entries + b * v.entries)), TOL)
         assert row == list(ref.as_tuple())
     assert [sum(row) for row in flags.tolist()] == [0, 3, 3, 1, 3, 5]
+
+
+def _row_bits(family, i) -> bytes:
+    a, b, p, rhs = family
+    return np.array([a[i], b[i], p[i].real, p[i].imag,
+                     *(x[i] for x in rhs.values())]).tobytes()
+
+
+@pytest.mark.parametrize("height", [1, 2, 3, 1024])
+def test_row_sums_keep_entry_order_at_every_stack_height(height):
+    # Widths above numpy's 8-entry pairwise block: a row summed pairwise
+    # moves bits here.  A row alone, in a stack and padded must agree bit
+    # for bit, so each must be summed strictly left to right.  Three v in
+    # five are a real, imaginary or unit-phase multiple of their u, so that
+    # the flags go through the classifier's combination norms.
+    rng = np.random.default_rng(height)
+    angles = default_angles(rng)
+    lams = [2.0, None, -0.5j, None, complex(math.cos(0.7), math.sin(0.7))]
+    for width in (9, 31, 33, 40, 64):
+        dims = [width, *rng.integers(2, width + 1, height - 1)]
+        us = [random_vector(rng, d) for d in dims]
+        vs = [random_vector(rng, d) if lams[i % 5] is None else lams[i % 5] * u
+              for i, (d, u) in enumerate(zip(dims, us))]
+        family, padded = (phase_family(_stack(us, w), _stack(vs, w), angles)
+                          for w in (width, width + 23))
+        flags = extremizer_rows(_stack(us, width), _stack(vs, width), TOL)
+        assert np.array_equal(
+            flags, extremizer_rows(_stack(us, width + 23), _stack(vs, width + 23), TOL))
+        for i, (u, v) in enumerate(zip(us, vs)):
+            alone = _row_bits(phase_family(u, v, angles), 0)
+            assert alone == _row_bits(family, i) == _row_bits(padded, i)
+            assert extremizer_rows(u, v, TOL).tolist() == [flags[i].tolist()]
+        assert flags.any()
