@@ -16,6 +16,8 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from types import NoneType, UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -67,22 +69,18 @@ READS = {
 }
 
 
-# What a config-file value of each SuiteConfig field type must be: a bool is
-# no int and no float here, though Python counts it as an int.
-_KINDS = {"int": ("an int", int), "float": ("a number", (int, float)),
-          "bool": ("true or false", bool), "str": ("a string", str)}
-
-
-def _check_type(key: str, annotation: str, value) -> None:
-    """Refuse a config-file value that does not suit its field's annotation,
-    such as "int | None"."""
-    kind = annotation.split()[0]
-    if value is None and annotation.endswith("None"):
-        return
-    if (not isinstance(value, _KINDS[kind][1])
-            or isinstance(value, bool) and kind != "bool"):
-        raise ValueError(f"config key {key!r} must be {_KINDS[kind][0]}, "
-                         f"got {value!r}")
+def _check_type(key: str, hint, value) -> None:
+    """Refuse a config-file value that is not of its field's resolved type,
+    as typing.get_type_hints gives it: a float field also takes an int, and
+    a bool is no int and no float here, though Python counts it as an int."""
+    members = get_args(hint) if get_origin(hint) in (Union, UnionType) else (hint,)
+    kinds = tuple(get_origin(m) or m for m in members)
+    if float in kinds:
+        kinds += (int,)
+    if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
+        names = " or ".join("null" if m is NoneType else getattr(m, "__name__", str(m))
+                            for m in members)
+        raise ValueError(f"config key {key!r} must be {names}, got {value!r}")
 
 
 @dataclass
@@ -109,9 +107,9 @@ class SuiteConfig:
             unknown = set(data) - {f.name for f in fields(cls)}
             if unknown:
                 raise ValueError(f"unknown config keys: {sorted(unknown)}")
-            for f in fields(cls):
-                if f.name in data:
-                    _check_type(f.name, f.type, data[f.name])
+            for key, hint in get_type_hints(cls).items():
+                if key in data:
+                    _check_type(key, hint, data[key])
         data.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**data)
 

@@ -7,10 +7,12 @@ the five-part saturation classification.  The family and the classification
 take a whole (N, d) stack of zero-padded pairs at once (the CLI stacks at
 most max(1, STACK_ENTRIES // d) pairs) and report only the worst pair of
 each identity; a single pair is a stack of one and gives the same bits.
-The stacks are validated once and worked on entry-major, as C-contiguous
-real and imaginary (d, N) planes: a row sum then reduces over the outer
-axis, which numpy does as N-wide adds in entry order, strictly left to
-right, so the bits do not depend on N or on zero padding.
+The stacks are validated once and worked on as real and imaginary (d, N)
+planes.  From REDUCE_ROWS pairs the planes are C-contiguous, entry-major,
+and a row sum reduces over the outer axis, which numpy does as N-wide adds
+in entry order, strictly left to right.  A shorter stack keeps its rows
+contiguous and accumulates each in place in the same order, so the bits do
+not depend on N or on zero padding.
 """
 
 from __future__ import annotations
@@ -63,18 +65,18 @@ class ComplexVector:
         self.entries = arr
 
     def inner(self, other: "ComplexVector") -> complex:
-        return complex(_norms_and_product(*_stacks(self, other))[2][0])
+        return complex(_norms_and_product(*_planes(self, other))[2][0])
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.entries))
 
     def __add__(self, other: "ComplexVector") -> "ComplexVector":
-        _stacks(self, other)            # refuses a dimension mismatch
-        return ComplexVector(self.entries + getattr(other, "entries", other))
+        u, v = _stacks(self, other)     # refuses a dimension mismatch
+        return ComplexVector(u[0] + v[0])
 
     def __sub__(self, other: "ComplexVector") -> "ComplexVector":
-        _stacks(self, other)
-        return ComplexVector(self.entries - getattr(other, "entries", other))
+        u, v = _stacks(self, other)
+        return ComplexVector(u[0] - v[0])
 
     def __mul__(self, scalar) -> "ComplexVector":
         return ComplexVector(self.entries * complex(scalar))
@@ -101,24 +103,45 @@ def default_angles(rng: np.random.Generator | None = None,
 
 
 def _stacks(u, v) -> tuple[np.ndarray, np.ndarray]:
-    """Two vectors, or two (N, d) stacks of row vectors, entry-major: each as
-    a (2, d, N) array of its real and imaginary planes, C-contiguous."""
+    """Two vectors, or two (N, d) stacks of row vectors, as 2-D arrays."""
     u, v = (np.atleast_2d(np.asarray(getattr(x, "entries", x), np.complex128))
             for x in (u, v))
     if (u.shape != v.shape or u.ndim != 2 or u.size == 0
             or not (np.isfinite(u).all() and np.isfinite(v).all())):
         raise ValueError(f"entries must be finite, non-empty and of one shape, "
                          f"got shapes {u.shape} and {v.shape}")
-    return np.array((u.real.T, u.imag.T)), np.array((v.real.T, v.imag.T))
+    return u, v
+
+
+# Stack height from which a row sum reduces over the outer axis; a lower
+# stack accumulates in place.  The reduce runs one N-wide inner loop per
+# entry, so it loses to the accumulate's d-long loops below about 6 rows
+# (appendix + section2 kernels at --dim 2048-16384, N = 16 down to 2, on a
+# 2-vCPU VM).
+REDUCE_ROWS = 6
+
+
+def _planes(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """The stacks of :func:`_stacks`, each copied once into a (2, d, N) array
+    of its real and imaginary planes: C-contiguous, so entry-major, for the
+    outer-axis reduce of :func:`_row_sum`, and row-major in memory below
+    REDUCE_ROWS pairs, so that its accumulate runs along contiguous rows."""
+    u, v = _stacks(u, v)
+    if len(u) >= REDUCE_ROWS:
+        return np.array((u.real.T, u.imag.T)), np.array((v.real.T, v.imag.T))
+    return (np.array((u.real, u.imag)).transpose(0, 2, 1),
+            np.array((v.real, v.imag)).transpose(0, 2, 1))
 
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
     # Sums over the entry axis (-2) strictly left to right, so trailing zeros
     # leave the bits unchanged and a padded row sums as the bare vector does.
     # Over the outer of two axes, numpy adds N-wide rows in entry order and
-    # writes no partial sums; with N = 1 it would drop that axis and sum the
-    # d contiguous entries pairwise, so a stack of one accumulates in place.
-    if x.shape[-1] > 1:
+    # writes no partial sums.  A short stack accumulates in place instead,
+    # in the same order, along the contiguous rows _planes gives it; with
+    # N = 1 the reduce would also drop that axis and sum the d contiguous
+    # entries pairwise, which moves bits.
+    if x.shape[-1] >= REDUCE_ROWS:
         return np.add.reduce(x, axis=-2)
     return np.add.accumulate(x, axis=-2, out=x)[..., -1, :]
 
@@ -145,11 +168,11 @@ def phase_family(u, v, angles: Sequence[float] = FIXED_ANGLES):
     = ab t(-1), ab t(1), ab t(-i), ab t(i) = Re p, -Re p, Im p, -Im p;
     ``pyth*`` and ``rot*@theta``, ab hypot(t, t') at two phases, equal |p|.
     """
-    u, v = _stacks(u, v)
+    u, v = _planes(u, v)
     a, b, p = _norms_and_product(u, v)
     if not ((a > 0.0) & (b > 0.0)).all():
         raise ValueError("zero vectors are excluded")
-    u /= a      # in place: _stacks made u and v
+    u /= a      # in place: _planes made u and v
     v /= b
     (ur, ui), (vr, vi) = u, v               # (d, N) planes
 
@@ -273,7 +296,7 @@ def extremizer_rows(u, v, tol: float = DEFAULT_TOL) -> np.ndarray:
     Only a row where a primary clause holds goes through the cross-checks of
     :func:`classify_saturation`, which may raise InternalConsistencyError.
     """
-    u, v = _stacks(u, v)
+    u, v = _planes(u, v)
     a, b, p = _norms_and_product(u, v)
     ab = a * b
     screen = ab == 0.0

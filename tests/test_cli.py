@@ -5,13 +5,14 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from typing import Optional
 
 import numpy as np
 import pytest
 
 from uncerteq import cli, identities
-from uncerteq.cli import (SuiteConfig, main, refinement_study, run_suite,
-                          write_refinement_csv)
+from uncerteq.cli import (SuiteConfig, _check_type, main, refinement_study,
+                          run_suite, write_refinement_csv)
 from uncerteq.complexspace import (cs_equality_residuals, default_angles,
                                    extremizer_class, random_vector)
 from uncerteq.forms import (PairSample, decomposition_check, sr_equalities,
@@ -448,11 +449,11 @@ def test_vector_dimension_above_the_point_cap_is_a_usage_error(suite, capsys):
             in capsys.readouterr().err)
 
 
-_WRONG_TYPES = [({"dim": 3.5}, "an int"), ({"trials": 2.5}, "an int"),
-                ({"dim": "8"}, "an int"), ({"seed": 1.5}, "an int"),
-                ({"tol": "1e-3"}, "a number"), ({"dim": True}, "an int"),
-                ({"tol": False}, "a number"), ({"radial": 1}, "true or false"),
-                ({"out": 5}, "a string"), ({"seed": None}, "an int")]
+_WRONG_TYPES = [({"dim": 3.5}, "int or null"), ({"trials": 2.5}, "int or null"),
+                ({"dim": "8"}, "int or null"), ({"seed": 1.5}, "int"),
+                ({"tol": "1e-3"}, "float or null"), ({"dim": True}, "int or null"),
+                ({"tol": False}, "float or null"), ({"radial": 1}, "bool or null"),
+                ({"out": 5}, "str or null"), ({"seed": None}, "int")]
 
 
 @pytest.mark.parametrize("data, kind", _WRONG_TYPES)
@@ -473,6 +474,17 @@ def test_config_values_of_their_field_type_are_taken(tmp_path):
     cfg = SuiteConfig.from_sources(str(cfg_path), {"suite": "hardy"})
     assert (cfg.tol, cfg.L, cfg.N, cfg.radial, cfg.seed, cfg.dim, cfg.out) == (
         1, 8, 64, False, 3, None, "r.json")
+
+
+def test_config_type_check_reads_resolved_type_hints():
+    # Any annotation form resolves to the same check: Optional, a union
+    # written with |, and a parametrized generic by its origin.
+    for hint, value in ((Optional[int], None), (int | None, 3), (float, 2),
+                        (list[str], ["a"])):
+        _check_type("k", hint, value)
+    for hint, value in ((Optional[int], 1.0), (int, True), (list[str], "a")):
+        with pytest.raises(ValueError, match="config key 'k' must be"):
+            _check_type("k", hint, value)
 
 
 @pytest.mark.parametrize("data, kind", _WRONG_TYPES[:5])

@@ -260,18 +260,38 @@ def test_zero_or_non_finite_row_of_a_batch_is_refused(row):
             extremizer_rows(u, v)
 
 
+def _row_bits(family, i) -> bytes:
+    a, b, p, rhs = family
+    return np.array([a[i], b[i], p[i].real, p[i].imag,
+                     *(x[i] for x in rhs.values())]).tobytes()
+
+
 def test_batch_rows_give_the_bits_of_single_pairs():
+    # Widths above numpy's 8-entry pairwise block, where a row summed
+    # pairwise moves bits; heights on both sides of REDUCE_ROWS, so both row
+    # sums run.  A row alone, in a stack and padded must agree bit for bit.
+    # Three v in five are a real, imaginary or unit-phase multiple of their
+    # u, so that the flags go through the classifier's combination norms.
     rng = np.random.default_rng(12)
-    dims = [2, 9, 31, 4]
-    us = [random_vector(rng, d) for d in dims]
-    vs = [random_vector(rng, d) for d in dims]
     angles = default_angles(rng)
-    a, b, p, rhs = phase_family(_stack(us, 40), _stack(vs, 40), angles)
-    for i, (u, v) in enumerate(zip(us, vs)):
-        a1, b1, p1, rhs1 = phase_family(u, v, angles)
-        assert (a1[0], b1[0], p1[0]) == (a[i], b[i], p[i])
-        assert {k: x[0] for k, x in rhs1.items()} == {k: x[i] for k, x in rhs.items()}
-        assert p1[0] == u.inner(v)
+    lams = [2.0, None, -0.5j, None, complex(math.cos(0.7), math.sin(0.7))]
+    rows = complexspace.REDUCE_ROWS
+    for height in (1, 2, 3, rows - 1, rows, 40):
+        for width in (9, 31, 33, 40, 64):
+            dims = [width, *rng.integers(2, width + 1, height - 1)]
+            us = [random_vector(rng, d) for d in dims]
+            vs = [random_vector(rng, d) if lams[i % 5] is None else lams[i % 5] * u
+                  for i, (d, u) in enumerate(zip(dims, us))]
+            family, padded = (phase_family(_stack(us, w), _stack(vs, w), angles)
+                              for w in (width, width + 23))
+            flags, padded_flags = (extremizer_rows(_stack(us, w), _stack(vs, w), TOL)
+                                   for w in (width, width + 23))
+            assert np.array_equal(flags, padded_flags) and flags.any()
+            for i, (u, v) in enumerate(zip(us, vs)):
+                alone = phase_family(u, v, angles)
+                assert _row_bits(alone, 0) == _row_bits(family, i) == _row_bits(padded, i)
+                assert alone[2][0] == u.inner(v)
+                assert extremizer_rows(u, v, TOL).tolist() == [flags[i].tolist()]
 
 
 def test_batch_flags_match_the_scalar_classifier_row_by_row():
@@ -289,36 +309,3 @@ def test_batch_flags_match_the_scalar_classifier_row_by_row():
             lambda a, b: float(np.linalg.norm(a * u.entries + b * v.entries)), TOL)
         assert row == list(ref.as_tuple())
     assert [sum(row) for row in flags.tolist()] == [0, 3, 3, 1, 3, 5]
-
-
-def _row_bits(family, i) -> bytes:
-    a, b, p, rhs = family
-    return np.array([a[i], b[i], p[i].real, p[i].imag,
-                     *(x[i] for x in rhs.values())]).tobytes()
-
-
-@pytest.mark.parametrize("height", [1, 2, 3, 1024])
-def test_row_sums_keep_entry_order_at_every_stack_height(height):
-    # Widths above numpy's 8-entry pairwise block: a row summed pairwise
-    # moves bits here.  A row alone, in a stack and padded must agree bit
-    # for bit, so each must be summed strictly left to right.  Three v in
-    # five are a real, imaginary or unit-phase multiple of their u, so that
-    # the flags go through the classifier's combination norms.
-    rng = np.random.default_rng(height)
-    angles = default_angles(rng)
-    lams = [2.0, None, -0.5j, None, complex(math.cos(0.7), math.sin(0.7))]
-    for width in (9, 31, 33, 40, 64):
-        dims = [width, *rng.integers(2, width + 1, height - 1)]
-        us = [random_vector(rng, d) for d in dims]
-        vs = [random_vector(rng, d) if lams[i % 5] is None else lams[i % 5] * u
-              for i, (d, u) in enumerate(zip(dims, us))]
-        family, padded = (phase_family(_stack(us, w), _stack(vs, w), angles)
-                          for w in (width, width + 23))
-        flags = extremizer_rows(_stack(us, width), _stack(vs, width), TOL)
-        assert np.array_equal(
-            flags, extremizer_rows(_stack(us, width + 23), _stack(vs, width + 23), TOL))
-        for i, (u, v) in enumerate(zip(us, vs)):
-            alone = _row_bits(phase_family(u, v, angles), 0)
-            assert alone == _row_bits(family, i) == _row_bits(padded, i)
-            assert extremizer_rows(u, v, TOL).tolist() == [flags[i].tolist()]
-        assert flags.any()
