@@ -293,8 +293,7 @@ def _minimize(target: str, cfg: SuiteConfig, max_iters: int = _MINIMIZE["max_ite
               ) -> tuple[dict, list[EqualityReport]]:
     """One search minimizer on the configured grid: its summary and reports."""
     grid = GridSpec(cfg.n, cfg.N, cfg.L, cfg.offset)
-    runner = (minimize_sum_functional if target == "sum"
-              else minimize_product_functional)
+    runner = minimize_sum_functional if target == "sum" else minimize_product_functional
     res = runner(grid, cfg.seed, SearchOptions(max_iters=max_iters))
     extra = ({"converged": res.converged} if target == "sum"
              else {"lambda_est": res.lambda_est})

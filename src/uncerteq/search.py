@@ -5,8 +5,9 @@ step the exact minimizer on the plane of the state and the search
 direction.  The sum functional is the harmonic Rayleigh quotient whose
 minimum n is attained at the isotropic Gaussian; the product functional
 shares the minimum value but has a one-parameter family of anisotropic
-Gaussian minimizers.  The descent loop runs on raw arrays and stops with a
-ValueError at a non-finite value or gradient norm.  A separate probe
+Gaussian minimizers.  The descent loop runs on raw arrays and Python scalars;
+each iteration raises a ValueError at a non-finite value, gradient norm or
+plane-step coefficient, or at a zero form of the product.  A separate probe
 documents that the scaling-derivative ratio approaches but never attains its
 lower bound.  It integrates each annulus on a log-r Gauss-Legendre rule
 whose panels are the annulus's ramps and plateau, where the integrands are
@@ -15,6 +16,7 @@ polynomials in log r, so its ratios are exact up to rounding.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -23,8 +25,11 @@ import numpy as np
 from . import grids
 from .gaussians import GaussianSpec, realize
 from .grids import GridSpec, StateField, _radius_sq
+from .identities import random_smooth_state
 from .radial import (LogRadialQuadrature, RadialQuadrature, annulus_state,
                      x_dot_grad as radial_x_dot_grad)
+
+_SHIFT = np.diag(np.ones(3, complex), -1)   # np.roots's companion, row 0 unset
 
 
 @dataclass(frozen=True)
@@ -49,79 +54,79 @@ def fidelity(a: StateField, b: StateField) -> float:
     return abs(a.inner(b)) / (a.norm() * b.norm())
 
 
-def _re_inner(grid: GridSpec, a: np.ndarray, b: np.ndarray) -> float:
-    """Re<a, b> of grid data, as ``StateField.inner`` computes it."""
-    return (np.vdot(b, a) * grid.weight).real
+def _re_inner(w: float, a: np.ndarray, b: np.ndarray) -> float:
+    """Re<a, b> of grid data of cell weight w, as a Python float."""
+    return float(np.vdot(b, a).real) * w
 
 
-def _tangent(grid: GridSpec, phi: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Projection of ``v`` onto the tangent space of the sphere at ``phi``."""
-    return v - _re_inner(grid, phi, v) * phi
-
-
-def _value_and_gradient(grid: GridSpec, phi: np.ndarray, lap: np.ndarray,
-                        product: bool):
-    """Value, Riemannian gradient and its squared norm at the unit-norm
-    ``phi``; lap = -Lap phi.  A non-finite value or norm is a ValueError.
+def _value_and_gradient(w: float, r2: np.ndarray, phi: np.ndarray,
+                        lap: np.ndarray, product: bool):
+    """Value, Riemannian gradient, its squared norm and the forms (X, G) at the
+    unit-norm ``phi``, for cell weight w, r2 = |x|^2 and lap = -Lap phi.  A
+    non-finite value or norm, or a zero form of the product, is a ValueError.
 
     Both functionals are homogeneous of degree one in X = <x^2 phi, phi> and
     G = <lap, phi>, so the value is wx X + wg G with (wx, wg) = (dF/dX,
     dF/dG): (1, 1) for the sum X + G and (sqrt(G/X), sqrt(X/G)) for the
     product 2 sqrt(X G).  The gradient is 2 (wx x^2 phi + wg lap - value phi).
     """
-    x2phi = _radius_sq(grid) * phi
-    x_sq, g_sq = _re_inner(grid, x2phi, phi), _re_inner(grid, lap, phi)
-    wx, wg = ((math.sqrt(g_sq / x_sq), math.sqrt(x_sq / g_sq)) if product
-              else (1.0, 1.0))
+    grad = r2 * phi   # x^2 phi, turned into the gradient in place
+    x_sq, g_sq = _re_inner(w, grad, phi), _re_inner(w, lap, phi)
+    if product and not (x_sq and g_sq):
+        form = "G = <-Lap phi, phi>" if x_sq else "X = <x^2 phi, phi>"
+        raise ValueError(f"the product needs nonzero forms, got {form} = 0")
+    wx, wg = (math.sqrt(g_sq / x_sq), math.sqrt(x_sq / g_sq)) if product else (1.0, 1.0)
     value = wx * x_sq + wg * g_sq
-    grad = 2.0 * (wx * x2phi + wg * lap - value * phi)
-    grad_sq = np.vdot(grad, grad).real * grid.weight
+    if product:   # the sum skips its unit weights: x 1.0 moves no bit
+        grad *= wx
+    grad += wg * lap if product else lap
+    grad -= value * phi
+    grad *= 2.0
+    grad_sq = _re_inner(w, grad, grad)
     if not (math.isfinite(value) and math.isfinite(grad_sq)):
         raise ValueError("field values must be finite")
-    return value, grad, grad_sq
+    return value, grad, grad_sq, (x_sq, g_sq)
 
 
-def _plane_step(grid: GridSpec, phi, lap, d, lap_d, product: bool) -> float:
+def _plane_step(w: float, r2: np.ndarray, phi, d, lap_d, forms, product: bool) -> float:
     """Exact minimizing angle t of the functional on cos t phi + sin t d.
 
-    ``phi`` and ``d`` are orthonormal in Re<., .>, and ``lap``, ``lap_d``
-    are -Laplacian of them.  The sum is the Laurent polynomial Q = X + G of
-    degree one in z = e^{2it}, least at an angle in closed form; the product
-    is monotone in Q = X G, of degree two.  Returns 0.0 when no angle lowers
-    Q.
+    ``phi`` and ``d`` are orthonormal in Re<., .>, ``lap_d`` is -Laplacian d
+    and ``forms`` are (X, G) at phi.  The sum is the Laurent polynomial
+    Q = X + G of degree one in z = e^{2it}, least at an angle in closed form;
+    the product is monotone in Q = X G, of degree two.  Returns 0.0 when no
+    angle lowers Q; a non-finite coefficient is a ValueError.  Coefficients,
+    angle and drops are Python scalars with numpy's bits; the product keeps
+    np.convolve, whose dot sets its coefficients' bits, and eigvals.
     """
-    r2 = _radius_sq(grid)
-    forms = []
-    for a_phi, a_d in ((r2 * phi, r2 * d), (lap, lap_d)):
+    coeffs = []
+    for a, a_d in zip(forms, (r2 * d, lap_d)):
         # (a + b)/2 + (a - b)/2 cos 2t + c sin 2t as coefficients of
         # z^-1, 1, z, from a = <A phi, phi>, b = <A d, d>, c = Re<A d, phi>.
-        a, b, c = (_re_inner(grid, a_phi, phi), _re_inner(grid, a_d, d),
-                   _re_inner(grid, a_d, phi))
+        b, c = _re_inner(w, a_d, d), _re_inner(w, a_d, phi)
         c1 = 0.25 * (a - b) - 0.5j * c
-        forms.append(np.array([np.conj(c1), 0.5 * (a + b), c1]))
-    cx, cg = forms
-    q = np.convolve(cx, cg) if product else cx + cg
-    if not np.isfinite(q).all():
+        coeffs.append((c1.conjugate(), 0.5 * (a + b), c1))
+    q = np.convolve(*coeffs).tolist() if product else [x + g for x, g in zip(*coeffs)]
+    if not all(map(cmath.isfinite, q)):
         raise ValueError("field values must be finite")
     m = len(q) // 2
     if m == 2 and q[-1] != 0.0:
         # The critical angles are the roots of z^2 dQ/dz: the eigenvalues of
         # its companion matrix, built as np.roots builds it.
-        p = (np.arange(-2, 3) * q)[::-1]
-        companion = np.diag(np.ones(3, p.dtype), -1)
-        companion[0, :] = -p[1:] / p[0]
-        angles = 0.5 * np.angle(np.linalg.eigvals(companion))
+        p = (np.arange(-2, 3) * np.array(q))[::-1]
+        companion = _SHIFT.copy()
+        companion[0] = -p[1:] / p[0]
+        angles = (0.5 * np.angle(np.linalg.eigvals(companion))).tolist()
     else:
         # The sum, or a product without its z^2 term, is q_0 + 2 Re(q_1 z),
         # least at q_1 z = -|q_1|; at q_1 = 0 the drop below is 0.
-        angles = np.array([0.5 * math.atan2(q[m + 1].imag, -q[m + 1].real)])
+        angles = [0.5 * math.atan2(q[m + 1].imag, -q[m + 1].real)]
     # Q(t) - Q(0) is the sum over k >= 1 of 2 Re(q_k (e^{2ikt} - 1)); writing
     # e^{2ikt} - 1 = 2i sin(kt) e^{ikt} keeps small decreases exact.
-    kp, qp, t = np.arange(1, m + 1), q[m + 1:], angles[:, None]
-    drops = (4j * qp * np.sin(kp * t) * np.exp(1j * kp * t)).real.sum(axis=1)
-    if drops.min() >= 0.0:
-        return 0.0
-    return float(angles[np.argmin(drops)])
+    drops = [sum((4j * q[m + k] * math.sin(k * t) * cmath.exp(1j * k * t)).real
+                 for k in range(1, m + 1)) for t in angles]
+    best = min(range(len(drops)), key=drops.__getitem__)
+    return 0.0 if drops[best] >= 0.0 else angles[best]
 
 
 def _descend(grid: GridSpec, seed: int, opts: SearchOptions,
@@ -136,48 +141,47 @@ def _descend(grid: GridSpec, seed: int, opts: SearchOptions,
     ``opts.gtol``, or at the rounding floor, where even the negative
     gradient gives no step; both count as converged.
 
-    The loop runs on raw arrays.  Only the start state and the input and
-    result of each -Laplacian are checked fields; every other array feeds
-    the plane step or the value and gradient norm, which raise when not
-    finite.
+    The loop reads the weight and |x|^2 once and runs on raw arrays, updated in
+    place once spent.  Only the start state and the input and result of each
+    -Laplacian are checked fields; every other array feeds the plane step or the
+    value and gradient norm, which raise when not finite.
     """
-    from .identities import random_smooth_state
-
+    w, r2 = grid.weight, _radius_sq(grid)
     start = random_smooth_state(grid, np.random.default_rng(seed))
     phi, lap = start.data, grids.neg_laplacian(start).data
-    value, grad, grad_sq = _value_and_gradient(grid, phi, lap, product)
-    direction, beta = -1.0 * grad, 0.0
-    trace = [(0, value, 0.0)]
-    it = 0
-    stalled = False
+    value, grad, grad_sq, forms = _value_and_gradient(w, r2, phi, lap, product)
+    direction, beta = -grad, 0.0
+    trace, it, stalled = [(0, value, 0.0)], 0, False
     while math.sqrt(grad_sq) > opts.gtol and it < opts.max_iters:
-        d = _tangent(grid, phi, direction)
-        d = d / math.sqrt(np.vdot(d, d).real * grid.weight)
+        d = direction - _re_inner(w, phi, direction) * phi
+        d /= math.sqrt(_re_inner(w, d, d))
         lap_d = grids.neg_laplacian(StateField(grid, d)).data
-        theta = _plane_step(grid, phi, lap, d, lap_d, product)
+        theta = _plane_step(w, r2, phi, d, lap_d, forms, product)
         c, s = math.cos(theta), math.sin(theta)
-        new_phi, new_lap = c * phi + s * d, c * lap + s * lap_d
-        new_value, new_grad, new_grad_sq = _value_and_gradient(
-            grid, new_phi, new_lap, product)
+        new_phi, new_lap = c * phi, c * lap
+        new_phi += np.multiply(d, s, out=d)
+        new_lap += np.multiply(lap_d, s, out=lap_d)
+        new_value, new_grad, new_grad_sq, new_forms = _value_and_gradient(
+            w, r2, new_phi, new_lap, product)
         if theta == 0.0 or new_value > value:
             # No step even along the negative gradient is the rounding floor;
             # a failed conjugate direction restarts at the negative gradient.
             stalled = beta == 0.0
             if stalled:
                 break
-            direction, beta = -1.0 * grad, 0.0
+            direction, beta = -grad, 0.0
             continue
         it += 1
         # new_grad is tangent at new_phi, so it meets the transported old
         # gradient as it meets the old gradient itself.
-        beta = max(0.0, (new_grad_sq - _re_inner(grid, new_grad, grad))
-                   / grad_sq)
-        direction = beta * _tangent(grid, new_phi, direction) - new_grad
-        phi, lap, value, grad, grad_sq = (new_phi, new_lap, new_value,
-                                          new_grad, new_grad_sq)
+        beta = max(0.0, (new_grad_sq - _re_inner(w, new_grad, grad)) / grad_sq)
+        direction -= _re_inner(w, new_phi, direction) * new_phi
+        direction *= beta
+        direction -= new_grad
+        phi, lap, value, grad, grad_sq, forms = (
+            new_phi, new_lap, new_value, new_grad, new_grad_sq, new_forms)
         trace.append((it, value, theta))
-    return SearchResult(state=StateField(grid, phi), value=value,
-                        iterations=it,
+    return SearchResult(state=StateField(grid, phi), value=value, iterations=it,
                         converged=stalled or math.sqrt(grad_sq) <= opts.gtol,
                         trace=trace)
 
@@ -204,13 +208,11 @@ def minimize_product_functional(grid: GridSpec, seed: int,
     with the matching anisotropic Gaussian.
     """
     result = _descend(grid, seed, opts, product=True)
-    xnorm = grids.position(result.state).norm()
-    gnorm = grids.gradient(result.state).norm()
-    result.lambda_est = gnorm / xnorm
+    result.lambda_est = (grids.gradient(result.state).norm()
+                         / grids.position(result.state).norm())
     # fidelity normalizes; realize's boundary guard protects closed-form
     # moments and would refuse the small lambda some starts converge to.
-    r2 = _radius_sq(grid)
-    matched = StateField(grid, np.exp(-0.5 * result.lambda_est * r2))
+    matched = StateField(grid, np.exp(-0.5 * result.lambda_est * _radius_sq(grid)))
     result.fidelity = fidelity(result.state, matched)
     return result
 
@@ -235,7 +237,6 @@ def probe_nonattainment(quad: RadialQuadrature | LogRadialQuadrature, r_values,
             raise ValueError("outer radius exceeds the quadrature range")
         rule = LogRadialQuadrature(quad.n, r_outer, r_inner, width)
         phi = annulus_state(rule, r_inner, r_outer, width)
-        num = radial_x_dot_grad(phi).norm_sq()
-        den = (0.5 * quad.n) ** 2 * phi.norm_sq()
-        rows.append({"R": r_outer, "rho": num / den})
+        rows.append({"R": r_outer, "rho": radial_x_dot_grad(phi).norm_sq()
+                     / ((0.5 * quad.n) ** 2 * phi.norm_sq())})
     return rows
