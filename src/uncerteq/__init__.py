@@ -11,9 +11,7 @@ __version__ = "0.1.0"
 from .complexspace import (ComplexVector, ExtremizerFlags,
                            InternalConsistencyError, cs_equality_residuals,
                            extremizer_class, random_vector, sgn)
-from .forms import (InequalityChain, PairSample, anticommutator_form,
-                    commutator_form, decomposition_check, extremizer_parts,
-                    sr_equalities, sr_inequality_chain)
+from .forms import PairSample, pair_reports
 from .gaussians import GaussianSpec, exact_moments, realize
 from .grids import (GridSpec, StateField, VectorField,
                     pointwise_gradient_decomposition)

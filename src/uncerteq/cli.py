@@ -104,6 +104,9 @@ class SuiteConfig:
         if config_path:
             with open(config_path) as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ValueError(f"config file {config_path} must hold a JSON "
+                                 f"object of flag values, got {json.dumps(data)[:40]}")
             unknown = set(data) - {f.name for f in fields(cls)}
             if unknown:
                 raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -121,6 +124,8 @@ class SuiteConfig:
         _refuse_unread(_row(self.suite, self.radial),
                        {k: v for k, v in asdict(self).items()
                         if k not in ("suite", "seed", "out", "csv")})
+        if self.seed < 0:
+            raise ValueError(f"--seed must be at least 0, got {self.seed}")
         if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be at least 1; zero trials would "
                              "pass vacuously")

@@ -70,14 +70,6 @@ class ComplexVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.entries))
 
-    def __add__(self, other: "ComplexVector") -> "ComplexVector":
-        u, v = _stacks(self, other)     # refuses a dimension mismatch
-        return ComplexVector(u[0] + v[0])
-
-    def __sub__(self, other: "ComplexVector") -> "ComplexVector":
-        u, v = _stacks(self, other)
-        return ComplexVector(u[0] - v[0])
-
     def __mul__(self, scalar) -> "ComplexVector":
         return ComplexVector(self.entries * complex(scalar))
 
@@ -241,10 +233,11 @@ def classify_saturation(a: float, b: float, p: complex,
                         tol: float) -> ExtremizerFlags:
     """Shared five-part classification from norms, product and combinations.
 
-    ``combo_norm(alpha, beta)`` returns ``||alpha*U + beta*V||`` for the pair,
-    plain vectors or grid states.  Only when the primary clause of a part
-    holds within ``tol`` are its other clauses computed; one beyond
-    ``CROSS_CHECK_FACTOR * tol`` raises :class:`InternalConsistencyError`.
+    ``combo_norm(alpha, beta)`` returns ``||alpha*U + beta*V||`` for the pair;
+    :func:`extremizer_rows` forms it from the pair's row of its stack.  Only
+    when the primary clause of a part holds within ``tol`` are its other
+    clauses computed; one beyond ``CROSS_CHECK_FACTOR * tol`` raises
+    :class:`InternalConsistencyError`.
     """
     if a == 0.0 or b == 0.0:
         # Every clause of every part holds trivially.
@@ -313,7 +306,7 @@ def extremizer_rows(u, v, tol: float = DEFAULT_TOL) -> np.ndarray:
     return flags
 
 
-def extremizer_class(u: ComplexVector, v: ComplexVector,
-                     tol: float = DEFAULT_TOL) -> ExtremizerFlags:
-    """Classify which saturation parts hold for the pair (u, v)."""
+def extremizer_class(u, v, tol: float = DEFAULT_TOL) -> ExtremizerFlags:
+    """Classify which saturation parts hold for the pair (u, v): two vectors
+    or two 1-D arrays, a stack of one for :func:`extremizer_rows`."""
     return ExtremizerFlags(*extremizer_rows(u, v, tol)[0].tolist())

@@ -15,14 +15,15 @@ from functools import lru_cache
 import numpy as np
 
 from . import grids, radial
-from .complexspace import ExtremizerFlags, sgn
-from .forms import PairSample, extremizer_parts
+from .complexspace import ExtremizerFlags, extremizer_class, sgn
 from .gaussians import GaussianSpec, realize
 from .grids import StateField
 from .radial import RadialState
 from .report import EqualityReport, bound, compare, worst
 
 GRID_TOL = 1e-8
+# The ids of verify_position_momentum, in its order; refine takes these.
+_PM_IDS = ("pm.trace", "pm.sum_norm", "pm.expansion", "pm.schrodinger")
 
 
 def _operators(state):
@@ -68,9 +69,11 @@ def verify_position_momentum(phi: StateField,
 
 
 def saturation_flags(phi: StateField, tol: float = 1e-6) -> ExtremizerFlags:
-    """Saturation classes of the momentum/position pair (-i grad phi, x phi)."""
-    return extremizer_parts(
-        PairSample.from_vectors(grids.momentum(phi), grids.position(phi)), tol)
+    """Saturation classes of the momentum/position pair (-i grad phi, x phi),
+    as one pair of flat vectors scaled by the root of the cell weight."""
+    w = math.sqrt(phi.grid.weight)
+    return extremizer_class(w * grids.momentum(phi).data.ravel(),
+                            w * grids.position(phi).data.ravel(), tol)
 
 
 def verify_dilation_pythagoras(state, tol: float = GRID_TOL) -> list[EqualityReport]:
@@ -264,16 +267,17 @@ def random_smooth_state(grid: grids.GridSpec, rng: np.random.Generator,
 def refinement_study(identity_id: str, grid_specs: list[grids.GridSpec]) -> dict:
     """Residual-versus-spacing table with a fitted convergence order.
 
-    The probe state is the isotropic Gaussian.  All grids must share
-    one derivative scheme and come in at least three distinct spacings.
+    The probe state is the isotropic Gaussian.  The id is one of _PM_IDS,
+    checked before any grid is built; all grids must share one derivative
+    scheme and come in at least three distinct spacings.
     """
+    if identity_id not in _PM_IDS:
+        raise ValueError(f"unsupported identity {identity_id!r} for refinement; "
+                         f"it takes {', '.join(_PM_IDS)}")
     if len({g.h for g in grid_specs}) < 3:
         raise ValueError("need grids of at least three distinct spacings")
-    schemes = {g.scheme for g in grid_specs}
-    if len(schemes) > 1:
+    if len({g.scheme for g in grid_specs}) > 1:
         raise ValueError("refinement study cannot mix derivative schemes")
-    if not identity_id.startswith("pm."):
-        raise ValueError(f"unsupported identity {identity_id!r} for refinement")
     rows = []
     for grid in sorted(grid_specs, key=lambda g: g.h, reverse=True):
         phi = realize(GaussianSpec("coherent", n=grid.n), grid)

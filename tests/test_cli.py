@@ -15,8 +15,8 @@ from uncerteq.cli import (SuiteConfig, _check_type, main, refinement_study,
                           run_suite, write_refinement_csv)
 from uncerteq.complexspace import (cs_equality_residuals, default_angles,
                                    extremizer_class, random_vector)
-from uncerteq.forms import (PairSample, decomposition_check, sr_equalities,
-                            sr_inequality_chain)
+from uncerteq.forms import PairSample, pair_reports
+from uncerteq.gaussians import GaussianSpec, realize
 from uncerteq.grids import MAX_POINTS, GridSpec
 from uncerteq.report import bound
 from uncerteq.search import SearchResult
@@ -241,6 +241,8 @@ def test_zero_and_out_of_range_flags_are_usage_errors(argv, capsys):
     (["search", "nonattainment", "--R", "inf"], "radius must be finite"),
     # No N makes a grid fit the Hardy identities below n = 3.
     (["verify", "hardy", "--n", "2"], "require dimension >= 3, got --n 2"),
+    # numpy's "expected non-negative integer" named no flag.
+    (["verify", "appendix", "--seed", "-1"], "--seed must be at least 0, got -1"),
 ])
 def test_an_out_of_range_value_names_what_it_breaks(argv, says, capsys):
     assert main(argv) == 2
@@ -517,6 +519,19 @@ def test_verify_coulomb_covers_both_dimensions(tmp_path):
     assert dims == {3, 5}
 
 
+@pytest.mark.parametrize("text", ["5", "null", '"abc"', "[1, 2]"])
+def test_config_file_that_is_not_an_object_is_a_usage_error(text, tmp_path,
+                                                            capsys):
+    # 5 and null were TypeError tracebacks (exit 1); "abc" reported the
+    # unknown config keys ['a', 'b', 'c'].
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert main(["verify", "appendix", "--config", str(cfg_path)]) == 2
+    assert (f"error: config file {cfg_path} must hold a JSON object of flag "
+            f"values, got {json.dumps(json.loads(text))}"
+            in capsys.readouterr().err)
+
+
 def test_bad_config_path_is_usage_error(capsys):
     code = main(["verify", "appendix", "--config", "/nonexistent/cfg.json"])
     assert code == 2
@@ -566,6 +581,24 @@ def test_refinement_study_requires_three_grids():
         refinement_study("dil.pythagoras", ok)
 
 
+@pytest.mark.parametrize("identity", ["pm.bogus", "pm.kennard_saturation"])
+def test_refine_refuses_an_unknown_id_before_building_a_grid(
+        identity, monkeypatch, capsys):
+    # Each grid was built and verified before a KeyError traceback (exit 1).
+    grid = GridSpec(n=1, N=64, L=12.0)
+    ids = [r.identity_id for r in identities.verify_position_momentum(
+        realize(GaussianSpec("coherent"), grid))]
+
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(identities, "realize", no_grid)
+    assert main(["refine", identity, "--N", "64", "--N", "128",
+                 "--N", "256"]) == 2
+    assert (f"error: unsupported identity {identity!r} for refinement; it "
+            f"takes {', '.join(ids)}" in capsys.readouterr().err)
+
+
 def test_refine_refuses_repeated_spacings(capsys):
     # Three copies of one grid fit an order to noise, not to a refinement.
     assert main(["refine", "pm.trace", "--N", "128", "--N", "128",
@@ -603,7 +636,8 @@ def test_refine_command(tmp_path, capsys):
 
 
 def _oracle(suite, seed, trials, dim):
-    """The suite's reports from the single-pair API, one pair at a time.
+    """The suite's reports from stacks of one pair, one pair at a time, with
+    the sr.chain.* bounds formed here from the pair's norms and product.
 
     The draws are those of the suite: default_angles, then per pair its
     dimension and two random_vector calls.
@@ -619,13 +653,16 @@ def _oracle(suite, seed, trials, dim):
             reports += cs_equality_residuals(u, v, angles=angles, tol=tol)
             extremizer_class(u, v, tol)
             continue
+        reports += [rep for rep in pair_reports(u, v, angles, tol)
+                    if not rep.identity_id.startswith("sr.chain.")]
         s = PairSample.from_vectors(u, v)
-        reports += [*sr_equalities(s, angles, tol), *decomposition_check(s, tol)]
-        chain = sr_inequality_chain(s)
-        reports += [bound("sr.chain.schrodinger", chain.schrodinger_bound,
-                          chain.product, tol, scale=chain.product),
-                    bound("sr.chain.robertson", chain.robertson_bound,
-                          chain.schrodinger_bound, tol, scale=chain.product)]
+        product, p = s.norm_a * s.norm_b, s.inner_ab
+        comm, anti = 2.0 * abs(p.imag), 2.0 * abs(p.real)
+        schrodinger, robertson = 0.5 * np.hypot(comm, anti), 0.5 * comm
+        reports += [bound("sr.chain.schrodinger", schrodinger, product, tol,
+                          scale=product),
+                    bound("sr.chain.robertson", robertson, schrodinger, tol,
+                          scale=product)]
     return cli._aggregate(reports)
 
 
