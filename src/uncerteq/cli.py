@@ -29,26 +29,26 @@ from .grids import GridSpec
 from .identities import GRID_TOL, refinement_study  # also public as cli.refinement_study
 from .radial import (LaguerreQuadrature, LogRadialQuadrature, RadialState,
                      radial_gaussian, random_radial_state)
-from .report import EqualityReport, bound, compare
+from .report import EqualityReport, bound, compare, worst
 from .search import (SearchOptions, minimize_product_functional,
                      minimize_sum_functional, probe_nonattainment)
 
 ALGEBRAIC_TOL = 1e-12
 # The grid suites and the search run the spectral scheme at GRID_TOL = 1e-8:
-# the worst search excess over n was 1.5e-10 (1,646 minimizations) and the
-# worst hardy.grid.value_rhs 1.6e-9 (n = 3, L 8-14, even N <= 128, offsets
-# 0.5 and 0.25).  Only refine reads --scheme: a difference quotient breaks
-# [x_j, d_j] = 1 at O(h^p), which refine measures.
+# the worst search excess over n was 1.5e-10 (1,646 minimizations); the worst
+# hardy.grid.value_rhs (n = 3, L 8-14, even N <= 128, offsets 0.5 and 0.25)
+# 1.6e-9 at h = 0.5 (spectral error against 1/|x|), 1.8e-14 at h <= 0.4.  Only
+# refine reads --scheme: a difference quotient breaks [x_j, d_j] = 1 at O(h^p).
 # Ids checked at a looser tolerance while --tol is unset.
 LOOSE_TOL = {"pm.kennard_saturation": 1e-6, "pm.coherent_alignment": 1e-6,
              "dilham.": 1e-7}
 
 # What each command runs on, and the config fields (flags) it reads with
-# their defaults; None leaves the default to the runner (hardy's N is 96 at
-# n = 3, else 32; coulomb runs n = 3 and 5).  Every verify suite also reads
-# seed, out, csv and --config; --radial picks the hardy row.  A field that
-# was set, by flag or by config file, and that the command does not read is
-# a usage error (_refuse_unread).
+# their defaults; None leaves the default to the runner (hardy's N and L are
+# 96 and 12 at n = 3, else 32 and 7; coulomb runs n = 3 and 5).  Every
+# verify suite also reads seed, out, csv and --config; --radial picks the
+# hardy row.  A field that was set, by flag or by config file, and that the
+# command does not read is a usage error (_refuse_unread).
 _GRID = {"tol": GRID_TOL, "n": 1, "N": 256, "L": 12.0, "offset": 0.0}
 _MINIMIZE = {**_GRID, "seed": None, "config": None, "max_iters": 40000}
 READS = {
@@ -56,7 +56,8 @@ READS = {
     "section2": ("random vectors", {"tol": ALGEBRAIC_TOL, "trials": 200, "dim": 32}),
     "momentum-position": ("a grid", {**_GRID, "trials": 50}),
     "dilation": ("a grid", {**_GRID, "trials": 20}),
-    "hardy": ("a grid", {**_GRID, "n": 3, "N": None, "offset": 0.5, "radial": None}),
+    "hardy": ("a grid", {**_GRID, "n": 3, "N": None, "L": None, "offset": 0.5,
+                         "radial": None}),
     "hardy --radial": ("the radial quadrature",
                        {"tol": GRID_TOL, "trials": 20, "n": 3, "radial": None}),
     "coulomb": ("the radial quadrature", {"tol": GRID_TOL, "trials": 20, "n": None}),
@@ -103,7 +104,10 @@ class SuiteConfig:
         data = {}
         if config_path:
             with open(config_path) as fh:
-                data = json.load(fh)
+                try:
+                    data = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{config_path} is not valid JSON: {exc}") from exc
             if not isinstance(data, dict):
                 raise ValueError(f"config file {config_path} must hold a JSON "
                                  f"object of flag values, got {json.dumps(data)[:40]}")
@@ -229,13 +233,11 @@ def run_momentum_position(cfg: SuiteConfig) -> list[EqualityReport]:
         reports.extend(identities.verify_position_momentum(phi, cfg.tol))
     coherent = realize(GaussianSpec("coherent", n=grid.n), grid)
     mom = exact_moments(GaussianSpec("coherent", n=grid.n))
-    xnorm = grids.position(coherent).norm()
-    gnorm = grids.gradient(coherent).norm()
-    reports.append(compare("pm.kennard_saturation", xnorm * gnorm,
+    x, g = grids.position(coherent), grids.gradient(coherent)
+    reports.append(compare("pm.kennard_saturation", x.norm() * g.norm(),
                            math.sqrt(mom.x_norm_sq * mom.grad_norm_sq), cfg.tol))
-    sum_field = grids.position(coherent) + grids.gradient(coherent)
     reports.append(compare("pm.coherent_alignment",
-                           sum_field.norm() / coherent.norm(), 0.0, cfg.tol))
+                           (x + g).norm() / coherent.norm(), 0.0, cfg.tol))
     return _aggregate(reports)
 
 
@@ -256,32 +258,21 @@ def run_hardy(cfg: SuiteConfig) -> list[EqualityReport]:
         return _aggregate(_radial_reports(identities.verify_hardy,
                                           LaguerreQuadrature(n), cfg,
                                           np.random.default_rng(cfg.seed)))
-    # The 1/|x|^2-weighted norm on the tensor grid has an O(h^(n-2))
-    # midpoint quadrature error, so the right side of the Pythagorean
-    # identity is checked after removing that term by Richardson
-    # extrapolation with a half-resolution control grid.  For the
-    # unit-norm isotropic Gaussian both sides equal n/2 exactly.
+    # The right side holds ((n-2)/2)^2 ||psi/|x|||^2 twice, so twice its lattice
+    # error (grids.lattice_zeta, |psi(0)|^2 = pi^(-n/2)); both sides are n/2.
+    N, L = (96, 12.0) if n == 3 else (32, 7.0)
     try:
-        fine = GridSpec(n, (96 if n == 3 else 32) if cfg.N is None else cfg.N,
-                        cfg.L, cfg.offset)
-        coarse = replace(fine, N=fine.N // 2)
-        reports, sides = [], {}
-        for grid in (coarse, fine):     # pythagoras, the chain, the split
-            psi = realize(GaussianSpec("coherent", n=n), grid)
-            pyth, *rest = identities.verify_hardy(psi, tol, split=grid is fine)
-            sides[grid.N] = (pyth.lhs.real, pyth.rhs.real)
-            reports += rest
+        grid = GridSpec(n, N if cfg.N is None else cfg.N,
+                        L if cfg.L is None else cfg.L, cfg.offset)
+        psi = realize(GaussianSpec("coherent", n=n), grid)
+        pyth, *reports = identities.verify_hardy(psi, tol)  # the chain, the split
     except ValueError as exc:   # a grid limit; the radial rule has no grid
         raise ValueError(f"{exc}; or run verify hardy --radial --n {n}") from exc
-    target = 0.5 * n
-    ctx = {"grid": fine.to_dict(), "control_N": coarse.N}
-    reports.append(compare("hardy.grid.value_lhs", sides[fine.N][0],
-                           target, tol, context=ctx))
-    q = 2.0 ** (n - 2)
-    rhs_corrected = (q * sides[fine.N][1] - sides[coarse.N][1]) / (q - 1.0)
-    reports.append(compare("hardy.grid.value_rhs", rhs_corrected,
-                           target, tol, context=ctx))
-    return _aggregate(reports)
+    zeta = grids.lattice_zeta(n, grid.offset)
+    term = 0.5 * (n - 2) ** 2 * grid.h ** (n - 2) * math.pi ** (-0.5 * n) * zeta
+    return [*reports, *worst(["hardy.grid.value_lhs", "hardy.grid.value_rhs"],
+                             [pyth.lhs.real, pyth.rhs.real - term], 0.5 * n, tol,
+                             context={"grid": grid.to_dict(), "lattice_term": zeta})]
 
 
 def run_coulomb(cfg: SuiteConfig) -> list[EqualityReport]:

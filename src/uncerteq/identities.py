@@ -89,12 +89,11 @@ def verify_dilation_pythagoras(state, tol: float = GRID_TOL) -> list[EqualityRep
     ]
 
 
-def verify_hardy(psi, tol: float = GRID_TOL,
-                 split: bool = True) -> list[EqualityReport]:
+def verify_hardy(psi, tol: float = GRID_TOL) -> list[EqualityReport]:
     """Hardy-type equality with exact remainder and its two chain bounds.  A
     radial stack (first worst row per id) adds the transfer forms through
-    psi/|x|; a grid, with ``split``, its pointwise split instead: its spectral
-    derivative misses psi/|x|'s cusp at 0 (2.7e-2 and 2.2e-1 at N = 96)."""
+    psi/|x|; a grid its pointwise split instead: its spectral derivative
+    misses psi/|x|'s cusp at 0 (2.7e-2 and 2.2e-1 at N = 96)."""
     ops, n, ctx = _operators(psi)
     if n < 3:
         raise ValueError("the Hardy identities require dimension >= 3")
@@ -102,13 +101,11 @@ def verify_hardy(psi, tol: float = GRID_TOL,
     g = ops.gradient(psi)
     grad_sq = g.norm_sq()
     dpsi = ops.radial_part(g)
-    ids, lhs, tail = ["hardy.pythagoras"], [], []
-    if ops is grids:
-        tail = [grids.pointwise_split(g, dpsi, tol)] if split else []
-        del g
-        q = ops.coulomb(psi)               # psi / |x|
-    else:   # transfer through phi = psi/|x|: x.grad phi and its (n/2) shift
-        q = ops.coulomb(psi)
+    tail = [] if ops is radial else [grids.pointwise_split(g, dpsi, tol)]
+    del g
+    q = ops.coulomb(psi)                   # psi / |x|
+    ids, lhs = ["hardy.pythagoras"], []
+    if ops is radial:   # transfer through phi = psi/|x|: x.grad phi and its (n/2) shift
         xg_phi = ops.x_dot_grad(q)
         ids += ["hardy.radial_shift", "hardy.scaling_shift"]
         lhs = [xg_phi.norm_sq(), (xg_phi + (0.5 * n) * q).norm_sq()]

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from uncerteq import cli, identities
+from uncerteq import cli, grids, identities
 from uncerteq.cli import (SuiteConfig, _check_type, main, refinement_study,
                           run_suite, write_refinement_csv)
 from uncerteq.complexspace import (cs_equality_residuals, default_angles,
@@ -145,18 +145,32 @@ def test_run_hardy_verifies_each_grid_once(monkeypatch):
     calls = []
     verify_hardy = identities.verify_hardy
 
-    def counting(psi, tol, **kwargs):
-        calls.append((psi.grid.N, kwargs.get("split", True)))
-        return verify_hardy(psi, tol, **kwargs)
+    def counting(psi, tol):
+        calls.append(psi.grid.N)
+        return verify_hardy(psi, tol)
 
     monkeypatch.setattr(cli.identities, "verify_hardy", counting)
     _, payload = run_suite(SuiteConfig(suite="hardy", N=64, L=8.0))
-    # Only the fine grid's pointwise split is reported, so only it is built.
-    assert calls == [(32, False), (64, True)]
+    # One grid: the lattice term corrects its 1/|x|^2 sum to rounding level
+    # (1.3e-9 with a Richardson step on a control grid at the defaults).
+    assert calls == [64]
     assert [r["identity_id"] for r in payload["reports"]] == [
         "grad.pointwise_split", "hardy.chain.gradient",
         "hardy.chain.potential", "hardy.grid.value_lhs",
         "hardy.grid.value_rhs"]
+    rhs = payload["reports"][-1]
+    assert rhs["rel_residual"] <= 1e-13
+    assert rhs["context"]["lattice_term"] == grids.lattice_zeta(3, 0.5)
+
+
+def test_verify_hardy_runs_at_its_defaults_in_four_dimensions(tmp_path):
+    # The default L = 12 with N = 32 failed the guard at n = 4 (exit 2).
+    out = tmp_path / "report.json"
+    assert main(["verify", "hardy", "--n", "4", "--out", str(out)]) == 0
+    reports = _load(out)["reports"]
+    assert {(rep["context"]["grid"]["N"], rep["context"]["grid"]["L"])
+            for rep in reports} == {(32, 7.0)}
+    assert all(rep["passed"] for rep in reports)
 
 
 def test_run_coulomb_memory_is_bounded_by_the_stack_cap():
@@ -267,11 +281,10 @@ def test_nonattainment_at_the_largest_n_passes(capsys):
     assert rhos[0] > rhos[1] > rhos[2] > 1.0
 
 
-@pytest.mark.parametrize("n, says", [("5", "grid exceeds the 2^24 point cap"),
-                                     ("4", "grid too coarse")])
+@pytest.mark.parametrize("n, says", [("5", "grid exceeds the 2^24 point cap")])
 def test_tensor_grid_hardy_usage_errors_name_the_radial_rule(n, says, capsys):
-    # The default N = 32 is over the 2^24-point cap at n = 5 and too coarse
-    # at n = 4; the radial rule needs no grid.
+    # The default N = 32 is over the 2^24-point cap at n = 5; the radial
+    # rule needs no grid.
     assert main(["verify", "hardy", "--n", n]) == 2
     err = capsys.readouterr().err
     assert says in err and f"verify hardy --radial --n {n}" in err
@@ -530,6 +543,15 @@ def test_config_file_that_is_not_an_object_is_a_usage_error(text, tmp_path,
     assert (f"error: config file {cfg_path} must hold a JSON object of flag "
             f"values, got {json.dumps(json.loads(text))}"
             in capsys.readouterr().err)
+
+
+def test_config_file_that_is_not_json_names_the_file(tmp_path, capsys):
+    # The decoder's message alone named no file.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("{")
+    assert main(["verify", "appendix", "--config", str(cfg_path)]) == 2
+    assert (f"error: {cfg_path} is not valid JSON: Expecting "
+            "property name" in capsys.readouterr().err)
 
 
 def test_bad_config_path_is_usage_error(capsys):

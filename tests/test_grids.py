@@ -10,8 +10,8 @@ from uncerteq.cli import SuiteConfig, run_suite
 from uncerteq.gaussians import GaussianSpec, realize
 from uncerteq.grids import (GridSpec, StateField, VectorField, _radius,
                             _radius_sq, _wavenumbers, coulomb,
-                            dilation_generator, gradient, momentum,
-                            neg_laplacian,
+                            dilation_generator, gradient, lattice_zeta,
+                            momentum, neg_laplacian,
                             pointwise_gradient_decomposition, position,
                             radial_derivative, radial_derivative_sym,
                             spherical_derivative, x_dot_grad)
@@ -250,13 +250,35 @@ def test_pointwise_split_transform_count(monkeypatch):
 
 
 def test_run_hardy_transform_count(monkeypatch):
-    # verify_hardy takes one gradient per grid, of psi, read by the radial
-    # part, |grad psi| and the pointwise split; a grid takes no x.grad of
-    # psi/|x|.  Every hardy state is float64, so every transform is a
-    # real-input one: 2 gradients of 3.
+    # verify_hardy takes one gradient of psi, read by the radial part,
+    # |grad psi| and the pointwise split; a grid takes no x.grad of psi/|x|.
+    # The hardy state is float64, so every transform is a real-input one:
+    # one gradient of 3 on the one grid.
     counts = _count_ffts(monkeypatch)
     run_suite(SuiteConfig(suite="hardy", N=64, L=8.0))
-    assert counts == {"fft": 0, "ifft": 0, "rfft": 6, "irfft": 6}
+    assert counts == {"fft": 0, "ifft": 0, "rfft": 3, "irfft": 3}
+
+
+@pytest.mark.parametrize("n, L, Ns", [(3, 8.0, (32, 64)), (4, 7.0, (28, 32))])
+@pytest.mark.parametrize("c", [0.5, 0.25])
+def test_lattice_zeta_is_the_grid_error_of_the_inverse_square(n, L, Ns, c):
+    # The grid sum of |psi|^2/|x|^2 misses its integral 2/(n-2) by exactly
+    # h^(n-2) |psi(0)|^2 Z_{n,c}(2), |psi(0)|^2 = pi^(-n/2).  Measured
+    # worst 3.4e-13 (n = 4, N = 32, c = 1/4), rounding in the grid sum.
+    zeta = lattice_zeta(n, c)
+    for N in Ns:
+        grid = GridSpec(n, N, L, c)
+        psi = realize(GaussianSpec("coherent", n=n), grid)
+        fit = ((coulomb(psi).norm_sq() - 2.0 / (n - 2))
+               / (grid.h ** (n - 2) * math.pi ** (-0.5 * n)))
+        assert fit == pytest.approx(zeta, rel=1e-12, abs=0.0)
+    for shifted in (c - 1.0, c + 1.0, -c):
+        assert lattice_zeta(n, shifted) == pytest.approx(zeta, rel=1e-14, abs=0.0)
+
+
+def test_lattice_zeta_closed_forms_in_four_dimensions():
+    assert lattice_zeta(4, 0.5) == pytest.approx(-4.0 * math.log(2.0), rel=1e-14)
+    assert lattice_zeta(4, 0.25) == pytest.approx(-math.log(2.0), rel=1e-14)
 
 
 def _off_centre_state(n, N, phase=False):
@@ -287,29 +309,16 @@ def test_verify_hardy_split_is_the_pointwise_decomposition(n, N, phase):
     assert split.passed
 
 
-def test_verify_hardy_builds_no_split_unless_asked(monkeypatch):
-    # run_hardy asks only the fine grid for its split, which no other report
-    # needs.
-    psi = _off_centre_state(3, 16)
-    with_split = verify_hardy(psi, 1e-9)
-    monkeypatch.setattr("uncerteq.grids.pointwise_split",
-                        lambda *args: pytest.fail("split built"))
-    assert verify_hardy(psi, 1e-9, split=False) == with_split[:-1]
-
-
-@pytest.mark.parametrize("split, ids", [
-    (True, ["hardy.pythagoras", "hardy.chain.potential", "hardy.chain.gradient",
-            "grad.pointwise_split"]),
-    (False, ["hardy.pythagoras", "hardy.chain.potential", "hardy.chain.gradient"]),
-])
-def test_verify_hardy_takes_no_transfer_forms_on_a_grid(split, ids, monkeypatch):
+def test_verify_hardy_takes_no_transfer_forms_on_a_grid(monkeypatch):
     # psi/|x| has a cusp at the origin that a periodic spectral derivative
     # does not resolve, so the transfer forms are radial only; a grid never
     # takes x.grad(psi/|x|).
     psi = _off_centre_state(3, 16)
     monkeypatch.setattr("uncerteq.grids.x_dot_grad",
                         lambda *args: pytest.fail("x.grad taken on a grid"))
-    assert [r.identity_id for r in verify_hardy(psi, 1e-9, split=split)] == ids
+    assert [r.identity_id for r in verify_hardy(psi, 1e-9)] == [
+        "hardy.pythagoras", "hardy.chain.potential", "hardy.chain.gradient",
+        "grad.pointwise_split"]
 
 
 def test_verify_hardy_reports_no_split_on_a_radial_profile():
@@ -353,9 +362,8 @@ def test_x_dot_grad_holds_three_fields_in_every_dimension(n, N):
 
 
 def test_run_hardy_peak_memory_is_bounded():
-    # The whole suite at N = 64 (control grid 32): measured 7.04 fine-grid
-    # fields, against 9.0 when run_hardy took a fifth gradient for the
-    # split.  Bound: 7.5 fields.
+    # The whole suite at N = 64, one grid: measured 7.03 fields, against 9.0
+    # when run_hardy took a fifth gradient for the split.  Bound: 7.5 fields.
     field = 8 * 64 ** 3
     peak = _traced_peak(lambda: run_suite(SuiteConfig(suite="hardy", N=64, L=8.0)))
     assert peak <= 7.5 * field
