@@ -35,7 +35,7 @@ from .search import (SearchOptions, minimize_product_functional,
 
 ALGEBRAIC_TOL = 1e-12
 # The grid suites and the search run the spectral scheme at GRID_TOL = 1e-8:
-# the worst search excess over n was 1.5e-10 (1,646 minimizations); the worst
+# the worst search excess over n was 3.5e-13 (1,646 minimizations); the worst
 # hardy.grid.value_rhs (n = 3, L 8-14, even N <= 128, offsets 0.5 and 0.25)
 # 1.6e-9 at h = 0.5 (spectral error against 1/|x|), 1.8e-14 at h <= 0.4.  Only
 # refine reads --scheme: a difference quotient breaks [x_j, d_j] = 1 at O(h^p).

@@ -108,6 +108,21 @@ def _wavenumbers(grid: GridSpec, half: bool) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
+def _laplacian_symbol(grid: GridSpec, half: bool) -> np.ndarray:
+    """The scheme's -Laplacian symbol s(k) along one axis, the square of its
+    first derivative's: k^2 (spectral), (sin kh / h)^2 (central_diff_2) or
+    ((8 sin kh - sin 2kh) / (6h))^2 (central_diff_4)."""
+    k, h = _wavenumbers(grid, half), grid.h
+    if grid.scheme == "central_diff_2":
+        k = np.sin(k * h) / h
+    elif grid.scheme == "central_diff_4":
+        k = (8.0 * np.sin(k * h) - np.sin(2.0 * k * h)) / (6.0 * h)
+    s = np.square(k)
+    s.setflags(write=False)
+    return s
+
+
+@lru_cache(maxsize=8)
 def lattice_zeta(n: int, c: float) -> float:
     """Z_{n,c}(2), the sum of |m + c(1, ..., 1)|^-2 over m in Z^n continued to
     n >= 3, c outside Z: on a grid of spacing h and offset c (N even) the grid
@@ -216,7 +231,7 @@ class VectorField(_GridQuantity):
 
 def _spectral_axis(grid: GridSpec, values: np.ndarray, axis: int,
                    symbol, out: np.ndarray | None = None) -> np.ndarray:
-    """Multiply the transform of ``values`` along ``axis`` by ``symbol(k)``.
+    """Multiply the transform of ``values`` along ``axis`` by ``symbol(grid, half)``.
 
     Real data take the real-input transform and the half spectrum
     k = 0..N/2; complex data take the full one.  Either way the symbol is
@@ -227,21 +242,21 @@ def _spectral_axis(grid: GridSpec, values: np.ndarray, axis: int,
     shape[axis] = -1
     if np.iscomplexobj(values):
         fk = np.fft.fft(values, axis=axis)
-        fk *= symbol(_wavenumbers(grid, False)).reshape(shape)
+        fk *= symbol(grid, False).reshape(shape)
         return np.fft.ifft(fk, axis=axis, out=out)
     fk = np.fft.rfft(values, axis=axis)
-    fk *= symbol(_wavenumbers(grid, True)).reshape(shape)
+    fk *= symbol(grid, True).reshape(shape)
     return np.fft.irfft(fk, n=grid.N, axis=axis, out=out)
 
 
 def _derivative_axis(grid: GridSpec, values: np.ndarray, axis: int,
                      out: np.ndarray | None = None) -> np.ndarray:
     if grid.scheme == "spectral_periodic":
-        def ik(k):
+        def ik(grid, half):
             # The Nyquist mode (entry N/2 of the full and of the half
             # spectrum) has no well-defined sign for an odd derivative.  k is
             # cached read-only; 1j * k is a fresh array.
-            s = 1j * k
+            s = 1j * _wavenumbers(grid, half)
             s[grid.N // 2] = 0.0
             return s
         return _spectral_axis(grid, values, axis, ik, out)
@@ -291,16 +306,17 @@ def dilation_generator(phi: StateField) -> StateField:
 
 def neg_laplacian(phi: StateField) -> StateField:
     grid = phi.grid
-    out = np.zeros(grid.shape, dtype=phi.data.dtype)
+    out = None
     for axis in range(grid.n):
         if grid.scheme == "spectral_periodic":
-            out += _spectral_axis(grid, phi.data, axis, np.square)
+            term = _spectral_axis(grid, phi.data, axis, _laplacian_symbol)
         else:
             # Central schemes apply the first-derivative stencil twice, so
             # that summation by parts ((-lap phi|phi) = ||grad phi||^2) holds
             # exactly.
             d = _derivative_axis(grid, phi.data, axis)
-            out -= _derivative_axis(grid, d, axis)
+            term = -_derivative_axis(grid, d, axis)
+        out = term if out is None else np.add(out, term, out=out)
     return StateField(grid, out)
 
 

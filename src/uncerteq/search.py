@@ -1,17 +1,21 @@
 """Variational minimization of the uncertainty functionals on grid states.
 
-Riemannian nonlinear conjugate gradients over unit-norm grid states, each
-step the exact minimizer on the plane of the state and the search
-direction.  The sum functional is the harmonic Rayleigh quotient whose
-minimum n is attained at the isotropic Gaussian; the product functional
-shares the minimum value but has a one-parameter family of anisotropic
-Gaussian minimizers.  The descent loop runs on raw arrays and Python scalars;
-each iteration raises a ValueError at a non-finite value, gradient norm or
-plane-step coefficient, or at a zero form of the product.  A separate probe
-documents that the scaling-derivative ratio approaches but never attains its
-lower bound.  It integrates each annulus on a log-r Gauss-Legendre rule
-whose panels are the annulus's ramps and plateau, where the integrands are
-polynomials in log r, so its ratios are exact up to rounding.
+Preconditioned Riemannian nonlinear conjugate gradients over unit-norm grid
+states, each step the exact minimizer on the plane of the state and the
+search direction.  P = D^(-1/2) F^-1 (s(k) + sigma)^-1 F D^(-1/2), with
+D = |x|^2 + sigma, sigma = 4 and s the grid scheme's own -Laplacian symbol,
+is symmetric positive definite in Re<., .> and approximately inverts
+-Lap + |x|^2 + sigma, so it damps the high grid modes.  The sum functional
+is the harmonic Rayleigh quotient whose minimum n is attained at the
+isotropic Gaussian; the product functional shares the minimum value but has
+a one-parameter family of anisotropic Gaussian minimizers.  The descent loop
+runs on raw arrays and Python scalars; each iteration raises a ValueError at
+a non-finite value, gradient norm or plane-step coefficient, or at a zero
+form of the product.  A separate probe documents that the scaling-derivative
+ratio approaches but never attains its lower bound.  It integrates each
+annulus on a log-r Gauss-Legendre rule whose panels are the annulus's ramps
+and plateau, where the integrands are polynomials in log r, so its ratios
+are exact up to rounding.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +35,7 @@ from .radial import (LogRadialQuadrature, RadialQuadrature, annulus_state,
                      x_dot_grad as radial_x_dot_grad)
 
 _SHIFT = np.diag(np.ones(3, complex), -1)   # np.roots's companion, row 0 unset
+_SIGMA = 4.0   # the shift of H + sigma that the preconditioner inverts
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,26 @@ def _value_and_gradient(w: float, r2: np.ndarray, phi: np.ndarray,
     return value, grad, grad_sq, (x_sq, g_sq)
 
 
+@lru_cache(maxsize=2)
+def _preconditioner(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(|x|^2 + sigma)^(-1/2), and 1 / (s + sigma) with s the scheme's
+    -Laplacian symbol summed over the axes of the full n-D spectrum."""
+    s = sum(np.ix_(*[grids._laplacian_symbol(grid, False)] * grid.n))
+    factors = 1.0 / np.sqrt(_radius_sq(grid) + _SIGMA), 1.0 / (s + _SIGMA)
+    for a in factors:
+        a.setflags(write=False)
+    return factors
+
+
+def _precondition(grid: GridSpec, phi: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """P grad projected onto the tangent space at the unit-norm ``phi``."""
+    space, spectral = _preconditioner(grid)
+    z = np.fft.ifftn(np.fft.fftn(space * grad) * spectral)
+    z *= space
+    z -= _re_inner(grid.weight, z, phi) * phi
+    return z
+
+
 def _plane_step(w: float, r2: np.ndarray, phi, d, lap_d, forms, product: bool) -> float:
     """Exact minimizing angle t of the functional on cos t phi + sin t d.
 
@@ -131,15 +157,17 @@ def _plane_step(w: float, r2: np.ndarray, phi, d, lap_d, forms, product: bool) -
 
 def _descend(grid: GridSpec, seed: int, opts: SearchOptions,
              product: bool) -> SearchResult:
-    """Riemannian nonlinear conjugate gradients on the unit sphere.
+    """Preconditioned Riemannian nonlinear conjugate gradients on the unit sphere.
 
     Starts from a random smooth state.  Directions follow Polak-Ribiere+
     with tangent-projection transport (Absil, Mahony and Sepulchre 2008,
-    ch. 8).  Each iteration applies -Laplacian once, to the unit direction
-    d, and takes the exact step on the circle cos t phi + sin t d (Knyazev
-    2001) unless it raises the value.  The loop stops at gradient norm
-    ``opts.gtol``, or at the rounding floor, where even the negative
-    gradient gives no step; both count as converged.
+    ch. 8) on z, the gradient g preconditioned by P and projected onto the
+    tangent space: the direction is -z plus beta = max(0, <g+, z+ - z> / <g, z>)
+    times the old one.  Each iteration applies -Laplacian once, to the unit
+    direction d, and P once (one fftn/ifftn pair), and takes the exact step
+    on the circle cos t phi + sin t d (Knyazev 2001) unless it raises the
+    value.  The loop stops at the L2 gradient norm ``opts.gtol``, or at the
+    rounding floor, where even -z gives no step; both count as converged.
 
     The loop reads the weight and |x|^2 once and runs on raw arrays, updated in
     place once spent.  Only the start state and the input and result of each
@@ -150,7 +178,9 @@ def _descend(grid: GridSpec, seed: int, opts: SearchOptions,
     start = random_smooth_state(grid, np.random.default_rng(seed))
     phi, lap = start.data, grids.neg_laplacian(start).data
     value, grad, grad_sq, forms = _value_and_gradient(w, r2, phi, lap, product)
-    direction, beta = -grad, 0.0
+    z = _precondition(grid, phi, grad)
+    grad_z = _re_inner(w, grad, z)
+    direction, beta = -z, 0.0
     trace, it, stalled = [(0, value, 0.0)], 0, False
     while math.sqrt(grad_sq) > opts.gtol and it < opts.max_iters:
         d = direction - _re_inner(w, phi, direction) * phi
@@ -164,22 +194,24 @@ def _descend(grid: GridSpec, seed: int, opts: SearchOptions,
         new_value, new_grad, new_grad_sq, new_forms = _value_and_gradient(
             w, r2, new_phi, new_lap, product)
         if theta == 0.0 or new_value > value:
-            # No step even along the negative gradient is the rounding floor;
-            # a failed conjugate direction restarts at the negative gradient.
+            # No step even along -z is the rounding floor; a failed
+            # conjugate direction restarts at -z.
             stalled = beta == 0.0
             if stalled:
                 break
-            direction, beta = -grad, 0.0
+            direction, beta = -z, 0.0
             continue
         it += 1
-        # new_grad is tangent at new_phi, so it meets the transported old
-        # gradient as it meets the old gradient itself.
-        beta = max(0.0, (new_grad_sq - _re_inner(w, new_grad, grad)) / grad_sq)
+        new_z = _precondition(grid, new_phi, new_grad)
+        new_grad_z = _re_inner(w, new_grad, new_z)
+        # new_grad is tangent at new_phi, so it meets the transported old z
+        # as it meets the old z itself.
+        beta = max(0.0, (new_grad_z - _re_inner(w, new_grad, z)) / grad_z)
         direction -= _re_inner(w, new_phi, direction) * new_phi
         direction *= beta
-        direction -= new_grad
-        phi, lap, value, grad, grad_sq, forms = (
-            new_phi, new_lap, new_value, new_grad, new_grad_sq, new_forms)
+        direction -= new_z
+        phi, lap, value, grad_sq, forms, z, grad_z = (
+            new_phi, new_lap, new_value, new_grad_sq, new_forms, new_z, new_grad_z)
         trace.append((it, value, theta))
     return SearchResult(state=StateField(grid, phi), value=value, iterations=it,
                         converged=stalled or math.sqrt(grad_sq) <= opts.gtol,

@@ -8,8 +8,9 @@ import pytest
 
 from uncerteq.cli import SuiteConfig, run_suite
 from uncerteq.gaussians import GaussianSpec, realize
-from uncerteq.grids import (GridSpec, StateField, VectorField, _radius,
-                            _radius_sq, _wavenumbers, coulomb,
+from uncerteq.grids import (GridSpec, StateField, VectorField,
+                            _laplacian_symbol, _radius, _radius_sq,
+                            _wavenumbers, coulomb,
                             dilation_generator, gradient, lattice_zeta,
                             momentum, neg_laplacian,
                             pointwise_gradient_decomposition, position,
@@ -429,6 +430,22 @@ def test_cached_wavenumbers_are_read_only_and_unchanged_by_derivatives():
     freqs = (np.fft.fftfreq(grid.N, d=grid.h), np.fft.rfftfreq(grid.N, d=grid.h))
     for half, freq in zip((False, True), freqs):
         assert np.array_equal(_wavenumbers(grid, half), 2.0 * math.pi * freq)
+
+
+@pytest.mark.parametrize("scheme", ["spectral_periodic", "central_diff_2",
+                                    "central_diff_4"])
+def test_laplacian_symbol_is_the_schemes_own(scheme):
+    # -Laplacian maps each Fourier mode e^{i k x} to s(k) e^{i k x}; the
+    # cached symbol is read-only, and its half spectrum is the full one's
+    # first N/2 + 1 entries.
+    grid = GridSpec(n=1, N=48, L=8.0, offset=0.3, scheme=scheme)
+    s = _laplacian_symbol(grid, False)
+    assert not s.flags.writeable and _laplacian_symbol(grid, False) is s
+    assert np.array_equal(_laplacian_symbol(grid, True), s[:grid.N // 2 + 1])
+    x = grid.axis_coords()
+    for k, s_k in zip(_wavenumbers(grid, False), s):
+        mode = StateField(grid, np.exp(1j * k * x))
+        assert np.max(np.abs(neg_laplacian(mode).data - s_k * mode.data)) <= 1e-11
 
 
 def test_radius_caches_hold_at_most_two_grids():
