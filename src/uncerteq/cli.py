@@ -22,7 +22,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__, complexspace, grids, identities
-from .complexspace import cs_equality_residuals, default_angles
+from .complexspace import ALGEBRAIC_TOL, cs_equality_residuals, default_angles
 from .forms import pair_reports
 from .gaussians import GaussianSpec, exact_moments, realize
 from .grids import GridSpec
@@ -33,15 +33,15 @@ from .report import EqualityReport, bound, compare, worst
 from .search import (SearchOptions, minimize_product_functional,
                      minimize_sum_functional, probe_nonattainment)
 
-ALGEBRAIC_TOL = 1e-12
-# The grid suites and the search run the spectral scheme at GRID_TOL = 1e-8:
-# the worst search excess over n was 3.5e-13 (1,646 minimizations); the worst
-# hardy.grid.value_rhs (n = 3, L 8-14, even N <= 128, offsets 0.5 and 0.25)
-# 1.6e-9 at h = 0.5 (spectral error against 1/|x|), 1.8e-14 at h <= 0.4.  Only
-# refine reads --scheme: a difference quotient breaks [x_j, d_j] = 1 at O(h^p).
-# Ids checked at a looser tolerance while --tol is unset.
-LOOSE_TOL = {"pm.kennard_saturation": 1e-6, "pm.coherent_alignment": 1e-6,
-             "dilham.": 1e-7}
+# Each rule has one tolerance, which --tol overrides.  ALGEBRAIC_TOL (1e-12)
+# holds the exact rules, the Gauss-Laguerre radial rules included: the worst
+# over 3,000 coulomb and hardy --radial suite seeds was 6.3e-15.  The spectral
+# grids and the search hold GRID_TOL (1e-8): on every 1-D grid the guard
+# accepts (identities._EDGE_DENSITY), pm.* <= 9.8e-11, dil.* <= 1.5e-11 and
+# dilham.* <= 1.5e-9; the worst search excess was 3.5e-13 (1,646
+# minimizations); hardy.grid.value_rhs 1.6e-9 at h = 0.5 (n = 3, L 8-14, even
+# N <= 128, offsets 0.5 and 0.25), 1.8e-14 at h <= 0.4.  Only refine reads
+# --scheme: a difference quotient breaks [x_j, d_j] = 1 at O(h^p).
 
 # What each command runs on, and the config fields (flags) it reads with
 # their defaults; None leaves the default to the runner (hardy's N and L are
@@ -51,6 +51,7 @@ LOOSE_TOL = {"pm.kennard_saturation": 1e-6, "pm.coherent_alignment": 1e-6,
 # command does not read is a usage error (_refuse_unread).
 _GRID = {"tol": GRID_TOL, "n": 1, "N": 256, "L": 12.0, "offset": 0.0}
 _MINIMIZE = {**_GRID, "seed": None, "config": None, "max_iters": 40000}
+_RADIAL = {"tol": ALGEBRAIC_TOL, "trials": 20}
 READS = {
     "appendix": ("random vectors", {"tol": ALGEBRAIC_TOL, "trials": 1000, "dim": 32}),
     "section2": ("random vectors", {"tol": ALGEBRAIC_TOL, "trials": 200, "dim": 32}),
@@ -58,9 +59,8 @@ READS = {
     "dilation": ("a grid", {**_GRID, "trials": 20}),
     "hardy": ("a grid", {**_GRID, "n": 3, "N": None, "L": None, "offset": 0.5,
                          "radial": None}),
-    "hardy --radial": ("the radial quadrature",
-                       {"tol": GRID_TOL, "trials": 20, "n": 3, "radial": None}),
-    "coulomb": ("the radial quadrature", {"tol": GRID_TOL, "trials": 20, "n": None}),
+    "hardy --radial": ("the radial quadrature", {**_RADIAL, "n": 3, "radial": None}),
+    "coulomb": ("the radial quadrature", {**_RADIAL, "n": None}),
     "search": ("a grid", _GRID),
     "search sum": ("a grid", _MINIMIZE),
     "search product": ("a grid", _MINIMIZE),
@@ -153,14 +153,6 @@ def _resolve(command: str, given: dict) -> dict:
     """
     return {k: default if given.get(k) is None else given[k]
             for k, default in READS[command][1].items()}
-
-
-def _loosen(rep: EqualityReport) -> EqualityReport:
-    """``rep`` at its LOOSE_TOL tolerance, if it has one."""
-    for prefix, tol in LOOSE_TOL.items():
-        if rep.identity_id.startswith(prefix):
-            return replace(rep, tol=tol, passed=rep.rel_residual <= tol)
-    return rep
 
 
 def _aggregate(reports: list[EqualityReport]) -> list[EqualityReport]:
@@ -277,9 +269,6 @@ def run_hardy(cfg: SuiteConfig) -> list[EqualityReport]:
 
 def run_coulomb(cfg: SuiteConfig) -> list[EqualityReport]:
     rng = np.random.default_rng(cfg.seed)
-    # On the Gauss-Laguerre rule the worst radcoul.* residual over 250 suite
-    # seeds (s * 1000003 + k, s = 1..10, k < 25) at each n = 3..8 was
-    # 6.3e-15; GRID_TOL keeps a factor of 1.6e6, as on hardy --radial.
     return _aggregate([rep for n in ((3, 5) if cfg.n is None else (cfg.n,))
                        for rep in _radial_reports(identities.verify_radial_coulomb,
                                                   LaguerreQuadrature(n), cfg, rng)])
@@ -356,8 +345,6 @@ def run_suite(cfg: SuiteConfig) -> tuple[int, dict]:
     for name in names:
         row = _resolve(_row(name, cfg.radial), asdict(cfg))
         reports.extend(RUNNERS[name](replace(cfg, **row)))
-    if cfg.tol is None:
-        reports = [_loosen(rep) for rep in reports]
     reports.sort(key=lambda rep: rep.identity_id)
     failing = sorted({rep.identity_id for rep in reports if not rep.passed})
     payload = {

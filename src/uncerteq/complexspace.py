@@ -25,7 +25,7 @@ import numpy as np
 
 from .report import EqualityReport, compare, worst  # compare: re-exported
 
-DEFAULT_TOL = 1e-12
+ALGEBRAIC_TOL = 1e-12
 # Entries per working array: phases at once here, pairs per stack in the CLI.
 STACK_ENTRIES = 2 ** 15
 
@@ -201,7 +201,7 @@ def phase_family(u, v, angles: Sequence[float] = FIXED_ANGLES):
 
 
 def cs_equality_residuals(u, v, angles: Sequence[float] = FIXED_ANGLES,
-                          tol: float = DEFAULT_TOL) -> list[EqualityReport]:
+                          tol: float = ALGEBRAIC_TOL) -> list[EqualityReport]:
     """Both sides of every equality of :func:`phase_family`, left sides from
     the scalar product: one report per identity, for its worst row pair."""
     a, b, p, rhs = phase_family(u, v, angles)
@@ -283,7 +283,7 @@ def classify_saturation(a: float, b: float, p: complex,
     return ExtremizerFlags(*flags)
 
 
-def extremizer_rows(u, v, tol: float = DEFAULT_TOL) -> np.ndarray:
+def extremizer_rows(u, v, tol: float = ALGEBRAIC_TOL) -> np.ndarray:
     """Five-part flags of each row pair, columns as in :class:`ExtremizerFlags`.
 
     Only a row where a primary clause holds goes through the cross-checks of
@@ -306,7 +306,7 @@ def extremizer_rows(u, v, tol: float = DEFAULT_TOL) -> np.ndarray:
     return flags
 
 
-def extremizer_class(u, v, tol: float = DEFAULT_TOL) -> ExtremizerFlags:
+def extremizer_class(u, v, tol: float = ALGEBRAIC_TOL) -> ExtremizerFlags:
     """Classify which saturation parts hold for the pair (u, v): two vectors
     or two 1-D arrays, a stack of one for :func:`extremizer_rows`."""
     return ExtremizerFlags(*extremizer_rows(u, v, tol)[0].tolist())

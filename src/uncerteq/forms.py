@@ -13,7 +13,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .complexspace import DEFAULT_TOL, FIXED_ANGLES, phase_family
+from .complexspace import ALGEBRAIC_TOL, FIXED_ANGLES, phase_family
 from .report import EqualityReport, compare, worst  # compare: re-exported
 
 
@@ -44,7 +44,7 @@ class PairSample:
 
 
 def pair_reports(a_phi, b_phi, thetas: Sequence[float] = FIXED_ANGLES,
-                 tol: float = DEFAULT_TOL) -> list[EqualityReport]:
+                 tol: float = ALGEBRAIC_TOL) -> list[EqualityReport]:
     """sr.*, form.* and sr.chain.* checks of the pairs, worst row per id.
 
     ``a_phi`` and ``b_phi`` are two vectors or two (N, d) stacks of row

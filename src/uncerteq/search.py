@@ -108,8 +108,11 @@ def _preconditioner(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 def _precondition(grid: GridSpec, phi: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """P grad projected onto the tangent space at the unit-norm ``phi``."""
     space, spectral = _preconditioner(grid)
-    z = np.fft.ifftn(np.fft.fftn(space * grad) * spectral)
-    z *= space
+    z = space * grad
+    for transform, factor in ((np.fft.fft, spectral), (np.fft.ifft, space)):
+        for axis in reversed(range(grid.n)):   # fftn's order, less overhead
+            z = transform(z, axis=axis)
+        z *= factor
     z -= _re_inner(grid.weight, z, phi) * phi
     return z
 
@@ -164,7 +167,7 @@ def _descend(grid: GridSpec, seed: int, opts: SearchOptions,
     ch. 8) on z, the gradient g preconditioned by P and projected onto the
     tangent space: the direction is -z plus beta = max(0, <g+, z+ - z> / <g, z>)
     times the old one.  Each iteration applies -Laplacian once, to the unit
-    direction d, and P once (one fftn/ifftn pair), and takes the exact step
+    direction d, and P once (one FFT pair), and takes the exact step
     on the circle cos t phi + sin t d (Knyazev 2001) unless it raises the
     value.  The loop stops at the L2 gradient norm ``opts.gtol``, or at the
     rounding floor, where even -z gives no step; both count as converged.

@@ -138,7 +138,8 @@ def test_radial_suites_pass_in_every_dimension(suite, n, tmp_path):
     payload = _load(out)
     assert {rep["context"]["radial"]["n"]
             for rep in payload["reports"]} == {int(n)}
-    assert {rep["tol"] for rep in payload["reports"]} == {1e-8}
+    # The Gauss-Laguerre rule is exact: 6.3e-15 at worst over 3,000 seeds.
+    assert {rep["tol"] for rep in payload["reports"]} == {cli.ALGEBRAIC_TOL}
 
 
 def test_run_hardy_verifies_each_grid_once(monkeypatch):
@@ -742,16 +743,20 @@ def test_an_unread_flag_is_refused_before_its_range_check(argv, flag, capsys):
     assert f"error: {flag} does not apply to" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("suite, ids, default", [
+@pytest.mark.parametrize("suite, ids, former", [
     ("momentum-position", ("pm.kennard_saturation", "pm.coherent_alignment"), 1e-6),
     ("dilation", ("dilham.commutator", "dilham.energy", "dilham.grad_bound",
                   "dilham.sum_norm"), 1e-7),
 ])
 @pytest.mark.parametrize("tol", [None, 1e-12, 1e-3])
-def test_an_explicit_tol_reaches_every_id(suite, ids, default, tol):
+def test_an_explicit_tol_reaches_every_id(suite, ids, former, tol):
+    # ``ids`` once reported the looser tolerance ``former`` while --tol was
+    # unset; now every id reports the suite's tolerance, or --tol.
     _, payload = run_suite(SuiteConfig(suite=suite, trials=1, tol=tol))
     tols = {r["identity_id"]: r["tol"] for r in payload["reports"]}
-    assert {tols[i] for i in ids} == {default if tol is None else tol}
+    assert set(ids) <= set(tols)
+    assert set(tols.values()) == {identities.GRID_TOL if tol is None else tol}
+    assert former not in tols.values()
 
 
 @pytest.mark.parametrize("row", ["appendix", "section2", "momentum-position",
@@ -759,11 +764,9 @@ def test_an_explicit_tol_reaches_every_id(suite, ids, default, tol):
                                  "coulomb", "search"])
 def test_the_table_is_what_runs(row):
     # Every non-None default of the row, given explicitly, runs the same
-    # suite as none given.  tol is left out: an explicit --tol also reaches
-    # the LOOSE_TOL ids.
+    # suite as none given.
     suite, _, radial = row.partition(" --")
-    explicit = {k: v for k, v in cli.READS[row][1].items()
-                if v is not None and k != "tol"}
+    explicit = {k: v for k, v in cli.READS[row][1].items() if v is not None}
 
     def body(**fields):
         cfg = SuiteConfig(suite=suite, radial=bool(radial) or None, **fields)

@@ -15,7 +15,7 @@ from uncerteq.identities import (_hermite_functions, random_smooth_state,
                                  verify_dilation_pythagoras, verify_hardy,
                                  verify_position_momentum,
                                  verify_radial_coulomb)
-from uncerteq.cli import _aggregate
+from uncerteq.cli import SuiteConfig, _aggregate, run_suite
 from uncerteq.radial import (LaguerreQuadrature, RadialQuadrature, RadialState,
                              radial_gaussian, random_radial_state)
 
@@ -239,12 +239,29 @@ def test_verifiers_reject_unsupported_state_types():
 @pytest.mark.parametrize("grid, message", [
     (GridSpec(n=2, N=32, L=8.0), "grid too coarse"),
     (GridSpec(n=1, N=256, L=6.0), "grid too small"),
+    # One step coarser than the edge grids below: a Nyquist density of 2e-9
+    # there lets dilham.* reach 6.0e-8.
+    (GridSpec(n=1, N=34, L=8.0), "increase N"),
+    (GridSpec(n=1, N=38, L=9.0), "increase N"),
 ])
 def test_random_smooth_state_refuses_grids_that_cut_off_the_basis(grid, message):
     # The basis is cached per grid; a refused grid is refused on every call.
     for _ in range(2):
         with pytest.raises(ValueError, match=message):
             random_smooth_state(grid, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("N, L", [(40, 9.0), (32, 7.0)])
+def test_grids_at_the_guard_edge_hold_a_fifth_of_grid_tol(N, L):
+    # The coarsest accepted N at L = 9 and at L = 7.  dilham.* tracks the
+    # top mode's Nyquist density: 1.5e-9 at worst here over seeds 0-9.
+    for seed in range(5):
+        for suite in ("momentum-position", "dilation"):
+            _, payload = run_suite(SuiteConfig(suite=suite, N=N, L=L, seed=seed))
+            assert payload["failing"] == []
+            for rep in payload["reports"]:
+                assert rep["tol"] == identities.GRID_TOL
+                assert rep["rel_residual"] <= identities.GRID_TOL / 5, rep
 
 
 @pytest.mark.parametrize("grid", [
