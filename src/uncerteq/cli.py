@@ -216,13 +216,18 @@ def run_section2(cfg: SuiteConfig) -> list[EqualityReport]:
     return _pair_suite(cfg, pair_reports)
 
 
-def run_momentum_position(cfg: SuiteConfig) -> list[EqualityReport]:
+def _grid_stacks(cfg: SuiteConfig, grid: GridSpec):
+    """``trials`` random smooth states in stacks of at most STACK_ENTRIES values."""
     rng = np.random.default_rng(cfg.seed)
+    rows = max(1, complexspace.STACK_ENTRIES // grid.N ** grid.n)
+    return (identities.random_smooth_state(grid, rng, states=min(rows, cfg.trials - s))
+            for s in range(0, cfg.trials, rows))
+
+
+def run_momentum_position(cfg: SuiteConfig) -> list[EqualityReport]:
     grid = GridSpec(cfg.n, cfg.N, cfg.L, cfg.offset)
-    reports = []
-    for _ in range(cfg.trials):
-        phi = identities.random_smooth_state(grid, rng)
-        reports.extend(identities.verify_position_momentum(phi, cfg.tol))
+    reports = [rep for phi in _grid_stacks(cfg, grid)
+               for rep in identities.verify_position_momentum(phi, cfg.tol)]
     coherent = realize(GaussianSpec("coherent", n=grid.n), grid)
     mom = exact_moments(GaussianSpec("coherent", n=grid.n))
     x, g = grids.position(coherent), grids.gradient(coherent)
@@ -234,14 +239,10 @@ def run_momentum_position(cfg: SuiteConfig) -> list[EqualityReport]:
 
 
 def run_dilation(cfg: SuiteConfig) -> list[EqualityReport]:
-    rng = np.random.default_rng(cfg.seed)
-    grid = GridSpec(cfg.n, cfg.N, cfg.L, cfg.offset)
-    reports = []
-    for _ in range(cfg.trials):
-        phi = identities.random_smooth_state(grid, rng)
-        reports.extend(identities.verify_dilation_pythagoras(phi, cfg.tol))
-        reports.extend(identities.verify_dilation_hamiltonian(phi, cfg.tol))
-    return _aggregate(reports)
+    stacks = _grid_stacks(cfg, GridSpec(cfg.n, cfg.N, cfg.L, cfg.offset))
+    return _aggregate([rep for phi in stacks for rep in [
+        *identities.verify_dilation_pythagoras(phi, cfg.tol),
+        *identities.verify_dilation_hamiltonian(phi, cfg.tol)]])
 
 
 def run_hardy(cfg: SuiteConfig) -> list[EqualityReport]:

@@ -10,6 +10,9 @@ keep the dtype of their input.  The Fourier path picks its transform from
 the dtype: a real field (every Hardy state) takes the real-input transform on
 the half spectrum, a complex one the full transform.  Derivatives are written
 into the caller's buffer, and x.grad is summed axis by axis.
+
+A field holds one state or a stack of them on a leading axis; operators act
+on the last axes, and ``inner`` and the norms give one value per row.
 """
 
 from __future__ import annotations
@@ -155,32 +158,40 @@ class _GridQuantity:
     """Shared arithmetic and quadrature for scalar and vector grid data."""
 
     __slots__ = ("grid", "data")
+    __array_ufunc__ = None      # ndarray * field defers to __rmul__
+    vector = False              # True: one component per axis ahead of the grid axes
 
     def __init__(self, grid: GridSpec, data: np.ndarray):
         data = np.asarray(data, dtype=np.complex128 if np.iscomplexobj(data)
                           else np.float64)
-        if data.shape != self._expected_shape(grid):
-            raise ValueError(
-                f"data shape {data.shape} does not match grid "
-                f"{self._expected_shape(grid)}")
+        shape = (grid.n,) * self.vector + grid.shape
+        if data.shape[-len(shape):] != shape or data.ndim > len(shape) + 1:
+            raise ValueError(f"data shape {data.shape} does not match grid "
+                             f"{shape} or a stack of it")
         if not np.isfinite(data).all():
             raise ValueError("field values must be finite")
         self.grid = grid
         self.data = data
 
-    def _expected_shape(self, grid: GridSpec) -> tuple[int, ...]:
-        raise NotImplementedError
+    def _flat(self) -> np.ndarray:     # (states, entries) for a stack, else flat
+        return self.data.reshape(self.data.shape[:-self.grid.n - self.vector] + (-1,))
 
-    def inner(self, other) -> complex:
+    def single(self, name: str):
+        """Refuse a stack in ``name``, which reports on one state."""
+        if self.data.ndim > self.grid.n + self.vector:
+            raise ValueError(f"{name} takes one state, not a stack of {len(self.data)}")
+
+    def inner(self, other) -> complex | np.ndarray:
         if type(other) is not type(self) or other.grid != self.grid:
             raise ValueError("grid or kind mismatch in scalar product")
-        return complex(np.vdot(other.data, self.data) * self.grid.weight)
+        return _per_row(np.vecdot(other._flat(), self._flat()) * self.grid.weight,
+                        complex)
 
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
+    def norm(self) -> float | np.ndarray:
+        return _per_row(np.sqrt(self.norm_sq()))
 
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.data, self.data).real) * self.grid.weight
+    def norm_sq(self) -> float | np.ndarray:
+        return _per_row(np.vecdot(self._flat(), self._flat()).real * self.grid.weight)
 
     def __add__(self, other):
         if type(other) is not type(self) or other.grid != self.grid:
@@ -193,24 +204,24 @@ class _GridQuantity:
         return type(self)(self.grid, self.data - other.data)
 
     def __mul__(self, scalar):
-        return type(self)(self.grid, self.data * _scalar(scalar))
+        return type(self)(self.grid, self.data * self._rowwise(scalar))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        return type(self)(self.grid, self.data / _scalar(scalar))
+        return type(self)(self.grid, self.data / self._rowwise(scalar))
+
+    def _rowwise(self, scalar) -> np.ndarray:
+        """A scalar, or one per row of a stack, shaped to broadcast over rows."""
+        return np.reshape(scalar, np.shape(scalar) + (1,) * (self.grid.n + self.vector))
 
 
-def _scalar(value) -> float | complex:
-    """``value`` as a Python number; a real one stays real."""
-    return complex(value) if np.iscomplexobj(value) else float(value)
+def _per_row(value, kind=float):
+    return kind(value) if np.ndim(value) == 0 else value
 
 
 class StateField(_GridQuantity):
-    """Real or complex scalar function sampled on a GridSpec."""
-
-    def _expected_shape(self, grid: GridSpec) -> tuple[int, ...]:
-        return grid.shape
+    """Real or complex scalar function sampled on a GridSpec, or a stack."""
 
     @property
     def values(self) -> np.ndarray:
@@ -225,8 +236,7 @@ class StateField(_GridQuantity):
 class VectorField(_GridQuantity):
     """R^n- or C^n-valued function on a GridSpec; one component per axis."""
 
-    def _expected_shape(self, grid: GridSpec) -> tuple[int, ...]:
-        return (grid.n,) + grid.shape
+    vector = True
 
 
 def _spectral_axis(grid: GridSpec, values: np.ndarray, axis: int,
@@ -240,6 +250,7 @@ def _spectral_axis(grid: GridSpec, values: np.ndarray, axis: int,
     """
     shape = [1] * grid.n
     shape[axis] = -1
+    axis -= grid.n      # counted from the end: a stack's rows come first
     if np.iscomplexobj(values):
         fk = np.fft.fft(values, axis=axis)
         fk *= symbol(grid, False).reshape(shape)
@@ -260,6 +271,7 @@ def _derivative_axis(grid: GridSpec, values: np.ndarray, axis: int,
             s[grid.N // 2] = 0.0
             return s
         return _spectral_axis(grid, values, axis, ik, out)
+    axis -= grid.n
     if grid.scheme == "central_diff_2":
         num, den = np.roll(values, -1, axis) - np.roll(values, 1, axis), 2
     else:  # central_diff_4
@@ -269,19 +281,17 @@ def _derivative_axis(grid: GridSpec, values: np.ndarray, axis: int,
 
 
 def gradient(phi: StateField) -> VectorField:
-    grid = phi.grid
-    comps = np.empty((grid.n,) + grid.shape, dtype=phi.data.dtype)
-    for axis in range(grid.n):
-        _derivative_axis(grid, phi.data, axis, comps[axis])
+    grid, data = phi.grid, phi.data
+    comps = np.empty((*data.shape[:-grid.n], grid.n, *grid.shape), data.dtype)
+    for axis, comp in enumerate(np.moveaxis(comps, -grid.n - 1, 0)):
+        _derivative_axis(grid, data, axis, comp)
     return VectorField(grid, comps)
 
 
 def position(phi: StateField) -> VectorField:
     grid = phi.grid
-    comps = np.empty((grid.n,) + grid.shape, dtype=phi.data.dtype)
-    for axis in range(grid.n):
-        comps[axis] = grid.coord(axis) * phi.data
-    return VectorField(grid, comps)
+    return VectorField(grid, np.stack([grid.coord(axis) * phi.data
+                                       for axis in range(grid.n)], -grid.n - 1))
 
 
 def momentum(phi: StateField) -> VectorField:
@@ -290,7 +300,7 @@ def momentum(phi: StateField) -> VectorField:
 
 def x_dot_grad(phi: StateField) -> StateField:
     grid = phi.grid
-    out = np.zeros(grid.shape, dtype=phi.data.dtype)
+    out = np.zeros(phi.data.shape, dtype=phi.data.dtype)
     d = np.empty_like(out)
     for axis in range(grid.n):
         _derivative_axis(grid, phi.data, axis, d)
@@ -322,20 +332,20 @@ def neg_laplacian(phi: StateField) -> StateField:
 
 def _radial_part(grid: GridSpec, g: np.ndarray) -> np.ndarray:
     """(x/|x|).g for gradient data g, accumulated in axis order."""
-    out = np.zeros(grid.shape, dtype=g.dtype)
+    out = np.zeros(g.shape[:-grid.n - 1] + grid.shape, dtype=g.dtype)
     buf = np.empty_like(out)
-    for axis in range(grid.n):
+    for axis, comp in enumerate(np.moveaxis(g, -grid.n - 1, 0)):
         out += np.multiply(np.divide(grid.coord(axis), _radius(grid), out=buf),
-                           g[axis], out=buf)
+                           comp, out=buf)
     return out
 
 
 def _tangential_part(grid: GridSpec, g: np.ndarray, dr: np.ndarray,
                      buf: np.ndarray | None = None) -> np.ndarray:
     """g - (x/|x|) dr into g, dr the radial part of g; buf: scratch or None."""
-    for axis in range(grid.n):
-        g[axis] -= np.multiply(np.divide(grid.coord(axis), _radius(grid),
-                                         out=buf), dr, out=buf)
+    for axis, comp in enumerate(np.moveaxis(g, -grid.n - 1, 0)):
+        comp -= np.multiply(np.divide(grid.coord(axis), _radius(grid),
+                                      out=buf), dr, out=buf)
     return g
 
 
@@ -376,6 +386,7 @@ def pointwise_split(g: VectorField, dr: StateField,
                     tol: float = 1e-10) -> EqualityReport:
     """|grad phi|^2 = |d_r phi|^2 + |L phi|^2, pointwise and integrated, from
     g = grad phi (overwritten once read) and dr, its radial part."""
+    g.single("pointwise_split")
     grid = g.grid
     sq = np.empty(grid.shape)
     real = not np.iscomplexobj(dr.data)
@@ -398,5 +409,6 @@ def pointwise_split(g: VectorField, dr: StateField,
 def pointwise_gradient_decomposition(phi: StateField,
                                      tol: float = 1e-10) -> EqualityReport:
     """``pointwise_split`` of one gradient of phi."""
+    phi.single("pointwise_gradient_decomposition")
     g = gradient(phi)
     return pointwise_split(g, radial_part(g), tol)

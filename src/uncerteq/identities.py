@@ -1,10 +1,10 @@
 """Executable verifiers for the analytic norm identities on L2(R^n).
 
 Each verifier evaluates both sides of a family of identities on a supplied
-state and returns one :class:`EqualityReport` per identity.  States may be
-full tensor-grid fields or radial profiles with analytic derivatives; the
-latter trade generality for quadrature accuracy, which the tight tolerances
-of the Hardy-type checks need.
+state, or a stack of them, and returns one :class:`EqualityReport` per
+identity (for a stack, its first worst row).  States are tensor-grid fields
+or radial profiles with analytic derivatives; the latter trade generality
+for quadrature accuracy, which the tight tolerances of the Hardy checks need.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import grids, radial
-from .complexspace import ExtremizerFlags, extremizer_class, sgn
+from .complexspace import ALGEBRAIC_TOL, ExtremizerFlags, extremizer_class
 from .gaussians import GaussianSpec, realize
 from .grids import StateField
 from .radial import RadialState
@@ -26,77 +26,81 @@ GRID_TOL = 1e-8
 _PM_IDS = ("pm.trace", "pm.sum_norm", "pm.expansion", "pm.schrodinger")
 
 
-def _operators(state):
-    """Operator module, dimension and report context for the state's kind.
+def _operators(state, tol: float | None):
+    """Operator module, dimension, report context and tolerance (``tol``, or
+    the rule's: ALGEBRAIC_TOL on the exact Laguerre rule, else GRID_TOL).
 
     ``grids`` and ``radial`` expose the same operator names; this is the only
     place where the verifiers tell the state kinds apart.
     """
+    if tol is None:
+        exact = isinstance(getattr(state, "quad", None), radial.LaguerreQuadrature)
+        tol = ALGEBRAIC_TOL if exact else GRID_TOL
     if isinstance(state, StateField):
-        return grids, state.grid.n, {"grid": state.grid.to_dict()}
+        return grids, state.grid.n, {"grid": state.grid.to_dict()}, tol
     if isinstance(state, RadialState):
-        return radial, state.quad.n, {"radial": state.quad.to_dict()}
+        return radial, state.quad.n, {"radial": state.quad.to_dict()}, tol
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
 def verify_position_momentum(phi: StateField,
                              tol: float = GRID_TOL) -> list[EqualityReport]:
-    """Norm identities tying n ||phi||^2 to the position/momentum pair."""
+    """Norm identities tying n ||phi||^2 to the position/momentum pair; on a
+    stack each id reports its first worst row."""
     xphi = grids.position(phi)
     gphi = grids.gradient(phi)
     a = xphi.norm()
     b = gphi.norm()
-    if a == 0.0 or b == 0.0:
+    if not (np.all(a) and np.all(b)):
         raise ValueError("state is degenerate for the position/momentum pair")
-    ctx = {"grid": phi.grid.to_dict()}
     lhs = phi.grid.n * phi.norm_sq()
     p = xphi.inner(gphi)
     ab = a * b
-
-    sum_hat = (1.0 / a) * xphi + (1.0 / b) * gphi
-    xsum = xphi + gphi
-    aligned = (1.0 / a) * xphi - (sgn(p) / b) * gphi
-    return [
-        compare("pm.trace", lhs, -2.0 * p.real, tol, context=ctx),
-        compare("pm.sum_norm", lhs, ab * (2.0 - sum_hat.norm_sq()), tol,
-                context=ctx),
-        compare("pm.expansion", lhs, a * a + b * b - xsum.norm_sq(), tol,
-                context=ctx),
-        compare("pm.schrodinger", abs(p),
-                ab * (1.0 - 0.5 * aligned.norm_sq()), tol, scale=ab,
-                context=ctx),
-    ]
+    absp = np.hypot(p.real, p.imag)         # the bits of Python's abs(p)
+    # sgn(p) / b, component by component as Python divides; sgn(0) = 1
+    unit = np.where(absp == 0.0, 1.0, absp)
+    sgn_b = np.where(absp == 0.0, 1.0, p.real / unit) / b + 1j * (p.imag / unit / b)
+    # Each combination's norm at once: few stack-sized fields are alive.
+    xsum_sq = (xphi + gphi).norm_sq()
+    x_a = (1.0 / a) * xphi
+    sum_sq = (x_a + (1.0 / b) * gphi).norm_sq()
+    aligned_sq = (x_a - gphi * sgn_b).norm_sq()
+    return worst(list(_PM_IDS), [lhs, lhs, lhs, absp],
+                 [-2.0 * p.real, ab * (2.0 - sum_sq), a * a + b * b - xsum_sq,
+                  ab * (1.0 - 0.5 * aligned_sq)], tol,
+                 scale=[0.0, 0.0, 0.0, ab], context={"grid": phi.grid.to_dict()})
 
 
 def saturation_flags(phi: StateField, tol: float = 1e-6) -> ExtremizerFlags:
     """Saturation classes of the momentum/position pair (-i grad phi, x phi),
     as one pair of flat vectors scaled by the root of the cell weight."""
+    phi.single("saturation_flags")
     w = math.sqrt(phi.grid.weight)
     return extremizer_class(w * grids.momentum(phi).data.ravel(),
                             w * grids.position(phi).data.ravel(), tol)
 
 
-def verify_dilation_pythagoras(state, tol: float = GRID_TOL) -> list[EqualityReport]:
-    """||x.grad phi||^2 splits into the shifted part plus (n/2)^2 ||phi||^2."""
-    ops, n, ctx = _operators(state)
+def verify_dilation_pythagoras(state, tol: float | None = None) -> list[EqualityReport]:
+    """||x.grad phi||^2 splits into the shifted part plus (n/2)^2 ||phi||^2;
+    the context's ``gap`` is the reported row's shifted part."""
+    ops, n, ctx, tol = _operators(state, tol)
     d = ops.x_dot_grad(state)
-    shifted = d + (0.5 * n) * state
-    gap = shifted.norm_sq()
-    ctx["gap"] = gap
-    return [
-        compare("dil.pythagoras", d.norm_sq(),
-                gap + (0.5 * n) ** 2 * state.norm_sq(), tol, context=ctx),
-    ]
+    gap = (d + (0.5 * n) * state).norm_sq()
+    return worst(["dil.pythagoras"], d.norm_sq(),
+                 gap + (0.5 * n) ** 2 * state.norm_sq(), tol,
+                 context={**ctx, "gap": gap})
 
 
-def verify_hardy(psi, tol: float = GRID_TOL) -> list[EqualityReport]:
+def verify_hardy(psi, tol: float | None = None) -> list[EqualityReport]:
     """Hardy-type equality with exact remainder and its two chain bounds.  A
     radial stack (first worst row per id) adds the transfer forms through
-    psi/|x|; a grid its pointwise split instead: its spectral derivative
+    psi/|x|; a grid state its pointwise split instead: its spectral derivative
     misses psi/|x|'s cusp at 0 (2.7e-2 and 2.2e-1 at N = 96)."""
-    ops, n, ctx = _operators(psi)
+    ops, n, ctx, tol = _operators(psi, tol)
     if n < 3:
         raise ValueError("the Hardy identities require dimension >= 3")
+    if ops is grids:
+        psi.single("verify_hardy")
     # One gradient gives ||d_r psi||, ||grad psi|| and the grid's split.
     g = ops.gradient(psi)
     grad_sq = g.norm_sq()
@@ -125,32 +129,32 @@ def verify_hardy(psi, tol: float = GRID_TOL) -> list[EqualityReport]:
 
 def verify_dilation_hamiltonian(phi: StateField,
                                 tol: float = GRID_TOL) -> list[EqualityReport]:
-    """Identities from the scaling-generator / free-Hamiltonian pair."""
+    """Identities from the scaling-generator / free-Hamiltonian pair; on a
+    stack each id reports its first worst row."""
     a_phi = grids.dilation_generator(phi)
     b_phi = grids.neg_laplacian(phi)
     a = a_phi.norm()
     b = b_phi.norm()
-    if a == 0.0 or b == 0.0:
+    if not (np.all(a) and np.all(b)):
         raise ValueError("degenerate state for the scaling/Hamiltonian pair")
     ctx = {"grid": phi.grid.to_dict()}
     grad_sq = grids.gradient(phi).norm_sq()
     lhs = 2.0 * grad_sq
     p = a_phi.inner(b_phi)
     combo = (1.0 / a) * a_phi + (1j / b) * b_phi
-    return [
-        compare("dilham.energy", lhs, 2.0 * b_phi.inner(phi), tol, context=ctx),
-        compare("dilham.commutator", lhs, -2.0 * p.imag, tol, context=ctx),
-        compare("dilham.sum_norm", lhs, a * b * (2.0 - combo.norm_sq()), tol,
-                scale=a * b, context=ctx),
-        bound("dilham.grad_bound", grad_sq, a * b, tol, context=ctx),
-    ]
+    return [*worst(["dilham.energy", "dilham.commutator", "dilham.sum_norm"], lhs,
+                   [2.0 * b_phi.inner(phi), -2.0 * p.imag,
+                    a * b * (2.0 - combo.norm_sq())],
+                   tol, scale=[0.0, 0.0, a * b], context=ctx),
+            *worst(["dilham.grad_bound"], grad_sq, a * b, tol, inequality=True,
+                   context=ctx)]
 
 
-def verify_radial_coulomb(state, tol: float = GRID_TOL) -> list[EqualityReport]:
+def verify_radial_coulomb(state, tol: float | None = None) -> list[EqualityReport]:
     """Identities from the symmetrized radial derivative / 1/|x| pair.
 
-    On a stack of radial profiles each id reports its first worst row."""
-    ops, n, ctx = _operators(state)
+    On a stack each id reports its first worst row."""
+    ops, n, ctx, tol = _operators(state, tol)
     if n < 3:
         raise ValueError("the radial/Coulomb identities require dimension >= 3")
     a_phi = ops.radial_derivative_sym(state)
@@ -233,8 +237,10 @@ def _hermite_basis(grid: grids.GridSpec, max_level: int) -> np.ndarray:
 
 def random_smooth_state(grid: grids.GridSpec, rng: np.random.Generator,
                         max_level: int = 8, terms: int = 3,
-                        normalize: bool = True) -> StateField:
-    """Random finite Hermite-function mixture: smooth, rapidly decaying.
+                        normalize: bool = True,
+                        states: int | None = None) -> StateField:
+    """Random finite Hermite-function mixture: smooth, rapidly decaying; with
+    ``states``, a stack of as many, drawn as successive calls draw them.
 
     Every such state lies in the (grid) domain of all the operators here and
     carries no boundary mass for L a few units beyond sqrt(2*max_level+1).
@@ -242,23 +248,25 @@ def random_smooth_state(grid: grids.GridSpec, rng: np.random.Generator,
     """
     basis = _hermite_basis(grid, max_level)
     decay = 0.7 ** np.arange(max_level + 1)
-    values = np.zeros(grid.shape, dtype=np.complex128)
-    for _ in range(terms):
-        coeff = (rng.standard_normal() + 1j * rng.standard_normal())
+    k = 1 if states is None else states
+    # Per state and term: re, im of its coefficient; re, im of each axis's.
+    z = rng.standard_normal((k, terms, 2 + 2 * grid.n * (max_level + 1)))
+    axes = z[..., 2:].reshape(k, terms, grid.n, 2, max_level + 1)
+    c = (axes[..., 0, :] + 1j * axes[..., 1, :]) * decay
+    values = np.zeros((k,) + grid.shape, dtype=np.complex128)
+    for t in range(terms):
         term = None
         for axis in range(grid.n):
-            c = (rng.standard_normal(max_level + 1)
-                 + 1j * rng.standard_normal(max_level + 1)) * decay
-            profile = c @ basis
-            shape = [1] * grid.n
-            shape[axis] = grid.N
-            factor = profile.reshape(shape)
+            # per-row gemv, (k, 9) @ basis would go to gemm with other bits
+            factor = (c[:, t, axis, None, :] @ basis)[:, 0].reshape(
+                (k,) + (1,) * axis + (-1,) + (1,) * (grid.n - 1 - axis))
             term = factor if term is None else term * factor
-        values = values + coeff * term
-    phi = StateField(grid, values)
+        coeff = z[:, t, 0] + 1j * z[:, t, 1]
+        values = values + coeff.reshape([k] + [1] * grid.n) * term
+    phi = StateField(grid, values if states is not None else values[0])
     if normalize:
         nrm = phi.norm()
-        if nrm == 0.0:
+        if not np.all(nrm):
             raise ValueError("degenerate random state")
         phi = phi * (1.0 / nrm)
     return phi

@@ -76,18 +76,22 @@ def worst(ids: list[str], lhs, rhs, tol: float, scale=0.0,
     tuple holds one entry per id, a scalar or a row array each.  Rows are
     ranked by the residual of :func:`compare` (of :func:`bound`, ``lhs`` the
     smaller side, if ``inequality``), a non-finite side first; that function
-    builds the report, with ``context``."""
+    builds the report, with ``context`` (an array entry: the row's entry)."""
     lhs, rhs, scale = (np.array(np.broadcast_arrays(*x))
                        if isinstance(x, (list, tuple)) else x
                        for x in (lhs, rhs, scale))
     lhs, rhs, scale = (x.reshape(len(ids), -1)
                        for x in np.broadcast_arrays(lhs, rhs, scale))
+    def _abs(z):    # the bits of Python's abs, which np.abs of a complex lacks
+        return np.hypot(z.real, z.imag) if z.dtype.kind == "c" else np.abs(z)
     with np.errstate(all="ignore"):
-        gap = np.maximum(lhs - rhs, 0.0) if inequality else np.abs(lhs - rhs)
-        rel = gap / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)),
+        gap = np.maximum(lhs - rhs, 0.0) if inequality else _abs(lhs - rhs)
+        rel = gap / np.maximum(np.maximum(_abs(lhs), _abs(rhs)),
                                np.maximum(scale, 1.0))
     rel[~(np.isfinite(lhs) & np.isfinite(rhs))] = math.inf
     check = bound if inequality else compare
     return [check(name, lhs[k, i].item(), rhs[k, i].item(), tol,
-                  scale=scale[k, i].item(), context=context)
+                  scale=scale[k, i].item(),
+                  context={key: val[i].item() if isinstance(val, np.ndarray) else val
+                           for key, val in (context or {}).items()})
             for k, (name, i) in enumerate(zip(ids, np.argmax(rel, axis=-1)))]

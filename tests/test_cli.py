@@ -5,20 +5,21 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict, replace
 from typing import Optional
 
 import numpy as np
 import pytest
 
-from uncerteq import cli, grids, identities
+from uncerteq import cli, complexspace, grids, identities
 from uncerteq.cli import (SuiteConfig, _check_type, main, refinement_study,
                           run_suite, write_refinement_csv)
 from uncerteq.complexspace import (cs_equality_residuals, default_angles,
-                                   extremizer_class, random_vector)
+                                   extremizer_class, random_vector, sgn)
 from uncerteq.forms import PairSample, pair_reports
 from uncerteq.gaussians import GaussianSpec, realize
 from uncerteq.grids import MAX_POINTS, GridSpec
-from uncerteq.report import bound
+from uncerteq.report import bound, compare
 from uncerteq.search import SearchResult
 
 
@@ -189,6 +190,98 @@ def test_run_coulomb_memory_is_bounded_by_the_stack_cap():
         tracemalloc.stop()
     assert all(rep.passed for rep in reports)
     assert peak < 10e6
+
+
+def _pm_alone(phi, tol):
+    """verify_position_momentum on one state in Python scalars, as it was
+    written before it took stacks."""
+    xphi, gphi = grids.position(phi), grids.gradient(phi)
+    a, b = xphi.norm(), gphi.norm()
+    ctx = {"grid": phi.grid.to_dict()}
+    lhs, p, ab = phi.grid.n * phi.norm_sq(), xphi.inner(gphi), a * b
+    sum_hat = (1.0 / a) * xphi + (1.0 / b) * gphi
+    aligned = (1.0 / a) * xphi - (sgn(p) / b) * gphi
+    return [compare("pm.trace", lhs, -2.0 * p.real, tol, context=ctx),
+            compare("pm.sum_norm", lhs, ab * (2.0 - sum_hat.norm_sq()), tol,
+                    context=ctx),
+            compare("pm.expansion", lhs, a * a + b * b - (xphi + gphi).norm_sq(),
+                    tol, context=ctx),
+            compare("pm.schrodinger", abs(p), ab * (1.0 - 0.5 * aligned.norm_sq()),
+                    tol, scale=ab, context=ctx)]
+
+
+def _dilation_alone(phi, tol):
+    """verify_dilation_pythagoras and verify_dilation_hamiltonian on one
+    state in Python scalars, as they were written before they took stacks."""
+    n, ctx = phi.grid.n, {"grid": phi.grid.to_dict()}
+    d = grids.x_dot_grad(phi)
+    gap = (d + (0.5 * n) * phi).norm_sq()
+    a_phi, b_phi = grids.dilation_generator(phi), grids.neg_laplacian(phi)
+    a, b = a_phi.norm(), b_phi.norm()
+    grad_sq = grids.gradient(phi).norm_sq()
+    lhs, p = 2.0 * grad_sq, a_phi.inner(b_phi)
+    combo = (1.0 / a) * a_phi + (1j / b) * b_phi
+    return [compare("dil.pythagoras", d.norm_sq(),
+                    gap + (0.5 * n) ** 2 * phi.norm_sq(), tol,
+                    context={**ctx, "gap": gap}),
+            compare("dilham.energy", lhs, 2.0 * b_phi.inner(phi), tol, context=ctx),
+            compare("dilham.commutator", lhs, -2.0 * p.imag, tol, context=ctx),
+            compare("dilham.sum_norm", lhs, a * b * (2.0 - combo.norm_sq()), tol,
+                    scale=a * b, context=ctx),
+            bound("dilham.grad_bound", grad_sq, a * b, tol, context=ctx)]
+
+
+def _grid_oracle(cfg):
+    """The grid suite's reports from its states verified one at a time, in
+    the Python scalars of the per-state verifiers, each state drawn as a
+    stack of one; momentum-position's two Gaussian rows are its own."""
+    grid = GridSpec(cfg.n, cfg.N, cfg.L, cfg.offset)
+    rng = np.random.default_rng(cfg.seed)
+    verify = _pm_alone if cfg.suite == "momentum-position" else _dilation_alone
+    reports = []
+    for _ in range(cfg.trials):
+        stack = identities.random_smooth_state(grid, rng, states=1)
+        reports += verify(grids.StateField(grid, stack.data[0]), cfg.tol)
+    return cli._aggregate(reports)
+
+
+@pytest.mark.parametrize("suite", ["momentum-position", "dilation"])
+@pytest.mark.parametrize("flags", [
+    *({"seed": seed} for seed in range(5)),
+    {"n": 2, "N": 48, "L": 9.0},
+    {"n": 3, "N": 32, "L": 7.0},     # a stack would hold one state: one per draw
+    {"trials": 300, "seed": 3},     # stacks of 128, 128 and 44 states
+])
+def test_stacked_grid_suites_match_the_per_state_loop(suite, flags):
+    cfg = SuiteConfig(suite=suite, **flags)
+    cfg = replace(cfg, **cli._resolve(suite, asdict(cfg)))
+    reports = cli.RUNNERS[suite](cfg)
+    assert [rep for rep in reports if rep.identity_id not in (
+        "pm.kennard_saturation", "pm.coherent_alignment")] == _grid_oracle(cfg)
+
+
+@pytest.mark.parametrize("suite", ["momentum-position", "dilation"])
+def test_grid_suite_memory_is_bounded_by_the_stack_cap(suite):
+    # Stacks of at most complexspace.STACK_ENTRIES grid values (128 states at
+    # N = 256).  The traced peak measured 3.7 MB (momentum-position) and
+    # 3.2 MB (dilation), about seven stack-sized arrays, at 128, 1,000 and
+    # 3,000 trials; one state at a time it grew with the trials, 0.3 MB at
+    # 128 to 2.0-2.7 MB at 1,000 and 6.0-7.9 MB at 3,000.
+    stack_bytes = complexspace.STACK_ENTRIES * 16
+    run = cli.RUNNERS[suite]
+    peaks = []
+    for trials in (1, 128, 1000):
+        cfg = SuiteConfig(suite=suite, trials=trials)
+        cfg = replace(cfg, **cli._resolve(suite, asdict(cfg)))
+        tracemalloc.start()
+        try:
+            reports = run(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert all(rep.passed for rep in reports)
+    assert peaks[2] < 10 * stack_bytes
+    assert peaks[2] - peaks[1] < stack_bytes / 4
 
 
 def test_verify_search_at_small_lambda_start():

@@ -1,12 +1,14 @@
 """Tests for the tensor-grid discretization and its operators."""
 
+import inspect
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from uncerteq.cli import SuiteConfig, run_suite
+from uncerteq import grids, identities
+from uncerteq.cli import SuiteConfig, _aggregate, run_suite
 from uncerteq.gaussians import GaussianSpec, realize
 from uncerteq.grids import (GridSpec, StateField, VectorField,
                             _laplacian_symbol, _radius, _radius_sq,
@@ -507,3 +509,81 @@ def test_real_arithmetic_that_overflows_is_refused():
     phi = StateField(GridSpec(n=1, N=16, L=2.0), np.full(16, 1e308))
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
         phi * 10.0
+
+
+# Every public function of grids and identities that takes a grid state, as
+# called on one, and the methods of the field classes.  The functions that
+# report on one state refuse a stack, naming themselves.
+_FUNCTIONS = {
+    **{name: getattr(grids, name) for name in (
+        "gradient", "position", "momentum", "x_dot_grad", "dilation_generator",
+        "neg_laplacian", "radial_derivative", "radial_derivative_sym",
+        "coulomb", "spherical_derivative", "pointwise_gradient_decomposition")},
+    "radial_part": lambda phi: grids.radial_part(gradient(phi)),
+    "pointwise_split": lambda phi: grids.pointwise_split(
+        gradient(phi), radial_derivative(phi)),
+    **{name: getattr(identities, name) for name in (
+        "verify_position_momentum", "saturation_flags",
+        "verify_dilation_pythagoras", "verify_hardy",
+        "verify_dilation_hamiltonian", "verify_radial_coulomb")},
+}
+_METHODS = {
+    "StateField.norm": StateField.norm,
+    "StateField.norm_sq": StateField.norm_sq,
+    "VectorField.norm": lambda phi: gradient(phi).norm(),
+    "StateField.inner": lambda phi: phi.inner(coulomb(phi)),
+    "VectorField.inner": lambda phi: position(phi).inner(gradient(phi)),
+    "arithmetic": lambda phi: ((phi * phi.norm() + phi.norm_sq() * phi)
+                               - phi / phi.norm() + (1j * phi) / 3.0),
+}
+_REFUSE_A_STACK = {"pointwise_split", "pointwise_gradient_decomposition",
+                   "saturation_flags", "verify_hardy"}
+_NO_STATE = {"lattice_zeta", "random_smooth_state", "refinement_study"}
+
+
+def _public_functions(module):
+    return {name for name, value in vars(module).items()
+            if inspect.isfunction(inspect.unwrap(value))
+            and value.__module__ == module.__name__
+            and not name.startswith("_")}
+
+
+def test_the_stack_table_names_every_public_grid_function():
+    assert (_public_functions(grids) | _public_functions(identities)
+            == set(_FUNCTIONS) | _NO_STATE)
+
+
+@pytest.mark.parametrize("scheme", ["spectral_periodic", "central_diff_4"])
+@pytest.mark.parametrize("phase", [1.0, 1.0 + 0.5j])
+@pytest.mark.parametrize("name", sorted({**_FUNCTIONS, **_METHODS}))
+def test_every_grid_function_on_a_two_state_stack(name, phase, scheme):
+    # Each row of the stack's result is the row's own result, to the bit; a
+    # report is its rows' first worst.  A function that reports on one state
+    # refuses the stack, naming itself, and never ravels it into one state.
+    grid = GridSpec(3, 16, 6.0, offset=0.5, scheme=scheme)
+    rows = [StateField.from_callable(grid, lambda x, y, z: phase * (
+                1.0 + 0.3 * x) * np.exp(-0.5 * (x * x + y * y + z * z))),
+            StateField.from_callable(grid, lambda x, y, z: phase * (
+                1.0 + y - 0.2 * z) * np.exp(-0.7 * (x * x + y * y + z * z)))]
+    stack = StateField(grid, np.stack([row.data for row in rows]))
+    call = {**_FUNCTIONS, **_METHODS}[name]
+    if name in _REFUSE_A_STACK:
+        with pytest.raises(ValueError, match=f"{name} takes one state"):
+            call(stack)
+        return
+    out, alone = call(stack), [call(row) for row in rows]
+    if isinstance(out, list):
+        assert _aggregate(out) == _aggregate([rep for reps in alone for rep in reps])
+    elif isinstance(out, np.ndarray):
+        assert out.tolist() == alone
+    else:
+        assert type(out) is type(alone[0]) and out.data.shape[0] == 2
+        for row, single in zip(out.data, alone):
+            assert np.array_equal(row, single.data)
+
+
+def test_a_single_state_keeps_python_numbers():
+    phi = realize(GaussianSpec("coherent", n=1), GridSpec(1, 64, 8.0))
+    assert type(phi.norm()) is float and type(phi.norm_sq()) is float
+    assert type(phi.inner(phi)) is complex
+    assert type(gradient(phi).norm()) is float

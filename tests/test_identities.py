@@ -275,3 +275,39 @@ def test_grids_at_the_guard_edge_hold_a_fifth_of_grid_tol(N, L):
 def test_random_smooth_state_accepts_resolved_grids(grid):
     phi = random_smooth_state(grid, np.random.default_rng(0))
     assert phi.norm() == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(n=1, N=256, L=12.0),
+                                  GridSpec(n=2, N=48, L=9.0, offset=0.5)])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_a_stack_of_random_smooth_states_is_successive_single_draws(grid, normalize):
+    # The same draws in the same order, and each row's bits those of its
+    # single call; states=1 is one call's state on a leading axis.
+    rng, alone = np.random.default_rng(5), np.random.default_rng(5)
+    stack = random_smooth_state(grid, rng, normalize=normalize, states=7)
+    assert stack.data.shape == (7, *grid.shape)
+    for row in stack.data:
+        assert np.array_equal(
+            row, random_smooth_state(grid, alone, normalize=normalize).data)
+    assert rng.standard_normal() == alone.standard_normal()
+    one = random_smooth_state(grid, np.random.default_rng(9), states=1)
+    assert np.array_equal(one.data[0],
+                          random_smooth_state(grid, np.random.default_rng(9)).data)
+
+
+def test_radial_verifiers_default_to_their_rules_tolerance():
+    # With no tol, the exact Laguerre rule checks at ALGEBRAIC_TOL; the
+    # midpoint rule and the tensor grid at GRID_TOL.
+    quad = LaguerreQuadrature(4)
+    stack = random_radial_state(quad, np.random.default_rng(3), states=20)
+    for verify in (verify_hardy, verify_radial_coulomb,
+                   verify_dilation_pythagoras):
+        reports = verify(stack)
+        assert {rep.tol for rep in reports} == {identities.ALGEBRAIC_TOL}
+        assert all(rep.passed for rep in reports)
+        assert {rep.tol for rep in verify(radial_gaussian(QUAD3))} == {
+            identities.GRID_TOL}
+    psi = realize(GaussianSpec("coherent", n=3), GridSpec(3, 32, 8.0, offset=0.5))
+    for verify in (verify_hardy, verify_radial_coulomb,
+                   verify_dilation_pythagoras):
+        assert {rep.tol for rep in verify(psi)} == {identities.GRID_TOL}
