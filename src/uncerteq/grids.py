@@ -9,7 +9,8 @@ input is stored as float64, anything else as complex128, and the operators
 keep the dtype of their input.  The Fourier path picks its transform from
 the dtype: a real field (every Hardy state) takes the real-input transform on
 the half spectrum, a complex one the full transform.  Derivatives are written
-into the caller's buffer, and x.grad is summed axis by axis.
+into the caller's buffer, and x.grad is summed axis by axis.  ``hardy_terms``
+sums the Hardy norms in one pass over cache-sized slabs of axis-0 planes.
 
 A field holds one state or a stack of them on a leading axis; operators act
 on the last axes, and ``inner`` and the norms give one value per row.
@@ -23,6 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .complexspace import STACK_ENTRIES
 from .report import EqualityReport, compare
 
 SCHEMES = ("spectral_periodic", "central_diff_2", "central_diff_4")
@@ -78,18 +80,24 @@ class GridSpec:
 
     @property
     def excludes_origin(self) -> bool:
-        return float(_radius(self).min()) > 0.0
+        return float(np.min(self.axis_coords() ** 2)) > 0.0   # min |x|^2 / n
 
     def to_dict(self) -> dict:
         return {"n": self.n, "N": self.N, "L": self.L,
                 "offset": self.offset, "scheme": self.scheme}
 
 
+def _sum_sq(coords, shape: tuple[int, ...]) -> np.ndarray:
+    """sum_j x_j^2 over the axis coordinates, broadcast to ``shape``, in axis order."""
+    r2 = np.zeros(shape)
+    for coord in coords:
+        r2 += coord ** 2
+    return r2
+
+
 @lru_cache(maxsize=2)
 def _radius_sq(grid: GridSpec) -> np.ndarray:
-    r2 = np.zeros(grid.shape)
-    for axis in range(grid.n):
-        r2 = r2 + grid.coord(axis) ** 2
+    r2 = _sum_sq(map(grid.coord, range(grid.n)), grid.shape)
     r2.setflags(write=False)
     return r2
 
@@ -154,6 +162,11 @@ def _require_origin_free(grid: GridSpec):
             "operators singular at 0")
 
 
+def _require_finite(data: np.ndarray):
+    if not np.isfinite(data).all():
+        raise ValueError("field values must be finite")
+
+
 class _GridQuantity:
     """Shared arithmetic and quadrature for scalar and vector grid data."""
 
@@ -168,8 +181,7 @@ class _GridQuantity:
         if data.shape[-len(shape):] != shape or data.ndim > len(shape) + 1:
             raise ValueError(f"data shape {data.shape} does not match grid "
                              f"{shape} or a stack of it")
-        if not np.isfinite(data).all():
-            raise ValueError("field values must be finite")
+        _require_finite(data)
         self.grid = grid
         self.data = data
 
@@ -330,29 +342,28 @@ def neg_laplacian(phi: StateField) -> StateField:
     return StateField(grid, out)
 
 
-def _radial_part(grid: GridSpec, g: np.ndarray) -> np.ndarray:
-    """(x/|x|).g for gradient data g, accumulated in axis order."""
-    out = np.zeros(g.shape[:-grid.n - 1] + grid.shape, dtype=g.dtype)
+def _radial_part(coords, r: np.ndarray, comps) -> np.ndarray:
+    """(x/|x|).g from the components of g, accumulated in axis order; coords
+    and r = |x| are those of the whole grid or of a slab of it."""
+    out = np.zeros(comps[0].shape, dtype=comps[0].dtype)
     buf = np.empty_like(out)
-    for axis, comp in enumerate(np.moveaxis(g, -grid.n - 1, 0)):
-        out += np.multiply(np.divide(grid.coord(axis), _radius(grid), out=buf),
-                           comp, out=buf)
+    for coord, comp in zip(coords, comps):
+        out += np.multiply(np.divide(coord, r, out=buf), comp, out=buf)
     return out
 
 
-def _tangential_part(grid: GridSpec, g: np.ndarray, dr: np.ndarray,
-                     buf: np.ndarray | None = None) -> np.ndarray:
-    """g - (x/|x|) dr into g, dr the radial part of g; buf: scratch or None."""
-    for axis, comp in enumerate(np.moveaxis(g, -grid.n - 1, 0)):
-        comp -= np.multiply(np.divide(grid.coord(axis), _radius(grid),
-                                      out=buf), dr, out=buf)
-    return g
+def _tangential_part(coords, r: np.ndarray, comps, dr: np.ndarray):
+    """g - (x/|x|) dr into the components of g, dr their radial part."""
+    for coord, comp in zip(coords, comps):
+        comp -= np.divide(coord, r) * dr
 
 
 def radial_part(g: VectorField) -> StateField:
     """(x/|x|).g; of g = grad phi it is the radial derivative of phi."""
-    _require_origin_free(g.grid)
-    return StateField(g.grid, _radial_part(g.grid, g.data))
+    grid = g.grid
+    _require_origin_free(grid)
+    return StateField(grid, _radial_part(map(grid.coord, range(grid.n)), _radius(grid),
+                                         np.moveaxis(g.data, -grid.n - 1, 0)))
 
 
 def radial_derivative(phi: StateField) -> StateField:
@@ -379,36 +390,56 @@ def spherical_derivative(phi: StateField) -> VectorField:
     grid = phi.grid
     _require_origin_free(grid)
     g = gradient(phi).data
-    return VectorField(grid, _tangential_part(grid, g, _radial_part(grid, g)))
+    coords = [grid.coord(axis) for axis in range(grid.n)]
+    r, comps = _radius(grid), np.moveaxis(g, -grid.n - 1, 0)
+    _tangential_part(coords, r, comps, _radial_part(coords, r, comps))
+    return VectorField(grid, g)
 
 
-def pointwise_split(g: VectorField, dr: StateField,
-                    tol: float = 1e-10) -> EqualityReport:
-    """|grad phi|^2 = |d_r phi|^2 + |L phi|^2, pointwise and integrated, from
-    g = grad phi (overwritten once read) and dr, its radial part."""
-    g.single("pointwise_split")
-    grid = g.grid
-    sq = np.empty(grid.shape)
-    real = not np.iscomplexobj(dr.data)
-    lhs_point = np.zeros(grid.shape)
-    for comp in g.data:
-        lhs_point += np.square(comp if real else np.abs(comp, out=sq), out=sq)
-    tangential = _tangential_part(grid, g.data, dr.data, sq if real else None)
-    rhs_point = np.square(dr.data if real else np.abs(dr.data), out=sq)
-    for comp in tangential:
-        rhs_point += np.square(comp, out=comp) if real else np.abs(comp) ** 2
-    lhs = float(np.sum(lhs_point)) * grid.weight
-    rhs = float(np.sum(rhs_point)) * grid.weight
-    lhs_point -= rhs_point
-    max_point = float(np.max(np.abs(lhs_point, out=lhs_point)))
-    return compare("grad.pointwise_split", lhs, rhs, tol,
-                   context={"grid": grid.to_dict(),
-                            "max_pointwise_residual": max_point})
+def _abs_sq(a: np.ndarray) -> np.ndarray:
+    return np.square(a.real) + np.square(a.imag) if np.iscomplexobj(a) else np.square(a)
+
+
+def hardy_terms(phi: StateField, tol: float = 1e-10, name: str = "hardy_terms"):
+    """[||grad phi||^2, ||d_r phi||^2, ||phi/|x|||^2, ||d_r phi + (n-2)/(2|x|) phi||^2]
+    of one state and the report of its split |grad phi|^2 = |d_r phi|^2 + |L phi|^2
+    (pointwise and integrated), in one pass over slabs of at most STACK_ENTRIES
+    values (or one plane).  Axis 0 is differentiated on the whole grid; each slab
+    takes the other axes and |x| in cache, and numpy (not BLAS) sums each slab."""
+    phi.single(name)
+    grid, c = phi.grid, 0.5 * (phi.grid.n - 2)
+    _require_origin_free(grid)
+    coords = [grid.coord(axis) for axis in range(grid.n)]
+    d0 = _derivative_axis(grid, phi.data, 0)
+    step = max(1, STACK_ENTRIES // grid.N ** (grid.n - 1))
+    sums, max_point = np.zeros(5), 0.0
+    for lo in range(0, grid.N, step):
+        rows = slice(lo, lo + step)
+        block, slab = phi.data[rows], [coords[0][rows], *coords[1:]]
+        comps = [d0[rows], *(_derivative_axis(grid, block, axis)
+                             for axis in range(1, grid.n))]
+        r = np.sqrt(_sum_sq(slab, block.shape))
+        dr = _radial_part(slab, r, comps)
+        q = block / r
+        shifted = dr + c * q
+        for field in (*comps, dr, q, shifted):
+            _require_finite(field)
+        grad_point = sum(map(_abs_sq, comps))
+        _tangential_part(slab, r, comps, dr)
+        split_point = _abs_sq(dr)
+        dr_sq = np.sum(split_point)
+        for comp in comps:
+            split_point += _abs_sq(comp)
+        sums += [np.sum(grad_point), dr_sq, np.sum(_abs_sq(q)),
+                 np.sum(_abs_sq(shifted)), np.sum(split_point)]
+        max_point = max(max_point, float(np.max(np.abs(grad_point - split_point))))
+    *terms, split = (sums * grid.weight).tolist()
+    return terms, compare("grad.pointwise_split", terms[0], split, tol,
+                          context={"grid": grid.to_dict(),
+                                   "max_pointwise_residual": max_point})
 
 
 def pointwise_gradient_decomposition(phi: StateField,
                                      tol: float = 1e-10) -> EqualityReport:
-    """``pointwise_split`` of one gradient of phi."""
-    phi.single("pointwise_gradient_decomposition")
-    g = gradient(phi)
-    return pointwise_split(g, radial_part(g), tol)
+    """The split report of ``hardy_terms``."""
+    return hardy_terms(phi, tol, "pointwise_gradient_decomposition")[1]

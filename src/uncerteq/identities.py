@@ -99,24 +99,22 @@ def verify_hardy(psi, tol: float | None = None) -> list[EqualityReport]:
     ops, n, ctx, tol = _operators(psi, tol)
     if n < 3:
         raise ValueError("the Hardy identities require dimension >= 3")
-    if ops is grids:
-        psi.single("verify_hardy")
-    # One gradient gives ||d_r psi||, ||grad psi|| and the grid's split.
-    g = ops.gradient(psi)
-    grad_sq = g.norm_sq()
-    dpsi = ops.radial_part(g)
-    tail = [] if ops is radial else [grids.pointwise_split(g, dpsi, tol)]
-    del g
-    q = ops.coulomb(psi)                   # psi / |x|
-    ids, lhs = ["hardy.pythagoras"], []
-    if ops is radial:   # transfer through phi = psi/|x|: x.grad phi and its (n/2) shift
+    ids, lhs, tail = ["hardy.pythagoras"], [], []
+    if ops is grids:    # one pass over slabs of the grid, which also gives the split
+        (grad_sq, dr_sq, q_sq, shifted_sq), split = grids.hardy_terms(
+            psi, tol, "verify_hardy")
+        tail = [split]
+    else:   # transfer through phi = psi/|x|: x.grad phi and its (n/2) shift
+        g = ops.gradient(psi)
+        grad_sq = g.norm_sq()
+        dpsi = ops.radial_part(g)
+        q = ops.coulomb(psi)                   # psi / |x|
         xg_phi = ops.x_dot_grad(q)
         ids += ["hardy.radial_shift", "hardy.scaling_shift"]
         lhs = [xg_phi.norm_sq(), (xg_phi + (0.5 * n) * q).norm_sq()]
-    dr_sq = dpsi.norm_sq()
-    q_sq = q.norm_sq()
-    # ||d_r psi + (n-2)/(2|x|) psi||^2
-    shifted_sq = (dpsi + (0.5 * (n - 2)) * q).norm_sq()
+        dr_sq, q_sq = dpsi.norm_sq(), q.norm_sq()
+        # ||d_r psi + (n-2)/(2|x|) psi||^2
+        shifted_sq = (dpsi + (0.5 * (n - 2)) * q).norm_sq()
     rhs = [shifted_sq + (0.5 * (n - 2)) ** 2 * q_sq, dr_sq + (n - 1) * q_sq,
            shifted_sq][:len(ids)]
     return [*worst(ids, [dr_sq, *lhs], rhs, tol, context=ctx),

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -105,6 +106,23 @@ def test_report_body_is_deterministic_for_fixed_seed(tmp_path):
         del payload["header"]["timestamp"]
         del payload["header"]["config"]["out"]
     assert a == b
+
+
+def test_hardy_grid_body_does_not_depend_on_blas_threads(tmp_path):
+    # The grid Hardy sums are numpy's own reductions.  The np.vecdot norms
+    # they replaced went to BLAS, whose threaded dot changed the body: at the
+    # defaults value_lhs read 3.55e-15 on one thread and 1.48e-15 on two.
+    bodies = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"hardy_{threads}.json"
+        subprocess.run([sys.executable, "-m", "uncerteq.cli", "verify", "hardy",
+                        "--N", "48", "--L", "8", "--out", str(out)], check=True,
+                       capture_output=True,
+                       env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        payload = _load(out)
+        del payload["header"]
+        bodies.append(payload)
+    assert bodies[0] == bodies[1]
 
 
 def test_verify_momentum_position_with_csv(tmp_path):

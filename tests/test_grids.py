@@ -63,6 +63,18 @@ def test_origin_membership_depends_on_offset():
     assert GridSpec(n=1, N=16, L=4.0, offset=0.5).excludes_origin
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("N, offset", [(16, 0.0), (16, 0.5), (17, 0.0), (15, 0.3)])
+def test_origin_membership_builds_no_radius(n, N, offset):
+    # The smallest |x|^2 is n min x_j^2, so the 1-D coordinates decide it;
+    # no grid-sized |x| is built or looked up for the question.
+    grid = GridSpec(n=n, N=N, L=4.0, offset=offset, scheme="central_diff_2")
+    calls = _radius.cache_info(), _radius_sq.cache_info()
+    answer = grid.excludes_origin
+    assert (_radius.cache_info(), _radius_sq.cache_info()) == calls
+    assert answer == (float(_radius(grid).min()) > 0.0)
+
+
 def test_single_cell_mass_equals_cell_volume():
     grid = GridSpec(n=2, N=16, L=2.0)
     values = np.zeros(grid.shape)
@@ -231,35 +243,40 @@ def test_spherical_derivative_is_the_tangential_gradient():
 
 
 def _count_ffts(monkeypatch):
-    counts = {"fft": 0, "ifft": 0, "rfft": 0, "irfft": 0}
-    for name in counts:
+    # Points each entry point transforms: the real-space size of each call
+    # (a forward transform's input, an inverse one's output), so the count
+    # does not depend on how many slabs a pass cuts the grid into.
+    points = {"fft": 0, "ifft": 0, "rfft": 0, "irfft": 0}
+    for name in points:
         original = getattr(np.fft, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+            out = _original(*args, **kwargs)
+            points[_name] += (args[0] if _name == "rfft" else out).size
+            return out
 
         monkeypatch.setattr(np.fft, name, counting)
-    return counts
+    return points
 
 
 def test_pointwise_split_transform_count(monkeypatch):
-    # One gradient feeds |grad phi|^2, the radial part and L phi; the
-    # angular Gaussian is complex, so it takes the full transform.
+    # One gradient's worth of transforms feeds |grad phi|^2, the radial part
+    # and L phi; the angular Gaussian is complex, so it takes the full one.
     phi = _angular_gaussian_3d(N=16)
-    counts = _count_ffts(monkeypatch)
+    points = _count_ffts(monkeypatch)
     pointwise_gradient_decomposition(phi, tol=1e-6)
-    assert counts == {"fft": 3, "ifft": 3, "rfft": 0, "irfft": 0}
+    assert points == {"fft": 3 * 16 ** 3, "ifft": 3 * 16 ** 3, "rfft": 0, "irfft": 0}
 
 
 def test_run_hardy_transform_count(monkeypatch):
-    # verify_hardy takes one gradient of psi, read by the radial part,
-    # |grad psi| and the pointwise split; a grid takes no x.grad of psi/|x|.
-    # The hardy state is float64, so every transform is a real-input one:
-    # one gradient of 3 on the one grid.
-    counts = _count_ffts(monkeypatch)
+    # verify_hardy transforms one gradient's worth of points, read by the
+    # radial part, |grad psi| and the pointwise split; a grid takes no x.grad
+    # of psi/|x|.  The hardy state is float64, so every transform is a
+    # real-input one: axis 0 on the whole grid, axes 1 and 2 slab by slab
+    # (8 slabs of 8 planes at N = 64, 17 calls each way).
+    points = _count_ffts(monkeypatch)
     run_suite(SuiteConfig(suite="hardy", N=64, L=8.0))
-    assert counts == {"fft": 0, "ifft": 0, "rfft": 3, "irfft": 3}
+    assert points == {"fft": 0, "ifft": 0, "rfft": 3 * 64 ** 3, "irfft": 3 * 64 ** 3}
 
 
 @pytest.mark.parametrize("n, L, Ns", [(3, 8.0, (32, 64)), (4, 7.0, (28, 32))])
@@ -284,9 +301,9 @@ def test_lattice_zeta_closed_forms_in_four_dimensions():
     assert lattice_zeta(4, 0.25) == pytest.approx(-math.log(2.0), rel=1e-14)
 
 
-def _off_centre_state(n, N, phase=False):
+def _off_centre_state(n, N, phase=False, scheme="spectral_periodic"):
     # Not radial, so the spherical part L psi is not zero.
-    grid = GridSpec(n=n, N=N, L=6.0, offset=0.5)
+    grid = GridSpec(n=n, N=N, L=6.0, offset=0.5, scheme=scheme)
 
     def fn(*x):
         r2 = sum((xj - 0.4 * (j + 1)) ** 2 for j, xj in enumerate(x))
@@ -299,8 +316,8 @@ def _off_centre_state(n, N, phase=False):
 @pytest.mark.parametrize("n, N", [(3, 16), (4, 12)])
 @pytest.mark.parametrize("phase", [False, True])
 def test_verify_hardy_split_is_the_pointwise_decomposition(n, N, phase):
-    # verify_hardy builds the split from the gradient it already took; the
-    # report must be the one a separate gradient gives, to the bit.
+    # verify_hardy takes its split from the same slab pass as
+    # pointwise_gradient_decomposition; the two reports agree to the bit.
     psi = _off_centre_state(n, N, phase)
     split = {r.identity_id: r for r in verify_hardy(psi, 1e-9)}[
         "grad.pointwise_split"]
@@ -309,6 +326,36 @@ def test_verify_hardy_split_is_the_pointwise_decomposition(n, N, phase):
     assert (split.context["max_pointwise_residual"]
             == alone.context["max_pointwise_residual"])
     assert split.to_dict() == alone.to_dict()
+    assert split.passed
+
+
+@pytest.mark.parametrize("scheme", ["spectral_periodic", "central_diff_4"])
+@pytest.mark.parametrize("phase", [False, True])
+@pytest.mark.parametrize("n, N", [(3, 36), (4, 18)])
+def test_hardy_terms_are_the_operator_composition(n, N, phase, scheme):
+    # The slab pass against the whole-grid operators.  N is not a multiple of
+    # the slab (25 planes of 36^2, 5 of 18^3), so the last slab is short.
+    # Measured: the four norms and the split's right side within 1.3e-14
+    # (complex n = 4, where the slab sum is exact to the last bit and the
+    # vecdot of the norms is not); the largest pointwise residual 3.3e-16
+    # against 4.4e-16 from whole-grid fields.
+    assert N % (grids.STACK_ENTRIES // N ** (n - 1))
+    psi = _off_centre_state(n, N, phase, scheme)
+    terms, split = grids.hardy_terms(psi, 1e-9)
+    g = gradient(psi)
+    dr = grids.radial_part(g)
+    q = coulomb(psi)
+    tangential = spherical_derivative(psi)
+    assert terms == pytest.approx(
+        [g.norm_sq(), dr.norm_sq(), q.norm_sq(), (dr + 0.5 * (n - 2) * q).norm_sq()],
+        rel=5e-14, abs=0.0)
+    assert split.lhs == terms[0]
+    assert split.rhs.real == pytest.approx(dr.norm_sq() + tangential.norm_sq(),
+                                           rel=5e-14, abs=0.0)
+    point = (np.sum(np.abs(g.data) ** 2, axis=0) - np.abs(dr.data) ** 2
+             - np.sum(np.abs(tangential.data) ** 2, axis=0))
+    assert max(split.context["max_pointwise_residual"],
+               float(np.max(np.abs(point)))) <= 1e-15
     assert split.passed
 
 
@@ -365,27 +412,24 @@ def test_x_dot_grad_holds_three_fields_in_every_dimension(n, N):
 
 
 def test_run_hardy_peak_memory_is_bounded():
-    # The whole suite at N = 64, one grid: measured 7.03 fields, against 9.0
-    # when run_hardy took a fifth gradient for the split.  Bound: 7.5 fields.
+    # The whole suite at N = 64, one grid: measured 3.41 fields, against 7.03
+    # when the split, |d_r psi| and psi/|x| each held whole-grid fields and
+    # 9.0 when run_hardy took a fifth gradient for the split.  Bound: 3.75.
     field = 8 * 64 ** 3
     peak = _traced_peak(lambda: run_suite(SuiteConfig(suite="hardy", N=64, L=8.0)))
-    assert peak <= 7.5 * field
+    assert peak <= 3.75 * field
 
 
 def test_verify_hardy_peak_memory_is_bounded():
-    # numpy reports its data buffers to tracemalloc.  With one gradient of
-    # psi, dropped before the next, and every field float64, the traced peak
-    # stays under 10 fields (it was 16 with complex128 fields).
+    # numpy reports its data buffers to tracemalloc.  Beside psi the pass
+    # holds its axis-0 derivative and, slab by slab, a dozen slab-sized
+    # arrays: slabs of 14 of the 48 planes here, so the measured peak is 4.51
+    # float64 fields (2.02 at N = 96, slabs of 3 planes), against 6.08 with
+    # whole-grid fields and a cached |x| (16 with complex128 fields).
+    # Bound: 5 fields.
     grid = GridSpec(n=3, N=48, L=8.0, offset=0.5)
     psi = realize(GaussianSpec("coherent", n=3), grid)
-    _radius(grid)   # the cached |x| belongs to the grid, not the verifier
-    tracemalloc.start()
-    try:
-        verify_hardy(psi)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 10 * 8 * grid.N ** 3    # 10 float64 fields
+    assert _traced_peak(lambda: verify_hardy(psi)) <= 5 * 8 * grid.N ** 3
 
 
 def _real_state(n):
@@ -453,7 +497,7 @@ def test_laplacian_symbol_is_the_schemes_own(scheme):
 def test_radius_caches_hold_at_most_two_grids():
     # At the 2^24-point cap each cached array is 128 MB.
     for N in (16, 32, 64):
-        assert GridSpec(n=1, N=N, L=4.0, offset=0.5).excludes_origin
+        assert _radius(GridSpec(n=1, N=N, L=4.0, offset=0.5)).min() > 0.0
     assert _radius.cache_info().currsize <= 2
     assert _radius_sq.cache_info().currsize <= 2
 
@@ -518,10 +562,9 @@ _FUNCTIONS = {
     **{name: getattr(grids, name) for name in (
         "gradient", "position", "momentum", "x_dot_grad", "dilation_generator",
         "neg_laplacian", "radial_derivative", "radial_derivative_sym",
-        "coulomb", "spherical_derivative", "pointwise_gradient_decomposition")},
+        "coulomb", "spherical_derivative", "pointwise_gradient_decomposition",
+        "hardy_terms")},
     "radial_part": lambda phi: grids.radial_part(gradient(phi)),
-    "pointwise_split": lambda phi: grids.pointwise_split(
-        gradient(phi), radial_derivative(phi)),
     **{name: getattr(identities, name) for name in (
         "verify_position_momentum", "saturation_flags",
         "verify_dilation_pythagoras", "verify_hardy",
@@ -536,7 +579,7 @@ _METHODS = {
     "arithmetic": lambda phi: ((phi * phi.norm() + phi.norm_sq() * phi)
                                - phi / phi.norm() + (1j * phi) / 3.0),
 }
-_REFUSE_A_STACK = {"pointwise_split", "pointwise_gradient_decomposition",
+_REFUSE_A_STACK = {"hardy_terms", "pointwise_gradient_decomposition",
                    "saturation_flags", "verify_hardy"}
 _NO_STATE = {"lattice_zeta", "random_smooth_state", "refinement_study"}
 
