@@ -12,8 +12,10 @@ the half spectrum, a complex one the full transform.  Derivatives are written
 into the caller's buffer, and x.grad is summed axis by axis.  ``hardy_terms``
 sums the Hardy norms in one pass over cache-sized slabs of axis-0 planes.
 
-A field holds one state or a stack of them on a leading axis; operators act
-on the last axes, and ``inner`` and the norms give one value per row.
+A :class:`StateField` holds one state or a stack of them on a leading axis;
+operators act on the last axes, and ``inner`` and the norms give one value per
+row.  The same class holds the radial profiles of :mod:`uncerteq.radial`,
+whose space is a radial rule instead of a GridSpec.
 """
 
 from __future__ import annotations
@@ -68,6 +70,10 @@ class GridSpec:
     @property
     def shape(self) -> tuple[int, ...]:
         return (self.N,) * self.n
+
+    def integrate(self, values: np.ndarray):
+        """One integral per row of flattened samples: the row's sum times h^n."""
+        return values.sum(axis=-1) * self.weight
 
     def axis_coords(self) -> np.ndarray:
         return -self.L + (np.arange(self.N) + self.offset) * self.h
@@ -162,90 +168,128 @@ def _require_origin_free(grid: GridSpec):
             "operators singular at 0")
 
 
-def _require_finite(data: np.ndarray):
+def _require_finite(data: np.ndarray, what: str = "field values"):
     if not np.isfinite(data).all():
-        raise ValueError("field values must be finite")
+        raise ValueError(f"{what} must be finite")
 
 
-class _GridQuantity:
-    """Shared arithmetic and quadrature for scalar and vector grid data."""
+class StateField:
+    """A state, or a stack of them on a leading axis, on a space: a GridSpec
+    or a radial rule.  It holds the samples ``data`` and, for a radial
+    profile, an optional analytic derivative ``deriv``, which +, -, * and /
+    carry along when every operand has one.  Real data stay float64,
+    anything else is complex128; both are checked once per stack.  ``inner``
+    and the norms give one value per row, each summed by the space's
+    ``integrate`` in real arithmetic: the bits of a complex product or of a
+    BLAS dot would depend on numpy's SIMD path or on the BLAS thread count.
+    """
 
-    __slots__ = ("grid", "data")
+    __slots__ = ("space", "data", "deriv")
     __array_ufunc__ = None      # ndarray * field defers to __rmul__
     vector = False              # True: one component per axis ahead of the grid axes
 
-    def __init__(self, grid: GridSpec, data: np.ndarray):
+    def __init__(self, space, data, deriv=None):
+        self.space = space
+        self.data = self._checked(data, "field values")
+        self.deriv = None if deriv is None else self._checked(
+            deriv, "derivative", self.data.shape)
+
+    def _checked(self, data, what: str, shape=None) -> np.ndarray:
         data = np.asarray(data, dtype=np.complex128 if np.iscomplexobj(data)
                           else np.float64)
-        shape = (grid.n,) * self.vector + grid.shape
-        if data.shape[-len(shape):] != shape or data.ndim > len(shape) + 1:
-            raise ValueError(f"data shape {data.shape} does not match grid "
-                             f"{shape} or a stack of it")
-        _require_finite(data)
-        self.grid = grid
-        self.data = data
-
-    def _flat(self) -> np.ndarray:     # (states, entries) for a stack, else flat
-        return self.data.reshape(self.data.shape[:-self.grid.n - self.vector] + (-1,))
-
-    def single(self, name: str):
-        """Refuse a stack in ``name``, which reports on one state."""
-        if self.data.ndim > self.grid.n + self.vector:
-            raise ValueError(f"{name} takes one state, not a stack of {len(self.data)}")
-
-    def inner(self, other) -> complex | np.ndarray:
-        if type(other) is not type(self) or other.grid != self.grid:
-            raise ValueError("grid or kind mismatch in scalar product")
-        return _per_row(np.vecdot(other._flat(), self._flat()) * self.grid.weight,
-                        complex)
-
-    def norm(self) -> float | np.ndarray:
-        return _per_row(np.sqrt(self.norm_sq()))
-
-    def norm_sq(self) -> float | np.ndarray:
-        return _per_row(np.vecdot(self._flat(), self._flat()).real * self.grid.weight)
-
-    def __add__(self, other):
-        if type(other) is not type(self) or other.grid != self.grid:
-            raise ValueError("grid or kind mismatch")
-        return type(self)(self.grid, self.data + other.data)
-
-    def __sub__(self, other):
-        if type(other) is not type(self) or other.grid != self.grid:
-            raise ValueError("grid or kind mismatch")
-        return type(self)(self.grid, self.data - other.data)
-
-    def __mul__(self, scalar):
-        return type(self)(self.grid, self.data * self._rowwise(scalar))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return type(self)(self.grid, self.data / self._rowwise(scalar))
-
-    def _rowwise(self, scalar) -> np.ndarray:
-        """A scalar, or one per row of a stack, shaped to broadcast over rows."""
-        return np.reshape(scalar, np.shape(scalar) + (1,) * (self.grid.n + self.vector))
-
-
-def _per_row(value, kind=float):
-    return kind(value) if np.ndim(value) == 0 else value
-
-
-class StateField(_GridQuantity):
-    """Real or complex scalar function sampled on a GridSpec, or a stack."""
+        row = (self.space.n,) * self.vector + self.space.shape
+        if (data.shape[-len(row):] != row or data.ndim > len(row) + 1
+                or data.shape != (shape or data.shape)):
+            raise ValueError(f"{what} of shape {data.shape} do not match "
+                             f"{shape or row}" + ("" if shape else " or a stack of it"))
+        _require_finite(data, what)
+        return data
 
     @property
     def values(self) -> np.ndarray:
         return self.data
+
+    @property
+    def _rank(self) -> int:    # the axes of one state
+        return len(self.space.shape) + self.vector
+
+    def _flat(self) -> np.ndarray:     # (states, entries) for a stack, else flat
+        return self.data.reshape(self.data.shape[:-self._rank] + (-1,))
+
+    def _same_space(self, other) -> "StateField":
+        if type(other) is not type(self) or other.space != self.space:
+            raise ValueError("space or kind mismatch")
+        return other
+
+    def single(self, name: str):
+        """Refuse a stack in ``name``, which reports on one state."""
+        if self.data.ndim > self._rank:
+            raise ValueError(f"{name} takes one state, not a stack of {len(self.data)}")
 
     @classmethod
     def from_callable(cls, grid: GridSpec, fn) -> "StateField":
         coords = np.meshgrid(*[grid.axis_coords()] * grid.n, indexing="ij")
         return cls(grid, fn(*coords))
 
+    def inner(self, other) -> complex | np.ndarray:
+        """<self, other>, linear in self: Re and Im of self * conj(other)."""
+        x, y = self._flat(), self._same_space(other)._flat()
+        integrate = self.space.integrate
+        re = x.real * y.real
+        re += x.imag * y.imag
+        re = integrate(re)      # frees the products before im's are formed
+        im = x.imag * y.real
+        im -= x.real * y.imag
+        return _per_row(re + 1j * integrate(im), complex)
 
-class VectorField(_GridQuantity):
+    def norm(self) -> float | np.ndarray:
+        return _per_row(np.sqrt(self.norm_sq()))
+
+    def norm_sq(self) -> float | np.ndarray:
+        return _per_row(self.space.integrate(_abs_sq(self._flat())))
+
+    def _combine(self, other, op):
+        other = self._same_space(other)
+        deriv = (None if self.deriv is None or other.deriv is None
+                 else op(self.deriv, other.deriv))
+        return type(self)(self.space, op(self.data, other.data), deriv)
+
+    def _scaled(self, scalar, op):
+        # A scalar, or one per row of a stack, shaped to broadcast over rows.
+        scalar = np.reshape(scalar, np.shape(scalar) + (1,) * self._rank)
+        deriv = None if self.deriv is None else op(self.deriv, scalar)
+        return type(self)(self.space, op(self.data, scalar), deriv)
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
+
+    def __sub__(self, other):
+        return self._combine(other, np.subtract)
+
+    def __mul__(self, scalar):
+        return self._scaled(scalar, np.multiply)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        return self._scaled(scalar, np.divide)
+
+
+_GridQuantity = StateField     # the name perfbench/spans.py traces
+
+
+def _per_row(value, kind=float):
+    return kind(value) if np.ndim(value) == 0 else value
+
+
+def _abs_sq(a: np.ndarray) -> np.ndarray:
+    out = np.square(a.real)
+    if np.iscomplexobj(a):
+        out += np.square(a.imag)    # in place: two arrays of a's size at once, not three
+    return out
+
+
+class VectorField(StateField):
     """R^n- or C^n-valued function on a GridSpec; one component per axis."""
 
     vector = True
@@ -293,7 +337,7 @@ def _derivative_axis(grid: GridSpec, values: np.ndarray, axis: int,
 
 
 def gradient(phi: StateField) -> VectorField:
-    grid, data = phi.grid, phi.data
+    grid, data = phi.space, phi.data
     comps = np.empty((*data.shape[:-grid.n], grid.n, *grid.shape), data.dtype)
     for axis, comp in enumerate(np.moveaxis(comps, -grid.n - 1, 0)):
         _derivative_axis(grid, data, axis, comp)
@@ -301,7 +345,7 @@ def gradient(phi: StateField) -> VectorField:
 
 
 def position(phi: StateField) -> VectorField:
-    grid = phi.grid
+    grid = phi.space
     return VectorField(grid, np.stack([grid.coord(axis) * phi.data
                                        for axis in range(grid.n)], -grid.n - 1))
 
@@ -311,7 +355,7 @@ def momentum(phi: StateField) -> VectorField:
 
 
 def x_dot_grad(phi: StateField) -> StateField:
-    grid = phi.grid
+    grid = phi.space
     out = np.zeros(phi.data.shape, dtype=phi.data.dtype)
     d = np.empty_like(out)
     for axis in range(grid.n):
@@ -322,12 +366,12 @@ def x_dot_grad(phi: StateField) -> StateField:
 
 def dilation_generator(phi: StateField) -> StateField:
     """-i x.grad phi - i (n/2) phi, the symmetrized scaling generator."""
-    grid = phi.grid
+    grid = phi.space
     return StateField(grid, -1j * (x_dot_grad(phi).data + 0.5 * grid.n * phi.data))
 
 
 def neg_laplacian(phi: StateField) -> StateField:
-    grid = phi.grid
+    grid = phi.space
     out = None
     for axis in range(grid.n):
         if grid.scheme == "spectral_periodic":
@@ -360,7 +404,7 @@ def _tangential_part(coords, r: np.ndarray, comps, dr: np.ndarray):
 
 def radial_part(g: VectorField) -> StateField:
     """(x/|x|).g; of g = grad phi it is the radial derivative of phi."""
-    grid = g.grid
+    grid = g.space
     _require_origin_free(grid)
     return StateField(grid, _radial_part(map(grid.coord, range(grid.n)), _radius(grid),
                                          np.moveaxis(g.data, -grid.n - 1, 0)))
@@ -373,31 +417,27 @@ def radial_derivative(phi: StateField) -> StateField:
 
 def radial_derivative_sym(phi: StateField) -> StateField:
     """-i (x/|x|).grad phi - i (n-1)/(2|x|) phi."""
-    grid = phi.grid
+    grid = phi.space
     dr = radial_derivative(phi)
     return StateField(grid, -1j * (dr.data + 0.5 * (grid.n - 1) / _radius(grid)
                                    * phi.data))
 
 
 def coulomb(phi: StateField) -> StateField:
-    grid = phi.grid
+    grid = phi.space
     _require_origin_free(grid)
     return StateField(grid, phi.data / _radius(grid))
 
 
 def spherical_derivative(phi: StateField) -> VectorField:
     """L phi = grad phi - (x/|x|) (x/|x|).grad phi, one component per axis."""
-    grid = phi.grid
+    grid = phi.space
     _require_origin_free(grid)
     g = gradient(phi).data
     coords = [grid.coord(axis) for axis in range(grid.n)]
     r, comps = _radius(grid), np.moveaxis(g, -grid.n - 1, 0)
     _tangential_part(coords, r, comps, _radial_part(coords, r, comps))
     return VectorField(grid, g)
-
-
-def _abs_sq(a: np.ndarray) -> np.ndarray:
-    return np.square(a.real) + np.square(a.imag) if np.iscomplexobj(a) else np.square(a)
 
 
 def hardy_terms(phi: StateField, tol: float = 1e-10, name: str = "hardy_terms"):
@@ -407,7 +447,7 @@ def hardy_terms(phi: StateField, tol: float = 1e-10, name: str = "hardy_terms"):
     values (or one plane).  Axis 0 is differentiated on the whole grid; each slab
     takes the other axes and |x| in cache, and numpy (not BLAS) sums each slab."""
     phi.single(name)
-    grid, c = phi.grid, 0.5 * (phi.grid.n - 2)
+    grid, c = phi.space, 0.5 * (phi.space.n - 2)
     _require_origin_free(grid)
     coords = [grid.coord(axis) for axis in range(grid.n)]
     d0 = _derivative_axis(grid, phi.data, 0)

@@ -2,9 +2,10 @@
 
 Each verifier evaluates both sides of a family of identities on a supplied
 state, or a stack of them, and returns one :class:`EqualityReport` per
-identity (for a stack, its first worst row).  States are tensor-grid fields
-or radial profiles with analytic derivatives; the latter trade generality
-for quadrature accuracy, which the tight tolerances of the Hardy checks need.
+identity (for a stack, its first worst row).  A state is a ``StateField``
+on a tensor grid or on a radial rule; a radial profile carries its analytic
+derivative, trading generality for quadrature accuracy, which the tight
+tolerances of the Hardy checks need.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from . import grids, radial
 from .complexspace import ALGEBRAIC_TOL, ExtremizerFlags, extremizer_class
 from .gaussians import GaussianSpec, realize
 from .grids import StateField
-from .radial import RadialState
 from .report import EqualityReport, bound, compare, worst
 
 GRID_TOL = 1e-8
@@ -30,17 +30,17 @@ def _operators(state, tol: float | None):
     """Operator module, dimension, report context and tolerance (``tol``, or
     the rule's: ALGEBRAIC_TOL on the exact Laguerre rule, else GRID_TOL).
 
-    ``grids`` and ``radial`` expose the same operator names; this is the only
-    place where the verifiers tell the state kinds apart.
+    ``grids`` and ``radial`` expose the same operator names; the state's
+    space (a GridSpec or a radial rule) picks the module.
     """
+    if not isinstance(state, StateField) or state.vector:
+        raise TypeError(f"unsupported state type {type(state).__name__}")
+    space = state.space
     if tol is None:
-        exact = isinstance(getattr(state, "quad", None), radial.LaguerreQuadrature)
-        tol = ALGEBRAIC_TOL if exact else GRID_TOL
-    if isinstance(state, StateField):
-        return grids, state.grid.n, {"grid": state.grid.to_dict()}, tol
-    if isinstance(state, RadialState):
-        return radial, state.quad.n, {"radial": state.quad.to_dict()}, tol
-    raise TypeError(f"unsupported state type {type(state).__name__}")
+        tol = ALGEBRAIC_TOL if isinstance(space, radial.LaguerreQuadrature) else GRID_TOL
+    if isinstance(space, grids.GridSpec):
+        return grids, space.n, {"grid": space.to_dict()}, tol
+    return radial, space.n, {"radial": space.to_dict()}, tol
 
 
 def verify_position_momentum(phi: StateField,
@@ -53,7 +53,7 @@ def verify_position_momentum(phi: StateField,
     b = gphi.norm()
     if not (np.all(a) and np.all(b)):
         raise ValueError("state is degenerate for the position/momentum pair")
-    lhs = phi.grid.n * phi.norm_sq()
+    lhs = phi.space.n * phi.norm_sq()
     p = xphi.inner(gphi)
     ab = a * b
     absp = np.hypot(p.real, p.imag)         # the bits of Python's abs(p)
@@ -68,14 +68,14 @@ def verify_position_momentum(phi: StateField,
     return worst(list(_PM_IDS), [lhs, lhs, lhs, absp],
                  [-2.0 * p.real, ab * (2.0 - sum_sq), a * a + b * b - xsum_sq,
                   ab * (1.0 - 0.5 * aligned_sq)], tol,
-                 scale=[0.0, 0.0, 0.0, ab], context={"grid": phi.grid.to_dict()})
+                 scale=[0.0, 0.0, 0.0, ab], context={"grid": phi.space.to_dict()})
 
 
 def saturation_flags(phi: StateField, tol: float = 1e-6) -> ExtremizerFlags:
     """Saturation classes of the momentum/position pair (-i grad phi, x phi),
     as one pair of flat vectors scaled by the root of the cell weight."""
     phi.single("saturation_flags")
-    w = math.sqrt(phi.grid.weight)
+    w = math.sqrt(phi.space.weight)
     return extremizer_class(w * grids.momentum(phi).data.ravel(),
                             w * grids.position(phi).data.ravel(), tol)
 
@@ -135,7 +135,7 @@ def verify_dilation_hamiltonian(phi: StateField,
     b = b_phi.norm()
     if not (np.all(a) and np.all(b)):
         raise ValueError("degenerate state for the scaling/Hamiltonian pair")
-    ctx = {"grid": phi.grid.to_dict()}
+    ctx = {"grid": phi.space.to_dict()}
     grad_sq = grids.gradient(phi).norm_sq()
     lhs = 2.0 * grad_sq
     p = a_phi.inner(b_phi)

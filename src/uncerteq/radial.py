@@ -16,11 +16,13 @@ radial measure r^{n-1} dr:
 * :class:`RadialQuadrature`, the midpoint rule on (0, r_max], for any other
   profile.
 
-A :class:`RadialState` holds one profile or a (states, nodes) stack of them,
-and takes every norm and inner product per row, ``np.sum(values * weights,
-axis=-1)``, the bits of the sum over that row alone.  The radial suites verify
-their states in stacks of at most ``complexspace.STACK_ENTRIES`` node values,
-so memory stays bounded whatever the trial count.
+A profile, or a (states, nodes) stack of them, is a ``grids.StateField``
+whose space is the rule (``RadialState`` names the same class).  Every norm
+and inner product sums each row through the rule's ``integrate``,
+``np.sum(values * weights, axis=-1)``, the bits of the sum over that row
+alone.  The radial suites verify their states in stacks of at most
+``complexspace.STACK_ENTRIES`` node values, so memory stays bounded whatever
+the trial count.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .grids import StateField
 
 MAX_DIMENSION = 343     # math.gamma(n/2) overflows a float from n = 344 on
 _LOG_MAX = math.log(np.finfo(np.float64).max)
@@ -63,8 +66,12 @@ class _Rule:
     def weights(self) -> np.ndarray:
         return _rule(self)[1]
 
+    @property
+    def shape(self) -> tuple[int]:
+        return (self.points,)
+
     def integrate(self, values: np.ndarray):
-        return np.sum(values * self.weights, axis=-1)   # one sum per row
+        return (values * self.weights).sum(axis=-1)   # one sum per row
 
     def to_dict(self) -> dict:
         return {**vars(self), "points": self.points}
@@ -227,72 +234,14 @@ class LogRadialQuadrature(_Rule):
 Quadrature = RadialQuadrature | LaguerreQuadrature | LogRadialQuadrature
 
 
-def _node_data(quad: Quadrature, data, what: str, shape=None) -> np.ndarray:
-    """``data`` as float64 if real, else complex128 (as grid fields store
-    theirs): one row of node values or a (states, nodes) stack, of ``shape``
-    if given, checked for finiteness once for the whole stack."""
-    data = np.asarray(data, np.complex128 if np.iscomplexobj(data) else np.float64)
-    if data.ndim > 2 or data.shape != (shape or (*data.shape[:-1], quad.points)):
-        raise ValueError(f"{what} must match the quadrature nodes")
-    if not np.isfinite(data).all():
-        raise ValueError(f"{what} must be finite")
-    return data
-
-
-class RadialState:
-    """Radial profile psi(r) with an optional analytic derivative psi'(r), or
-    a (states, nodes) stack of them: checked for finiteness once per stack,
-    with one norm, inner product or complex scalar factor per row."""
-
-    __slots__ = ("quad", "values", "deriv")
-    __array_ufunc__ = None      # ndarray * state defers to __rmul__
-
-    def __init__(self, quad: Quadrature, values, deriv=None):
-        self.quad = quad
-        self.values = _node_data(quad, values, "values")
-        self.deriv = None if deriv is None else _node_data(
-            quad, deriv, "derivative", self.values.shape)
-
-    def inner(self, other: "RadialState"):
-        if other.quad != self.quad:
-            raise ValueError("quadrature mismatch")
-        return self.quad.integrate(self.values * np.conj(other.values))
-
-    def norm(self):
-        return np.sqrt(self.norm_sq())
-
-    def norm_sq(self):
-        v = self.values
-        return self.quad.integrate(np.abs(v) ** 2 if v.dtype.kind == "c"
-                                   else v * v)
-
-    def _combine(self, other, sign):
-        if other.quad != self.quad:
-            raise ValueError("quadrature mismatch")
-        deriv = None
-        if self.deriv is not None and other.deriv is not None:
-            deriv = self.deriv + sign * other.deriv
-        return RadialState(self.quad, self.values + sign * other.values, deriv)
-
-    def __add__(self, other):
-        return self._combine(other, 1.0)
-
-    def __sub__(self, other):
-        return self._combine(other, -1.0)
-
-    def __mul__(self, scalar):
-        scalar = np.asarray(scalar, dtype=np.complex128)[..., None]  # per row
-        deriv = None if self.deriv is None else self.deriv * scalar
-        return RadialState(self.quad, self.values * scalar, deriv)
-
-    __rmul__ = __mul__
+RadialState = StateField     # a profile's space is its rule
 
 
 def radial_derivative(state: RadialState) -> RadialState:
     """psi'(r), the derivative along x/|x|."""
     if state.deriv is None:
         raise ValueError("state carries no analytic derivative")
-    return RadialState(state.quad, state.deriv)
+    return RadialState(state.space, state.deriv)
 
 
 def gradient(state: RadialState) -> RadialState:
@@ -307,30 +256,30 @@ def radial_part(g: RadialState) -> RadialState:
 
 def spherical_derivative(state: RadialState) -> RadialState:
     """L psi, which vanishes for a radial profile."""
-    return RadialState(state.quad, np.zeros(state.values.shape))
+    return RadialState(state.space, np.zeros(state.values.shape))
 
 
 def x_dot_grad(state: RadialState) -> RadialState:
     """r * psi'(r), the scaling derivative of a radial profile."""
     if state.deriv is None:
         raise ValueError("state carries no analytic derivative")
-    return RadialState(state.quad, state.quad.r * state.deriv)
+    return RadialState(state.space, state.space.r * state.deriv)
 
 
 def coulomb(state: RadialState) -> RadialState:
     """psi/r; the derivative (psi'/r - psi/r^2) is propagated when known."""
-    r = state.quad.r
+    r = state.space.r
     deriv = None if state.deriv is None else state.deriv / r - state.values / r ** 2
-    return RadialState(state.quad, state.values / r, deriv)
+    return RadialState(state.space, state.values / r, deriv)
 
 
 def radial_derivative_sym(state: RadialState) -> RadialState:
     """-i psi' - i (n-1)/(2r) psi for a radial profile in R^n."""
     if state.deriv is None:
         raise ValueError("state carries no analytic derivative")
-    r = state.quad.r
-    n = state.quad.n
-    return RadialState(state.quad,
+    r = state.space.r
+    n = state.space.n
+    return RadialState(state.space,
                        -1j * (state.deriv + 0.5 * (n - 1) / r * state.values))
 
 

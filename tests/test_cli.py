@@ -108,21 +108,36 @@ def test_report_body_is_deterministic_for_fixed_seed(tmp_path):
     assert a == b
 
 
-def test_hardy_grid_body_does_not_depend_on_blas_threads(tmp_path):
-    # The grid Hardy sums are numpy's own reductions.  The np.vecdot norms
-    # they replaced went to BLAS, whose threaded dot changed the body: at the
-    # defaults value_lhs read 3.55e-15 on one thread and 1.48e-15 on two.
+def _bodies_on_one_and_two_blas_threads(tmp_path, *args):
     bodies = []
     for threads in ("1", "2"):
-        out = tmp_path / f"hardy_{threads}.json"
-        subprocess.run([sys.executable, "-m", "uncerteq.cli", "verify", "hardy",
-                        "--N", "48", "--L", "8", "--out", str(out)], check=True,
-                       capture_output=True,
+        out = tmp_path / f"{args[0]}_{threads}.json"
+        subprocess.run([sys.executable, "-m", "uncerteq.cli", "verify", *args,
+                        "--out", str(out)], check=True, capture_output=True,
                        env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
         payload = _load(out)
         del payload["header"]
         bodies.append(payload)
-    assert bodies[0] == bodies[1]
+    return bodies
+
+
+def test_hardy_grid_body_does_not_depend_on_blas_threads(tmp_path):
+    # The grid Hardy sums are numpy's own reductions.  The np.vecdot norms
+    # they replaced went to BLAS, whose threaded dot changed the body: at the
+    # defaults value_lhs read 3.55e-15 on one thread and 1.48e-15 on two.
+    one, two = _bodies_on_one_and_two_blas_threads(tmp_path, "hardy", "--N", "48",
+                                                   "--L", "8")
+    assert one == two
+
+
+@pytest.mark.parametrize("suite", ["momentum-position", "dilation"])
+def test_grid_suite_bodies_do_not_depend_on_blas_threads(suite, tmp_path):
+    # inner and norm_sq sum in real arithmetic through numpy's reductions.
+    # Through np.vecdot, BLAS threaded the dot on these 32^3 rows, and
+    # pm.kennard_saturation read 1.48e-16 on one thread and 1.04e-15 on two.
+    one, two = _bodies_on_one_and_two_blas_threads(
+        tmp_path, suite, "--n", "3", "--N", "32", "--L", "7", "--trials", "3")
+    assert one == two
 
 
 def test_verify_momentum_position_with_csv(tmp_path):
@@ -166,7 +181,7 @@ def test_run_hardy_verifies_each_grid_once(monkeypatch):
     verify_hardy = identities.verify_hardy
 
     def counting(psi, tol):
-        calls.append(psi.grid.N)
+        calls.append(psi.space.N)
         return verify_hardy(psi, tol)
 
     monkeypatch.setattr(cli.identities, "verify_hardy", counting)
@@ -215,8 +230,8 @@ def _pm_alone(phi, tol):
     written before it took stacks."""
     xphi, gphi = grids.position(phi), grids.gradient(phi)
     a, b = xphi.norm(), gphi.norm()
-    ctx = {"grid": phi.grid.to_dict()}
-    lhs, p, ab = phi.grid.n * phi.norm_sq(), xphi.inner(gphi), a * b
+    ctx = {"grid": phi.space.to_dict()}
+    lhs, p, ab = phi.space.n * phi.norm_sq(), xphi.inner(gphi), a * b
     sum_hat = (1.0 / a) * xphi + (1.0 / b) * gphi
     aligned = (1.0 / a) * xphi - (sgn(p) / b) * gphi
     return [compare("pm.trace", lhs, -2.0 * p.real, tol, context=ctx),
@@ -231,7 +246,7 @@ def _pm_alone(phi, tol):
 def _dilation_alone(phi, tol):
     """verify_dilation_pythagoras and verify_dilation_hamiltonian on one
     state in Python scalars, as they were written before they took stacks."""
-    n, ctx = phi.grid.n, {"grid": phi.grid.to_dict()}
+    n, ctx = phi.space.n, {"grid": phi.space.to_dict()}
     d = grids.x_dot_grad(phi)
     gap = (d + (0.5 * n) * phi).norm_sq()
     a_phi, b_phi = grids.dilation_generator(phi), grids.neg_laplacian(phi)

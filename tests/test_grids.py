@@ -19,7 +19,8 @@ from uncerteq.grids import (GridSpec, StateField, VectorField,
                             radial_derivative, radial_derivative_sym,
                             spherical_derivative, x_dot_grad)
 from uncerteq.identities import verify_hardy
-from uncerteq.radial import LaguerreQuadrature, radial_gaussian
+from uncerteq.radial import (LaguerreQuadrature, LogRadialQuadrature,
+                             radial_gaussian)
 
 
 def _gaussian_1d(grid, lam=1.0):
@@ -129,6 +130,63 @@ def test_mixed_kind_arithmetic_rejected():
         phi.inner(vec)
 
 
+# One state type on both kinds of space: a tensor grid, or a radial rule of
+# the same number of points as the 1-D grid (Laguerre: 32 nodes).
+_SPACES = {"grid_1d": GridSpec(1, 32, 4.0), "grid_3d": GridSpec(3, 6, 4.0, offset=0.5),
+           "laguerre": LaguerreQuadrature(3), "log_radial": LogRadialQuadrature(3, 20.0)}
+
+
+@pytest.mark.parametrize("space", _SPACES.values(), ids=_SPACES)
+def test_one_state_type_on_grids_and_radial_rules(space):
+    rng = np.random.default_rng(4)
+
+    def draw():
+        z = rng.standard_normal((2, 3) + space.shape)
+        return z[0] + 1j * z[1]
+
+    a, b = (StateField(space, draw(), draw()) for _ in range(2))
+    ra, rb = ([StateField(space, v, d) for v, d in zip(s.data, s.deriv)] for s in (a, b))
+    factors = np.array([2.0, -1j, 0.5 + 0.25j])
+    per_row = factors.reshape((-1,) + (1,) * len(space.shape))
+    # deriv rides along when both operands carry one, and is dropped if not.
+    for stacked, alone, deriv in (
+            (a + b, [x + y for x, y in zip(ra, rb)], a.deriv + b.deriv),
+            (a - b, [x - y for x, y in zip(ra, rb)], a.deriv - b.deriv),
+            (factors * a, [f * x for f, x in zip(factors, ra)], a.deriv * per_row),
+            (a / factors, [x / f for f, x in zip(factors, ra)], a.deriv / per_row)):
+        assert stacked.deriv.tobytes() == deriv.tobytes()
+        # Each row of a stack is the row alone, to the bit.
+        for i, row in enumerate(alone):
+            assert stacked.data[i].tobytes() == row.data.tobytes()
+            assert stacked.deriv[i].tobytes() == row.deriv.tobytes()
+    bare = StateField(space, b.data)
+    assert (a + bare).deriv is None and (bare - a).deriv is None
+    assert a.inner(b).tolist() == [x.inner(y) for x, y in zip(ra, rb)]
+    assert a.norm_sq().tolist() == [x.norm_sq() for x in ra]
+    assert a.norm().tolist() == [x.norm() for x in ra]
+    # A grid field and a radial state never mix, even of one shape.
+    other = _SPACES["laguerre" if isinstance(space, GridSpec) else "grid_1d"]
+    stranger = StateField(other, np.ones(other.shape))
+    for op in (StateField.__add__, StateField.__sub__, StateField.inner):
+        with pytest.raises(ValueError, match="space or kind mismatch"):
+            op(StateField(space, np.ones(space.shape)), stranger)
+    # Non-finite values or derivatives are refused, in any row of a stack.
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+        broken = (a.data if isinstance(bad, complex) else a.data.real).copy()
+        broken[(1,) + (2,) * len(space.shape)] = bad
+        with pytest.raises(ValueError, match="field values must be finite"):
+            StateField(space, broken, a.deriv)
+        with pytest.raises(ValueError, match="derivative must be finite"):
+            StateField(space, a.data, broken)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            a * bad
+    # The derivative has the values' shape; a state has at most one stack axis.
+    with pytest.raises(ValueError, match="do not match"):
+        StateField(space, a.data, a.deriv[0])
+    with pytest.raises(ValueError, match="do not match"):
+        StateField(space, a.data[None])
+
+
 def test_spectral_derivative_exact_on_grid_modes():
     grid = GridSpec(n=1, N=64, L=4.0)
     k = 2.0 * math.pi * 3 / (2 * grid.L)
@@ -228,7 +286,7 @@ def _angular_gaussian_3d(N=24):
 
 def test_spherical_derivative_is_the_tangential_gradient():
     phi = _angular_gaussian_3d()
-    grid = phi.grid
+    grid = phi.space
     r = np.sqrt(sum(grid.coord(axis) ** 2 for axis in range(grid.n)))
     lphi = spherical_derivative(phi)
     assert isinstance(lphi, VectorField)
@@ -537,7 +595,7 @@ def test_imaginary_factors_make_complex_fields(op):
 def test_real_inner_products_match_the_complex_ones(n):
     phi = _real_state(n)
     psi = x_dot_grad(phi) + phi
-    as_complex = [StateField(f.grid, f.data.astype(np.complex128))
+    as_complex = [StateField(f.space, f.data.astype(np.complex128))
                   for f in (phi, psi)]
     assert phi.inner(psi) == pytest.approx(as_complex[0].inner(as_complex[1]),
                                            rel=1e-15)
@@ -546,7 +604,7 @@ def test_real_inner_products_match_the_complex_ones(n):
         assert real.norm_sq() == pytest.approx(cplx.norm_sq(), rel=1e-15)
     g = gradient(phi)
     assert g.norm_sq() == pytest.approx(
-        VectorField(g.grid, g.data.astype(np.complex128)).norm_sq(), rel=1e-15)
+        VectorField(g.space, g.data.astype(np.complex128)).norm_sq(), rel=1e-15)
 
 
 def test_real_arithmetic_that_overflows_is_refused():

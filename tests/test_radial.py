@@ -314,17 +314,6 @@ def test_state_keeps_real_data_real():
     assert x_dot_grad(real).values.dtype == np.float64
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_state_rejects_non_finite_real_values_and_derivatives(bad):
-    quad = RadialQuadrature(3, 10.0, 100)
-    broken = np.ones(quad.points)
-    broken[17] = bad
-    with pytest.raises(ValueError, match="values must be finite"):
-        RadialState(quad, broken, np.ones(quad.points))
-    with pytest.raises(ValueError, match="derivative must be finite"):
-        RadialState(quad, np.ones(quad.points), broken)
-
-
 def test_spherical_derivative_of_a_radial_profile_vanishes():
     quad = RadialQuadrature(3, 20.0, 2000)
     state = random_radial_state(quad, np.random.default_rng(5))
@@ -356,23 +345,6 @@ def test_a_stacked_draw_is_the_successive_single_draws():
     assert stack.deriv.tobytes() == np.array([r.deriv for r in rows]).tobytes()
     np.testing.assert_array_equal(stack.norm(), [r.norm() for r in rows])
     assert rng_stack.standard_normal() == rng_single.standard_normal()
-
-
-def test_a_stack_with_one_non_finite_row_is_refused():
-    quad = LaguerreQuadrature(3)
-    values = random_radial_state(quad, np.random.default_rng(2), states=4).values
-    for bad in (np.nan, np.inf):
-        broken = values.copy()
-        broken[2, 5] = bad
-        with pytest.raises(ValueError, match="values must be finite"):
-            RadialState(quad, broken)
-        with pytest.raises(ValueError, match="derivative must be finite"):
-            RadialState(quad, values, broken)
-    # The derivative stack has the values' shape.
-    with pytest.raises(ValueError, match="match the quadrature nodes"):
-        RadialState(quad, values, values[0])
-    with pytest.raises(ValueError, match="match the quadrature nodes"):
-        RadialState(quad, values[None])
 
 
 def test_per_row_factors_scale_each_row():
