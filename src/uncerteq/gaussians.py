@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, StateField, _radius_sq
+from .grids import GridSpec, StateField, _sum_sq
 
 KINDS = ("coherent", "squeezed", "squeezed_gen")
 
@@ -119,5 +119,17 @@ def realize(spec: GaussianSpec, grid: GridSpec) -> StateField:
     # A real spec (theta = 0, real factor) gives a real, float64 field.
     phase = cmath.exp(1j * spec.theta) if spec.theta else 1.0
     rate = 0.5 * (s if s.imag else s.real) * spec.lam
-    values = phase * amp * np.exp(rate * _radius_sq(grid))
-    return StateField(grid, values)
+    # Built in place on one fresh |x|^2: reading the cached _radius_sq would
+    # keep a second grid-sized array alive after the sample is made.  A
+    # complex factor allocates once, where it first multiplies the real array.
+    values = _scaled(_sum_sq(map(grid.coord, range(grid.n))), rate)
+    np.exp(values, out=values)
+    return StateField(grid, _scaled(values, phase * amp))
+
+
+def _scaled(values: np.ndarray, scalar) -> np.ndarray:
+    """values * scalar, in place unless a complex scalar meets real values."""
+    if isinstance(scalar, complex) and not np.iscomplexobj(values):
+        return values * scalar
+    values *= scalar
+    return values

@@ -9,8 +9,10 @@ input is stored as float64, anything else as complex128, and the operators
 keep the dtype of their input.  The Fourier path picks its transform from
 the dtype: a real field (every Hardy state) takes the real-input transform on
 the half spectrum, a complex one the full transform.  Derivatives are written
-into the caller's buffer, and x.grad is summed axis by axis.  ``hardy_terms``
-sums the Hardy norms in one pass over cache-sized slabs of axis-0 planes.
+into the caller's buffer, and x.grad is summed axis by axis.  On a large
+array, a leading axis is transformed in cache-sized blocks moved to the
+contiguous last axis.  ``hardy_terms`` sums the Hardy norms in one pass over
+cache-sized slabs of axis-0 planes.
 
 A :class:`StateField` holds one state or a stack of them on a leading axis;
 operators act on the last axes, and ``inner`` and the norms give one value per
@@ -93,17 +95,20 @@ class GridSpec:
                 "offset": self.offset, "scheme": self.scheme}
 
 
-def _sum_sq(coords, shape: tuple[int, ...]) -> np.ndarray:
-    """sum_j x_j^2 over the axis coordinates, broadcast to ``shape``, in axis order."""
-    r2 = np.zeros(shape)
+def _sum_sq(coords) -> np.ndarray:
+    """sum_j x_j^2 over broadcastable axis coordinates, in axis order, as a
+    fresh array: the small partial sums come first, so only the last add has
+    the full shape."""
+    coords = iter(coords)
+    r2 = next(coords) ** 2
     for coord in coords:
-        r2 += coord ** 2
+        r2 = r2 + coord ** 2
     return r2
 
 
 @lru_cache(maxsize=2)
 def _radius_sq(grid: GridSpec) -> np.ndarray:
-    r2 = _sum_sq(map(grid.coord, range(grid.n)), grid.shape)
+    r2 = _sum_sq(map(grid.coord, range(grid.n)))
     r2.setflags(write=False)
     return r2
 
@@ -303,10 +308,28 @@ def _spectral_axis(grid: GridSpec, values: np.ndarray, axis: int,
     k = 0..N/2; complex data take the full one.  Either way the symbol is
     multiplied into the spectrum in place and the result goes to ``out`` if
     given, so the spectrum is the only temporary of the size of the data.
+
+    An axis that is not the last is transformed in blocks of rows of another
+    grid axis (grid axis 1 for axis 0, else grid axis 0), each of at most
+    STACK_ENTRIES values or one row, when there is more than one block: each
+    block is copied with ``axis`` last and contiguous and transformed there.
+    One whole-array transform along a strided axis gathers each line from
+    across the array, out of cache.  The result is the same to the bit.
     """
+    axis -= grid.n      # counted from the end: a stack's rows come first
+    other = axis + 1 if axis == -grid.n else -grid.n
+    blocks = values.shape[other]
+    step = max(1, STACK_ENTRIES * blocks // values.size)
+    if axis != -1 and step < blocks:
+        if out is None:
+            out = np.empty_like(values)
+        src, dst = (np.moveaxis(a, (other, axis), (0, -1)) for a in (values, out))
+        for lo in range(0, blocks, step):
+            block = src[lo:lo + step].copy()
+            dst[lo:lo + step] = _spectral_axis(grid, block, grid.n - 1, symbol, block)
+        return out
     shape = [1] * grid.n
     shape[axis] = -1
-    axis -= grid.n      # counted from the end: a stack's rows come first
     if np.iscomplexobj(values):
         fk = np.fft.fft(values, axis=axis)
         fk *= symbol(grid, False).reshape(shape)
@@ -444,8 +467,11 @@ def hardy_terms(phi: StateField, tol: float = 1e-10, name: str = "hardy_terms"):
     """[||grad phi||^2, ||d_r phi||^2, ||phi/|x|||^2, ||d_r phi + (n-2)/(2|x|) phi||^2]
     of one state and the report of its split |grad phi|^2 = |d_r phi|^2 + |L phi|^2
     (pointwise and integrated), in one pass over slabs of at most STACK_ENTRIES
-    values (or one plane).  Axis 0 is differentiated on the whole grid; each slab
-    takes the other axes and |x| in cache, and numpy (not BLAS) sums each slab."""
+    values (or one plane).  Only the axis-0 derivative is held for the whole
+    grid (taken block by block, see ``_spectral_axis``); each slab takes the
+    other axes and |x| in cache, and numpy (not BLAS) sums each slab.  A
+    non-finite point reaches its sum, so the five sums are checked, not the
+    fields."""
     phi.single(name)
     grid, c = phi.space, 0.5 * (phi.space.n - 2)
     _require_origin_free(grid)
@@ -458,13 +484,14 @@ def hardy_terms(phi: StateField, tol: float = 1e-10, name: str = "hardy_terms"):
         block, slab = phi.data[rows], [coords[0][rows], *coords[1:]]
         comps = [d0[rows], *(_derivative_axis(grid, block, axis)
                              for axis in range(1, grid.n))]
-        r = np.sqrt(_sum_sq(slab, block.shape))
+        r = np.sqrt(_sum_sq(slab))
         dr = _radial_part(slab, r, comps)
         q = block / r
-        shifted = dr + c * q
-        for field in (*comps, dr, q, shifted):
-            _require_finite(field)
-        grad_point = sum(map(_abs_sq, comps))
+        shifted = c * q
+        shifted += dr
+        grad_point = _abs_sq(comps[0])
+        for comp in comps[1:]:
+            grad_point += _abs_sq(comp)
         _tangential_part(slab, r, comps, dr)
         split_point = _abs_sq(dr)
         dr_sq = np.sum(split_point)
@@ -472,7 +499,9 @@ def hardy_terms(phi: StateField, tol: float = 1e-10, name: str = "hardy_terms"):
             split_point += _abs_sq(comp)
         sums += [np.sum(grad_point), dr_sq, np.sum(_abs_sq(q)),
                  np.sum(_abs_sq(shifted)), np.sum(split_point)]
-        max_point = max(max_point, float(np.max(np.abs(grad_point - split_point))))
+        grad_point -= split_point
+        max_point = max(max_point, float(np.max(np.abs(grad_point, out=grad_point))))
+    _require_finite(sums, f"{name}: the sums of |grad psi|^2, |d_r psi|^2 and |psi/|x||^2")
     *terms, split = (sums * grid.weight).tolist()
     return terms, compare("grad.pointwise_split", terms[0], split, tol,
                           context={"grid": grid.to_dict(),

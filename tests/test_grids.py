@@ -330,8 +330,8 @@ def test_run_hardy_transform_count(monkeypatch):
     # verify_hardy transforms one gradient's worth of points, read by the
     # radial part, |grad psi| and the pointwise split; a grid takes no x.grad
     # of psi/|x|.  The hardy state is float64, so every transform is a
-    # real-input one: axis 0 on the whole grid, axes 1 and 2 slab by slab
-    # (8 slabs of 8 planes at N = 64, 17 calls each way).
+    # real-input one: axis 0 in 8 blocks of 8 axis-1 rows at N = 64, axes 1
+    # and 2 in 8 slabs of 8 planes, 24 calls each way.
     points = _count_ffts(monkeypatch)
     run_suite(SuiteConfig(suite="hardy", N=64, L=8.0))
     assert points == {"fft": 0, "ifft": 0, "rfft": 3 * 64 ** 3, "irfft": 3 * 64 ** 3}
@@ -470,7 +470,9 @@ def test_x_dot_grad_holds_three_fields_in_every_dimension(n, N):
 
 
 def test_run_hardy_peak_memory_is_bounded():
-    # The whole suite at N = 64, one grid: measured 3.41 fields, against 7.03
+    # The whole suite at N = 64, one grid: measured 3.41 fields (psi, its
+    # axis-0 derivative and a dozen slabs of 8 planes; also 3.41 when the
+    # axis-0 derivative was taken on the whole grid at once), against 7.03
     # when the split, |d_r psi| and psi/|x| each held whole-grid fields and
     # 9.0 when run_hardy took a fifth gradient for the split.  Bound: 3.75.
     field = 8 * 64 ** 3
@@ -481,13 +483,38 @@ def test_run_hardy_peak_memory_is_bounded():
 def test_verify_hardy_peak_memory_is_bounded():
     # numpy reports its data buffers to tracemalloc.  Beside psi the pass
     # holds its axis-0 derivative and, slab by slab, a dozen slab-sized
-    # arrays: slabs of 14 of the 48 planes here, so the measured peak is 4.51
-    # float64 fields (2.02 at N = 96, slabs of 3 planes), against 6.08 with
-    # whole-grid fields and a cached |x| (16 with complex128 fields).
-    # Bound: 5 fields.
+    # arrays: slabs of 14 of the 48 planes here, so the measured peak is 4.29
+    # float64 fields (1.35 at N = 96, slabs of 3 planes), against 4.51 (2.02)
+    # when the axis-0 derivative was one whole-grid transform beside its half
+    # spectrum, and 6.08 with whole-grid fields and a cached |x| (16 with
+    # complex128 fields).  Bound: 5 fields.
     grid = GridSpec(n=3, N=48, L=8.0, offset=0.5)
     psi = realize(GaussianSpec("coherent", n=3), grid)
     assert _traced_peak(lambda: verify_hardy(psi)) <= 5 * 8 * grid.N ** 3
+
+
+def test_realize_samples_in_place_and_caches_no_radius():
+    # One fresh |x|^2 becomes the sample: measured 1.13 fields (the field
+    # and the finiteness check's mask), against 2.00 when realize read the
+    # cached |x|^2, which then outlived it.  Bound: 1.25 fields.
+    grid = GridSpec(n=3, N=64, L=8.0, offset=0.5)
+    spec = GaussianSpec("coherent", n=3)
+    calls = _radius_sq.cache_info()
+    assert _traced_peak(lambda: realize(spec, grid)) <= 1.25 * 8 * grid.N ** 3
+    assert _radius_sq.cache_info() == calls
+
+
+@pytest.mark.parametrize("fn", [verify_hardy, pointwise_gradient_decomposition])
+def test_hardy_refuses_a_finite_state_whose_squared_derivatives_overflow(fn):
+    # Every sample of 1e200 psi and of its derivatives is finite, but
+    # |grad psi|^2 overflows; the sums are checked, so the pass refuses the
+    # state instead of reporting an infinite residual.
+    grid = GridSpec(n=3, N=16, L=6.0, offset=0.5)
+    psi = StateField.from_callable(
+        grid, lambda x, y, z: 1e200 * np.exp(-0.5 * (x * x + y * y + z * z)))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="must be finite"):
+        fn(psi)
 
 
 def _real_state(n):
@@ -510,6 +537,49 @@ def test_real_input_path_matches_the_complex_path(n, op):
     complex_path = -1j * op(1j * phi).data
     assert real_path.dtype == np.float64
     assert np.max(np.abs(real_path - complex_path)) <= 1e-13
+
+
+def _unblocked_axis(grid, data, axis, symbol):
+    # One np.fft call along the grid axis itself, over the whole array.
+    axis -= grid.n
+    shape = [1] * grid.n
+    shape[axis] = -1
+    if np.iscomplexobj(data):
+        fk = np.fft.fft(data, axis=axis) * symbol(grid, False).reshape(shape)
+        return np.fft.ifft(fk, axis=axis)
+    fk = np.fft.rfft(data, axis=axis) * symbol(grid, True).reshape(shape)
+    return np.fft.irfft(fk, n=grid.N, axis=axis)
+
+
+def _ik(grid, half):
+    s = 1j * _wavenumbers(grid, half)
+    s[grid.N // 2] = 0.0
+    return s
+
+
+@pytest.mark.parametrize("n, N", [(2, 512), (3, 36), (4, 18)])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("states", [1, 2])
+def test_blocked_transforms_match_whole_array_transforms_to_the_bit(n, N, dtype, states):
+    # Each grid holds more than STACK_ENTRIES values, so every axis but the
+    # last is transformed in blocks; at N = 36 and N = 18 one state's last
+    # block is short (25 + 11 rows of 36, 5 + 5 + 5 + 3 of 18).
+    grid = GridSpec(n, N, 6.0, offset=0.5)
+    assert N ** n > grids.STACK_ENTRIES
+    rng = np.random.default_rng(n)
+    data = rng.standard_normal((states, 2) + grid.shape)
+    data = data[:, 0] if dtype is np.float64 else data[:, 0] + 1j * data[:, 1]
+    phi = StateField(grid, data[0] if states == 1 else data)
+    d = [_unblocked_axis(grid, phi.data, axis, _ik) for axis in range(n)]
+    lap = _unblocked_axis(grid, phi.data, 0, _laplacian_symbol)
+    for axis in range(1, n):
+        lap += _unblocked_axis(grid, phi.data, axis, _laplacian_symbol)
+    xd = np.zeros_like(phi.data)
+    for axis in range(n):
+        xd += grid.coord(axis) * d[axis]
+    assert np.array_equal(gradient(phi).data, np.stack(d, -n - 1))
+    assert np.array_equal(neg_laplacian(phi).data, lap)
+    assert np.array_equal(x_dot_grad(phi).data, xd)
 
 
 def test_nyquist_cosine_has_zero_derivative_on_both_paths():
