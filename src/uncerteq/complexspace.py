@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .report import EqualityReport, compare, worst  # compare: re-exported
+from .report import EqualityReport, compare, worst  # compare: perfbench reads it
 
 ALGEBRAIC_TOL = 1e-12
 # Entries per working array: phases at once here, pairs per stack in the CLI.

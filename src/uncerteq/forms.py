@@ -14,7 +14,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .complexspace import ALGEBRAIC_TOL, FIXED_ANGLES, phase_family
-from .report import EqualityReport, compare, worst  # compare: re-exported
+from .report import EqualityReport, compare, worst  # compare: perfbench reads it
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from . import grids, radial
 from .complexspace import ALGEBRAIC_TOL, ExtremizerFlags, extremizer_class
 from .gaussians import GaussianSpec, realize
 from .grids import StateField
-from .report import EqualityReport, bound, compare, worst
+from .report import EqualityReport, compare, worst  # compare: perfbench reads it
 
 GRID_TOL = 1e-8
 # The ids of verify_position_momentum, in its order; refine takes these.

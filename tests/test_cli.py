@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from uncerteq import cli, complexspace, grids, identities
+from uncerteq import cli, complexspace, grids, identities, suites
 from uncerteq.cli import (SuiteConfig, _check_type, main, refinement_study,
                           run_suite, write_refinement_csv)
 from uncerteq.complexspace import (cs_equality_residuals, default_angles,
@@ -173,7 +173,7 @@ def test_radial_suites_pass_in_every_dimension(suite, n, tmp_path):
     assert {rep["context"]["radial"]["n"]
             for rep in payload["reports"]} == {int(n)}
     # The Gauss-Laguerre rule is exact: 6.3e-15 at worst over 3,000 seeds.
-    assert {rep["tol"] for rep in payload["reports"]} == {cli.ALGEBRAIC_TOL}
+    assert {rep["tol"] for rep in payload["reports"]} == {complexspace.ALGEBRAIC_TOL}
 
 
 def test_run_hardy_verifies_each_grid_once(monkeypatch):
@@ -184,7 +184,7 @@ def test_run_hardy_verifies_each_grid_once(monkeypatch):
         calls.append(psi.space.N)
         return verify_hardy(psi, tol)
 
-    monkeypatch.setattr(cli.identities, "verify_hardy", counting)
+    monkeypatch.setattr(identities, "verify_hardy", counting)
     _, payload = run_suite(SuiteConfig(suite="hardy", N=64, L=8.0))
     # One grid: the lattice term corrects its 1/|x|^2 sum to rounding level
     # (1.3e-9 with a Richardson step on a control grid at the defaults).
@@ -214,10 +214,10 @@ def test_run_coulomb_memory_is_bounded_by_the_stack_cap():
     # 6.1 MB, against 114 MB with one stack per dimension, whose values alone
     # take 20,001 * 32 * 16 B = 10.2 MB.  Bound: 10 MB.
     cfg = SuiteConfig(suite="coulomb", trials=20000, tol=1e-8)
-    cli.run_coulomb(SuiteConfig(suite="coulomb", trials=1, tol=1e-8))  # rules
+    suites.run_coulomb(SuiteConfig(suite="coulomb", trials=1, tol=1e-8))  # rules
     tracemalloc.start()
     try:
-        reports = cli.run_coulomb(cfg)
+        reports = suites.run_coulomb(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -275,7 +275,7 @@ def _grid_oracle(cfg):
     for _ in range(cfg.trials):
         stack = identities.random_smooth_state(grid, rng, states=1)
         reports += verify(grids.StateField(grid, stack.data[0]), cfg.tol)
-    return cli._aggregate(reports)
+    return suites._aggregate(reports)
 
 
 @pytest.mark.parametrize("suite", ["momentum-position", "dilation"])
@@ -287,8 +287,8 @@ def _grid_oracle(cfg):
 ])
 def test_stacked_grid_suites_match_the_per_state_loop(suite, flags):
     cfg = SuiteConfig(suite=suite, **flags)
-    cfg = replace(cfg, **cli._resolve(suite, asdict(cfg)))
-    reports = cli.RUNNERS[suite](cfg)
+    cfg = replace(cfg, **suites._resolve(suite, asdict(cfg)))
+    reports = suites._aggregate(cli.RUNNERS[suite](cfg))
     assert [rep for rep in reports if rep.identity_id not in (
         "pm.kennard_saturation", "pm.coherent_alignment")] == _grid_oracle(cfg)
 
@@ -305,7 +305,7 @@ def test_grid_suite_memory_is_bounded_by_the_stack_cap(suite):
     peaks = []
     for trials in (1, 128, 1000):
         cfg = SuiteConfig(suite=suite, trials=trials)
-        cfg = replace(cfg, **cli._resolve(suite, asdict(cfg)))
+        cfg = replace(cfg, **suites._resolve(suite, asdict(cfg)))
         tracemalloc.start()
         try:
             reports = run(cfg)
@@ -329,7 +329,7 @@ def test_search_command_uses_the_suite_checks(monkeypatch, capsys):
     # A value below the target passed the old one-sided rule.
     fake = SearchResult(state=None, value=0.99, iterations=1, converged=True,
                         fidelity=1.0)
-    monkeypatch.setattr(cli, "minimize_sum_functional",
+    monkeypatch.setattr(suites, "minimize_sum_functional",
                         lambda grid, seed, opts: fake)
     assert main(["search", "sum"]) == 1
     assert json.loads(capsys.readouterr().out)["value"] == 0.99
@@ -543,8 +543,8 @@ def test_a_flag_the_command_reads_is_accepted(command, field, route, tmp_path,
     # The check runs before any suite; stubs stand in for the suites.
     for suite in cli.RUNNERS:
         monkeypatch.setitem(cli.RUNNERS, suite, lambda cfg: [])
-    monkeypatch.setattr(cli, "_minimize", lambda target, cfg, max_iters: ({}, []))
-    monkeypatch.setattr(cli, "_probe", lambda n, R: ({}, []))
+    monkeypatch.setattr(suites, "_minimize", lambda target, cfg, max_iters: ({}, []))
+    monkeypatch.setattr(suites, "_probe", lambda n, R: ({}, []))
     assert main(_argv(command, field, route, tmp_path, monkeypatch)) == 0
     assert capsys.readouterr().err == ""
 
@@ -565,8 +565,8 @@ def test_only_refine_takes_a_scheme(command, route, tmp_path, monkeypatch,
 
 
 def test_verify_all_reads_every_suite_field():
-    assert set(cli.READS["all"][1]) == set().union(*(
-        cli.READS[row][1] for row in (*cli.RUNNERS, "hardy --radial")))
+    assert set(suites.TABLE["all"].reads) == set().union(*(
+        suites.TABLE[row].reads for row in (*cli.RUNNERS, "hardy --radial")))
 
 
 def test_vector_dimension_below_two_names_the_flag():
@@ -793,7 +793,7 @@ def _oracle(suite, seed, trials, dim):
     """
     rng = np.random.default_rng(seed)
     angles = default_angles(rng)
-    tol = cli.ALGEBRAIC_TOL
+    tol = complexspace.ALGEBRAIC_TOL
     reports = []
     for _ in range(trials):
         d = int(rng.integers(2, dim + 1))
@@ -812,7 +812,7 @@ def _oracle(suite, seed, trials, dim):
                           scale=product),
                     bound("sr.chain.robertson", robertson, schrodinger, tol,
                           scale=product)]
-    return cli._aggregate(reports)
+    return suites._aggregate(reports)
 
 
 def _close(x, y):
@@ -847,7 +847,7 @@ def test_batched_suites_match_a_pair_by_pair_oracle(suite, seed, trials, dim):
 
 def test_vector_pairs_come_in_bounded_stacks_of_the_suite_draws():
     cfg = SuiteConfig(suite="appendix", trials=40, dim=4096)
-    stacks = list(cli._vector_pairs(cfg, np.random.default_rng(5)))
+    stacks = list(suites._vector_pairs(cfg, np.random.default_rng(5)))
     assert [len(u) for u, v in stacks] == [8] * 5
     rng = np.random.default_rng(5)
     u, v = (np.concatenate(x) for x in zip(*stacks))
@@ -892,7 +892,7 @@ def test_the_table_is_what_runs(row):
     # Every non-None default of the row, given explicitly, runs the same
     # suite as none given.
     suite, _, radial = row.partition(" --")
-    explicit = {k: v for k, v in cli.READS[row][1].items() if v is not None}
+    explicit = {k: v for k, v in suites.TABLE[row].reads.items() if v is not None}
 
     def body(**fields):
         cfg = SuiteConfig(suite=suite, radial=bool(radial) or None, **fields)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from uncerteq import grids, identities
-from uncerteq.cli import SuiteConfig, _aggregate, run_suite
+from uncerteq.cli import SuiteConfig, run_suite
 from uncerteq.gaussians import GaussianSpec, realize
 from uncerteq.grids import (GridSpec, StateField, VectorField,
                             _laplacian_symbol, _radius, _radius_sq,
@@ -21,6 +21,7 @@ from uncerteq.grids import (GridSpec, StateField, VectorField,
 from uncerteq.identities import verify_hardy
 from uncerteq.radial import (LaguerreQuadrature, LogRadialQuadrature,
                              radial_gaussian)
+from uncerteq.suites import _aggregate
 
 
 def _gaussian_1d(grid, lam=1.0):

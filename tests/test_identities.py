@@ -15,9 +15,10 @@ from uncerteq.identities import (_hermite_functions, random_smooth_state,
                                  verify_dilation_pythagoras, verify_hardy,
                                  verify_position_momentum,
                                  verify_radial_coulomb)
-from uncerteq.cli import SuiteConfig, _aggregate, run_suite
+from uncerteq.cli import SuiteConfig, run_suite
 from uncerteq.radial import (LaguerreQuadrature, RadialQuadrature, RadialState,
                              radial_gaussian, random_radial_state)
+from uncerteq.suites import _aggregate
 
 GRID = GridSpec(n=1, N=256, L=12.0)
 QUAD3 = RadialQuadrature(3, 40.0, 20000)

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from uncerteq.cli import _aggregate
 from uncerteq.report import bound, compare, worst
+from uncerteq.suites import _aggregate
 
 
 @pytest.mark.parametrize("smaller, larger", [
