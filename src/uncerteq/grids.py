@@ -2,17 +2,18 @@
 
 The box is [-L, L)^n with N points per axis at x_j = -L + (j + offset) h,
 h = 2L/N.  A nonzero offset keeps every sample away from the origin, which
-the singular operators (1/|x|, x/|x|) require.  Derivatives come from the
-periodic Fourier transform or from periodic central differences; test states
-are smooth and rapidly decaying, so the periodic wrap carries no mass.  Real
-input is stored as float64, anything else as complex128, and the operators
-keep the dtype of their input.  The Fourier path picks its transform from
-the dtype: a real field (every Hardy state) takes the real-input transform on
-the half spectrum, a complex one the full transform.  Derivatives are written
-into the caller's buffer, and x.grad is summed axis by axis.  On a large
-array, a leading axis is transformed in cache-sized blocks moved to the
-contiguous last axis.  ``hardy_terms`` sums the Hardy norms in one pass over
-cache-sized slabs of axis-0 planes.
+the singular operators (1/|x|, x/|x|) require.  Each derivative scheme is
+its Fourier symbol, multiplied into the periodic transform: ik (spectral),
+or the symbol of a periodic central difference, which is exactly that
+difference.  Test states are smooth and rapidly decaying, so the periodic
+wrap carries no mass.  Real input is stored as float64, anything else as
+complex128, and the operators keep the dtype of their input.  The transform
+follows the dtype: a real field (every Hardy state) takes the real-input
+transform on the half spectrum, a complex one the full transform.
+Derivatives are written into the caller's buffer, and x.grad is summed axis
+by axis.  On a large array, a leading axis is transformed in cache-sized
+blocks moved to the contiguous last axis.  ``hardy_terms`` sums the Hardy
+norms in one pass over cache-sized slabs of axis-0 planes.
 
 A :class:`StateField` holds one state or a stack of them on a leading axis;
 operators act on the last axes, and ``inner`` and the norms give one value per
@@ -130,18 +131,34 @@ def _wavenumbers(grid: GridSpec, half: bool) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _laplacian_symbol(grid: GridSpec, half: bool) -> np.ndarray:
-    """The scheme's -Laplacian symbol s(k) along one axis, the square of its
-    first derivative's: k^2 (spectral), (sin kh / h)^2 (central_diff_2) or
-    ((8 sin kh - sin 2kh) / (6h))^2 (central_diff_4)."""
+def _symbols(grid: GridSpec, half: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The scheme's multipliers along one axis, i s(k) for the first
+    derivative and s(k)^2 for -Laplacian: s = k (spectral), sin kh / h
+    (central_diff_2) or (8 sin kh - sin 2kh) / (6h) (central_diff_4).  A
+    central difference on a periodic grid is exactly this multiplier.  The
+    Nyquist mode of an even N (entry N/2 of the full and of the half
+    spectrum) has no well-defined sign for an odd derivative, so i s is 0
+    there."""
     k, h = _wavenumbers(grid, half), grid.h
     if grid.scheme == "central_diff_2":
         k = np.sin(k * h) / h
     elif grid.scheme == "central_diff_4":
         k = (8.0 * np.sin(k * h) - np.sin(2.0 * k * h)) / (6.0 * h)
-    s = np.square(k)
-    s.setflags(write=False)
-    return s
+    d = 1j * k
+    if grid.N % 2 == 0:
+        d[grid.N // 2] = 0.0
+    table = d, np.square(k)
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+def _derivative_symbol(grid: GridSpec, half: bool) -> np.ndarray:
+    return _symbols(grid, half)[0]
+
+
+def _laplacian_symbol(grid: GridSpec, half: bool) -> np.ndarray:
+    return _symbols(grid, half)[1]
 
 
 @lru_cache(maxsize=8)
@@ -339,31 +356,11 @@ def _spectral_axis(grid: GridSpec, values: np.ndarray, axis: int,
     return np.fft.irfft(fk, n=grid.N, axis=axis, out=out)
 
 
-def _derivative_axis(grid: GridSpec, values: np.ndarray, axis: int,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    if grid.scheme == "spectral_periodic":
-        def ik(grid, half):
-            # The Nyquist mode (entry N/2 of the full and of the half
-            # spectrum) has no well-defined sign for an odd derivative.  k is
-            # cached read-only; 1j * k is a fresh array.
-            s = 1j * _wavenumbers(grid, half)
-            s[grid.N // 2] = 0.0
-            return s
-        return _spectral_axis(grid, values, axis, ik, out)
-    axis -= grid.n
-    if grid.scheme == "central_diff_2":
-        num, den = np.roll(values, -1, axis) - np.roll(values, 1, axis), 2
-    else:  # central_diff_4
-        num, den = (-np.roll(values, -2, axis) + 8 * np.roll(values, -1, axis)
-                    - 8 * np.roll(values, 1, axis) + np.roll(values, 2, axis)), 12
-    return np.divide(num, den * grid.h, out=out)
-
-
 def gradient(phi: StateField) -> VectorField:
     grid, data = phi.space, phi.data
     comps = np.empty((*data.shape[:-grid.n], grid.n, *grid.shape), data.dtype)
     for axis, comp in enumerate(np.moveaxis(comps, -grid.n - 1, 0)):
-        _derivative_axis(grid, data, axis, comp)
+        _spectral_axis(grid, data, axis, _derivative_symbol, comp)
     return VectorField(grid, comps)
 
 
@@ -382,7 +379,7 @@ def x_dot_grad(phi: StateField) -> StateField:
     out = np.zeros(phi.data.shape, dtype=phi.data.dtype)
     d = np.empty_like(out)
     for axis in range(grid.n):
-        _derivative_axis(grid, phi.data, axis, d)
+        _spectral_axis(grid, phi.data, axis, _derivative_symbol, d)
         out += np.multiply(grid.coord(axis), d, out=d)
     return StateField(grid, out)
 
@@ -397,14 +394,7 @@ def neg_laplacian(phi: StateField) -> StateField:
     grid = phi.space
     out = None
     for axis in range(grid.n):
-        if grid.scheme == "spectral_periodic":
-            term = _spectral_axis(grid, phi.data, axis, _laplacian_symbol)
-        else:
-            # Central schemes apply the first-derivative stencil twice, so
-            # that summation by parts ((-lap phi|phi) = ||grad phi||^2) holds
-            # exactly.
-            d = _derivative_axis(grid, phi.data, axis)
-            term = -_derivative_axis(grid, d, axis)
+        term = _spectral_axis(grid, phi.data, axis, _laplacian_symbol)
         out = term if out is None else np.add(out, term, out=out)
     return StateField(grid, out)
 
@@ -476,13 +466,13 @@ def hardy_terms(phi: StateField, tol: float = 1e-10, name: str = "hardy_terms"):
     grid, c = phi.space, 0.5 * (phi.space.n - 2)
     _require_origin_free(grid)
     coords = [grid.coord(axis) for axis in range(grid.n)]
-    d0 = _derivative_axis(grid, phi.data, 0)
+    d0 = _spectral_axis(grid, phi.data, 0, _derivative_symbol)
     step = max(1, STACK_ENTRIES // grid.N ** (grid.n - 1))
     sums, max_point = np.zeros(5), 0.0
     for lo in range(0, grid.N, step):
         rows = slice(lo, lo + step)
         block, slab = phi.data[rows], [coords[0][rows], *coords[1:]]
-        comps = [d0[rows], *(_derivative_axis(grid, block, axis)
+        comps = [d0[rows], *(_spectral_axis(grid, block, axis, _derivative_symbol)
                              for axis in range(1, grid.n))]
         r = np.sqrt(_sum_sq(slab))
         dr = _radial_part(slab, r, comps)

@@ -149,10 +149,15 @@ def verify_dilation_hamiltonian(phi: StateField,
 
 
 def verify_radial_coulomb(state, tol: float | None = None) -> list[EqualityReport]:
-    """Identities from the symmetrized radial derivative / 1/|x| pair.
-
-    On a stack each id reports its first worst row."""
+    """Identities from the symmetrized radial derivative / 1/|x| pair, on a
+    radial profile; on a stack each id reports its first worst row.  A tensor
+    grid is a ValueError: its sums of 1/|x| carry the lattice error, which
+    failed six of the eight ids at 5e-2 to 2.5e-1 on the coherent Gaussian
+    (96^3 and 64^3 grids, L = 12)."""
     ops, n, ctx, tol = _operators(state, tol)
+    if ops is grids:
+        raise ValueError("verify_radial_coulomb takes a profile on a radial rule "
+                         "(uncerteq.radial), not a tensor-grid state")
     if n < 3:
         raise ValueError("the radial/Coulomb identities require dimension >= 3")
     a_phi = ops.radial_derivative_sym(state)

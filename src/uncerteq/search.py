@@ -2,20 +2,20 @@
 
 Preconditioned Riemannian nonlinear conjugate gradients over unit-norm grid
 states, each step the exact minimizer on the plane of the state and the
-search direction.  P = D^(-1/2) F^-1 (s(k) + sigma)^-1 F D^(-1/2), with
-D = |x|^2 + sigma, sigma = 4 and s the grid scheme's own -Laplacian symbol,
+search direction.  P = D^(-1/2) F^-1 (s(k)^2 + sigma)^-1 F D^(-1/2), with
+D = |x|^2 + sigma, sigma = 4 and s^2 the grid scheme's own -Laplacian symbol,
 is symmetric positive definite in Re<., .> and approximately inverts
 -Lap + |x|^2 + sigma, so it damps the high grid modes.  The sum functional
 is the harmonic Rayleigh quotient whose minimum n is attained at the
 isotropic Gaussian; the product functional shares the minimum value but has
 a one-parameter family of anisotropic Gaussian minimizers.  The descent loop
 runs on raw arrays and Python scalars; each iteration raises a ValueError at
-a non-finite value, gradient norm or plane-step coefficient, or at a zero
-form of the product.  A separate probe documents that the scaling-derivative
-ratio approaches but never attains its lower bound.  It integrates each
-annulus on a log-r Gauss-Legendre rule whose panels are the annulus's ramps
-and plateau, where the integrands are polynomials in log r, so its ratios
-are exact up to rounding.
+a non-finite form, value, gradient norm or plane-step coefficient, or at a
+zero form of the product.  A separate probe documents that the
+scaling-derivative ratio approaches but never attains its lower bound.  It
+integrates each annulus on a log-r Gauss-Legendre rule whose panels are the
+annulus's ramps and plateau, where the integrands are polynomials in log r,
+so its ratios are exact up to rounding.
 """
 
 from __future__ import annotations
@@ -61,15 +61,20 @@ def fidelity(a: StateField, b: StateField) -> float:
 
 
 def _re_inner(w: float, a: np.ndarray, b: np.ndarray) -> float:
-    """Re<a, b> of grid data of cell weight w, as a Python float."""
-    return float(np.vdot(b, a).real) * w
+    """Re<a, b> of grid data of cell weight w, as a Python float, summed in
+    real arithmetic by numpy as ``StateField.inner`` sums it: a BLAS dot's
+    bits would depend on the BLAS thread count."""
+    re = a.real * b.real
+    re += a.imag * b.imag
+    return float(np.sum(re)) * w
 
 
 def _value_and_gradient(w: float, r2: np.ndarray, phi: np.ndarray,
                         lap: np.ndarray, product: bool):
     """Value, Riemannian gradient, its squared norm and the forms (X, G) at the
     unit-norm ``phi``, for cell weight w, r2 = |x|^2 and lap = -Lap phi.  A
-    non-finite value or norm, or a zero form of the product, is a ValueError.
+    non-finite form, value or norm, or a zero form of the product, is a
+    ValueError.
 
     Both functionals are homogeneous of degree one in X = <x^2 phi, phi> and
     G = <lap, phi>, so the value is wx X + wg G with (wx, wg) = (dF/dX,
@@ -78,6 +83,8 @@ def _value_and_gradient(w: float, r2: np.ndarray, phi: np.ndarray,
     """
     grad = r2 * phi   # x^2 phi, turned into the gradient in place
     x_sq, g_sq = _re_inner(w, grad, phi), _re_inner(w, lap, phi)
+    if not math.isfinite(x_sq + g_sq):    # before the product's square roots
+        raise ValueError("field values must be finite")
     if product and not (x_sq and g_sq):
         form = "G = <-Lap phi, phi>" if x_sq else "X = <x^2 phi, phi>"
         raise ValueError(f"the product needs nonzero forms, got {form} = 0")
@@ -96,7 +103,7 @@ def _value_and_gradient(w: float, r2: np.ndarray, phi: np.ndarray,
 
 @lru_cache(maxsize=2)
 def _preconditioner(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(|x|^2 + sigma)^(-1/2), and 1 / (s + sigma) with s the scheme's
+    """(|x|^2 + sigma)^(-1/2), and 1 / (s^2 + sigma) with s^2 the scheme's
     -Laplacian symbol summed over the axes of the full n-D spectrum."""
     s = sum(np.ix_(*[grids._laplacian_symbol(grid, False)] * grid.n))
     factors = 1.0 / np.sqrt(_radius_sq(grid) + _SIGMA), 1.0 / (s + _SIGMA)

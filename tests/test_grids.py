@@ -11,8 +11,8 @@ from uncerteq import grids, identities
 from uncerteq.cli import SuiteConfig, run_suite
 from uncerteq.gaussians import GaussianSpec, realize
 from uncerteq.grids import (GridSpec, StateField, VectorField,
-                            _laplacian_symbol, _radius, _radius_sq,
-                            _wavenumbers, coulomb,
+                            _derivative_symbol, _laplacian_symbol, _radius,
+                            _radius_sq, _wavenumbers, coulomb,
                             dilation_generator, gradient, lattice_zeta,
                             momentum, neg_laplacian,
                             pointwise_gradient_decomposition, position,
@@ -623,6 +623,46 @@ def test_laplacian_symbol_is_the_schemes_own(scheme):
         assert np.max(np.abs(neg_laplacian(mode).data - s_k * mode.data)) <= 1e-11
 
 
+def _stencil(grid, values, axis):
+    # The periodic central difference along a grid axis, by np.roll.
+    axis -= grid.n
+    if grid.scheme == "central_diff_2":
+        return (np.roll(values, -1, axis) - np.roll(values, 1, axis)) / (2 * grid.h)
+    return (-np.roll(values, -2, axis) + 8 * np.roll(values, -1, axis)
+            - 8 * np.roll(values, 1, axis) + np.roll(values, 2, axis)) / (12 * grid.h)
+
+
+@pytest.mark.parametrize("scheme", ["central_diff_2", "central_diff_4"])
+@pytest.mark.parametrize("n, N, states", [(1, 64, 1), (1, 129, 2), (2, 15, 2),
+                                          (3, 40, 2), (3, 41, 1)])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_central_schemes_are_their_difference_stencils(scheme, n, N, states, dtype):
+    # The multiplier i s(k) is the periodic stencil and s(k)^2 the stencil
+    # applied twice, to rounding: even and odd N, real and complex data, one
+    # state or a stack, and 3-D grids over STACK_ENTRIES values, whose axis 0
+    # is transformed in blocks.  The Nyquist mode of an even N has no sign for
+    # the first derivative, so its multiplier is 0.
+    grid = GridSpec(n, N, 6.0, offset=0.5, scheme=scheme)
+    assert n < 3 or N ** n > grids.STACK_ENTRIES
+    x = np.meshgrid(*[grid.axis_coords()] * n, indexing="ij")
+    rows = [(1.0 + 0.3 * x[0]) * np.exp(-0.5 * sum(c * c for c in x)),
+            np.exp(-0.8 * sum((c - 0.4) ** 2 for c in x))][:states]
+    data = np.stack(rows) if states > 1 else rows[0]
+    if dtype is np.complex128:
+        data = data * np.exp(0.7j * x[-1])
+    phi = StateField(grid, data)
+    want = [_stencil(grid, data, axis) for axis in range(n)]
+    lap = -sum(_stencil(grid, d, axis) for axis, d in enumerate(want))
+    got, got_lap = gradient(phi).data, neg_laplacian(phi).data
+    assert got.dtype == got_lap.dtype == dtype
+    want = np.stack(want, -n - 1)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(got_lap - lap)) <= 1e-13 * np.max(np.abs(lap))
+    for half in (False, True):
+        d = _derivative_symbol(grid, half)
+        assert (d[N // 2] == 0.0) == (N % 2 == 0)
+
+
 def test_radius_caches_hold_at_most_two_grids():
     # At the 2^24-point cap each cached array is 128 MB.
     for N in (16, 32, 64):
@@ -686,7 +726,8 @@ def test_real_arithmetic_that_overflows_is_refused():
 
 # Every public function of grids and identities that takes a grid state, as
 # called on one, and the methods of the field classes.  The functions that
-# report on one state refuse a stack, naming themselves.
+# report on one state refuse a stack, naming themselves; verify_radial_coulomb
+# refuses any grid state, naming the radial rule.
 _FUNCTIONS = {
     **{name: getattr(grids, name) for name in (
         "gradient", "position", "momentum", "x_dot_grad", "dilation_generator",
@@ -710,6 +751,7 @@ _METHODS = {
 }
 _REFUSE_A_STACK = {"hardy_terms", "pointwise_gradient_decomposition",
                    "saturation_flags", "verify_hardy"}
+_REFUSE_A_GRID = {"verify_radial_coulomb"}
 _NO_STATE = {"lattice_zeta", "random_smooth_state", "refinement_study"}
 
 
@@ -739,6 +781,11 @@ def test_every_grid_function_on_a_two_state_stack(name, phase, scheme):
                 1.0 + y - 0.2 * z) * np.exp(-0.7 * (x * x + y * y + z * z)))]
     stack = StateField(grid, np.stack([row.data for row in rows]))
     call = {**_FUNCTIONS, **_METHODS}[name]
+    if name in _REFUSE_A_GRID:
+        for state in (stack, *rows):
+            with pytest.raises(ValueError, match=f"{name} takes a profile on a radial"):
+                call(state)
+        return
     if name in _REFUSE_A_STACK:
         with pytest.raises(ValueError, match=f"{name} takes one state"):
             call(stack)

@@ -217,16 +217,19 @@ def test_degenerate_states_rejected():
 
 
 def test_radial_coulomb_on_a_non_radial_grid_state():
-    # (x + iy) e^{-|x|^2/2} has an angular part, so the spherical sum in
-    # the gradient split is nonzero on the tensor grid.
+    # The tensor grid's sums of 1/|x| carry the lattice error, so a grid
+    # state is refused, naming the radial rule.  Its gradient split is
+    # grad.pointwise_split's: (x + iy) e^{-|x|^2/2} has an angular part, so
+    # the spherical sum in the split is nonzero on the tensor grid.
     grid = GridSpec(3, 32, 8.0, offset=0.5)
     phi = StateField.from_callable(
         grid, lambda x, y, z: (x + 1j * y) * np.exp(-0.5 * (x ** 2 + y ** 2
                                                             + z ** 2)))
-    reps = {r.identity_id: r for r in verify_radial_coulomb(phi, tol=1e-10)}
-    rep = reps["radcoul.gradient_split"]
+    with pytest.raises(ValueError, match="radial rule"):
+        verify_radial_coulomb(phi, tol=1e-10)
+    rep = grids.pointwise_gradient_decomposition(phi, tol=1e-10)
     assert rep.passed, rep.rel_residual
-    assert grids.gradient(phi).norm_sq() - rep.lhs.real >= 1.0
+    assert grids.spherical_derivative(phi).norm_sq() >= 1.0
 
 
 def test_verifiers_reject_unsupported_state_types():
@@ -298,7 +301,8 @@ def test_a_stack_of_random_smooth_states_is_successive_single_draws(grid, normal
 
 def test_radial_verifiers_default_to_their_rules_tolerance():
     # With no tol, the exact Laguerre rule checks at ALGEBRAIC_TOL; the
-    # midpoint rule and the tensor grid at GRID_TOL.
+    # midpoint rule and the tensor grid at GRID_TOL.  verify_radial_coulomb
+    # refuses the tensor grid.
     quad = LaguerreQuadrature(4)
     stack = random_radial_state(quad, np.random.default_rng(3), states=20)
     for verify in (verify_hardy, verify_radial_coulomb,
@@ -309,6 +313,7 @@ def test_radial_verifiers_default_to_their_rules_tolerance():
         assert {rep.tol for rep in verify(radial_gaussian(QUAD3))} == {
             identities.GRID_TOL}
     psi = realize(GaussianSpec("coherent", n=3), GridSpec(3, 32, 8.0, offset=0.5))
-    for verify in (verify_hardy, verify_radial_coulomb,
-                   verify_dilation_pythagoras):
+    for verify in (verify_hardy, verify_dilation_pythagoras):
         assert {rep.tol for rep in verify(psi)} == {identities.GRID_TOL}
+    with pytest.raises(ValueError, match="radial rule"):
+        verify_radial_coulomb(psi)
