@@ -423,19 +423,6 @@ def radial_part(g: VectorField) -> StateField:
                                          np.moveaxis(g.data, -grid.n - 1, 0)))
 
 
-def radial_derivative(phi: StateField) -> StateField:
-    """(x/|x|).grad phi."""
-    return radial_part(gradient(phi))
-
-
-def radial_derivative_sym(phi: StateField) -> StateField:
-    """-i (x/|x|).grad phi - i (n-1)/(2|x|) phi."""
-    grid = phi.space
-    dr = radial_derivative(phi)
-    return StateField(grid, -1j * (dr.data + 0.5 * (grid.n - 1) / _radius(grid)
-                                   * phi.data))
-
-
 def coulomb(phi: StateField) -> StateField:
     grid = phi.space
     _require_origin_free(grid)

@@ -5,7 +5,8 @@ state, or a stack of them, and returns one :class:`EqualityReport` per
 identity (for a stack, its first worst row).  A state is a ``StateField``
 on a tensor grid or on a radial rule; a radial profile carries its analytic
 derivative, trading generality for quadrature accuracy, which the tight
-tolerances of the Hardy checks need.
+tolerances of the Hardy checks need.  Each verifier calls its own space's
+operators, ``grids`` or ``radial``; dilation and Hardy branch on the space.
 """
 
 from __future__ import annotations
@@ -26,21 +27,17 @@ GRID_TOL = 1e-8
 _PM_IDS = ("pm.trace", "pm.sum_norm", "pm.expansion", "pm.schrodinger")
 
 
-def _operators(state, tol: float | None):
-    """Operator module, dimension, report context and tolerance (``tol``, or
-    the rule's: ALGEBRAIC_TOL on the exact Laguerre rule, else GRID_TOL).
-
-    ``grids`` and ``radial`` expose the same operator names; the state's
-    space (a GridSpec or a radial rule) picks the module.
-    """
+def _space(state, tol: float | None):
+    """Whether the state is on a tensor grid (else on a radial rule), its
+    dimension, report context and tolerance (``tol``, or the rule's:
+    ALGEBRAIC_TOL on the exact Laguerre rule, else GRID_TOL)."""
     if not isinstance(state, StateField) or state.vector:
         raise TypeError(f"unsupported state type {type(state).__name__}")
     space = state.space
     if tol is None:
         tol = ALGEBRAIC_TOL if isinstance(space, radial.LaguerreQuadrature) else GRID_TOL
-    if isinstance(space, grids.GridSpec):
-        return grids, space.n, {"grid": space.to_dict()}, tol
-    return radial, space.n, {"radial": space.to_dict()}, tol
+    on_grid = isinstance(space, grids.GridSpec)
+    return on_grid, space.n, {"grid" if on_grid else "radial": space.to_dict()}, tol
 
 
 def verify_position_momentum(phi: StateField,
@@ -83,8 +80,8 @@ def saturation_flags(phi: StateField, tol: float = 1e-6) -> ExtremizerFlags:
 def verify_dilation_pythagoras(state, tol: float | None = None) -> list[EqualityReport]:
     """||x.grad phi||^2 splits into the shifted part plus (n/2)^2 ||phi||^2;
     the context's ``gap`` is the reported row's shifted part."""
-    ops, n, ctx, tol = _operators(state, tol)
-    d = ops.x_dot_grad(state)
+    on_grid, n, ctx, tol = _space(state, tol)
+    d = grids.x_dot_grad(state) if on_grid else radial.x_dot_grad(state)
     gap = (d + (0.5 * n) * state).norm_sq()
     return worst(["dil.pythagoras"], d.norm_sq(),
                  gap + (0.5 * n) ** 2 * state.norm_sq(), tol,
@@ -94,25 +91,27 @@ def verify_dilation_pythagoras(state, tol: float | None = None) -> list[Equality
 def verify_hardy(psi, tol: float | None = None) -> list[EqualityReport]:
     """Hardy-type equality with exact remainder and its two chain bounds.  A
     radial stack (first worst row per id) adds the transfer forms through
-    psi/|x|; a grid state its pointwise split instead: its spectral derivative
-    misses psi/|x|'s cusp at 0 (2.7e-2 and 2.2e-1 at N = 96)."""
-    ops, n, ctx, tol = _operators(psi, tol)
+    psi/|x|; there grad psi = psi' x/|x|, so hardy.chain.gradient holds by
+    construction.  A grid state adds its pointwise split instead: its spectral
+    derivative misses psi/|x|'s cusp at 0 (2.7e-2 and 2.2e-1 at N = 96), and
+    its hardy.pythagoras carries the lattice error of ||psi/|x|||^2, which
+    the hardy suite's hardy.grid.value_* rows correct."""
+    on_grid, n, ctx, tol = _space(psi, tol)
     if n < 3:
         raise ValueError("the Hardy identities require dimension >= 3")
     ids, lhs, tail = ["hardy.pythagoras"], [], []
-    if ops is grids:    # one pass over slabs of the grid, which also gives the split
+    if on_grid:    # one pass over slabs of the grid, which also gives the split
         (grad_sq, dr_sq, q_sq, shifted_sq), split = grids.hardy_terms(
             psi, tol, "verify_hardy")
         tail = [split]
     else:   # transfer through phi = psi/|x|: x.grad phi and its (n/2) shift
-        g = ops.gradient(psi)
-        grad_sq = g.norm_sq()
-        dpsi = ops.radial_part(g)
-        q = ops.coulomb(psi)                   # psi / |x|
-        xg_phi = ops.x_dot_grad(q)
+        dpsi = radial.radial_derivative(psi)
+        q = radial.coulomb(psi)                # psi / |x|
+        xg_phi = radial.x_dot_grad(q)
         ids += ["hardy.radial_shift", "hardy.scaling_shift"]
         lhs = [xg_phi.norm_sq(), (xg_phi + (0.5 * n) * q).norm_sq()]
         dr_sq, q_sq = dpsi.norm_sq(), q.norm_sq()
+        grad_sq = dr_sq                        # |grad psi| = |psi'|
         # ||d_r psi + (n-2)/(2|x|) psi||^2
         shifted_sq = (dpsi + (0.5 * (n - 2)) * q).norm_sq()
     rhs = [shifted_sq + (0.5 * (n - 2)) ** 2 * q_sq, dr_sq + (n - 1) * q_sq,
@@ -153,35 +152,33 @@ def verify_radial_coulomb(state, tol: float | None = None) -> list[EqualityRepor
     radial profile; on a stack each id reports its first worst row.  A tensor
     grid is a ValueError: its sums of 1/|x| carry the lattice error, which
     failed six of the eight ids at 5e-2 to 2.5e-1 on the coherent Gaussian
-    (96^3 and 64^3 grids, L = 12)."""
-    ops, n, ctx, tol = _operators(state, tol)
-    if ops is grids:
+    (96^3 and 64^3 grids, L = 12).  A profile has grad psi = psi' x/|x| and
+    L psi = 0, so radcoul.gradient_split holds by construction."""
+    on_grid, n, ctx, tol = _space(state, tol)
+    if on_grid:
         raise ValueError("verify_radial_coulomb takes a profile on a radial rule "
                          "(uncerteq.radial), not a tensor-grid state")
     if n < 3:
         raise ValueError("the radial/Coulomb identities require dimension >= 3")
-    a_phi = ops.radial_derivative_sym(state)
-    b_phi = ops.coulomb(state)
+    a_phi = radial.radial_derivative_sym(state)
+    b_phi = radial.coulomb(state)
     a = a_phi.norm()
     b = b_phi.norm()
     if not (np.all(a) and np.all(b)):
         raise ValueError("degenerate state for the radial/Coulomb pair")
-    dpsi = ops.radial_derivative(state)
+    dpsi = radial.radial_derivative(state)
     dr_sq = dpsi.norm_sq()
     b_sq = b * b
     p = a_phi.inner(b_phi)
     combo = (1.0 / a) * a_phi + (1j / b) * b_phi
     pyth = (2j) * a_phi - b_phi
     shifted = dpsi + (0.5 * (n - 2)) * b_phi
-    grad_sq = ops.gradient(state).norm_sq()
-    sph_sq = ops.spherical_derivative(state).norm_sq()
     ortho = (b_phi - 2j * a_phi).inner(b_phi).real
     return [
         *worst(["radcoul.potential_sq", "radcoul.sum_norm", "radcoul.sym_norm",
                 "radcoul.orthogonality", "radcoul.pythagoras",
                 "radcoul.hardy_quadrupled", "radcoul.gradient_split"],
-               [b_sq, b_sq, a * a, ortho, 4.0 * a * a, 4.0 * dr_sq,
-                grad_sq - sph_sq],
+               [b_sq, b_sq, a * a, ortho, 4.0 * a * a, 4.0 * dr_sq, dr_sq],
                [-2.0 * p.imag, a * b * (2.0 - combo.norm_sq()),
                 dr_sq - 0.25 * (n - 1) * (n - 3) * b_sq, 0.0,
                 pyth.norm_sq() + b_sq,

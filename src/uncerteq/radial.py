@@ -1,8 +1,9 @@
 """One-dimensional radial quadrature for radially symmetric states.
 
-Radial profiles carry their derivative analytically, so norm identities
-involving d/dr are limited only by quadrature error.  Two rules carry the
-radial measure r^{n-1} dr:
+Radial profiles carry their derivative psi' analytically, so norm
+identities involving d/dr are limited only by quadrature error.  Their
+gradient is psi' x/|x| and L psi = 0, so no function here computes either.
+Three rules carry the radial measure r^{n-1} dr:
 
 * :class:`LaguerreQuadrature`, generalized Gauss-Laguerre in t = r^2, for
   the Gaussian-times-polynomial profiles p(r^2) exp(-r^2/2).  Every integral
@@ -242,21 +243,6 @@ def radial_derivative(state: RadialState) -> RadialState:
     if state.deriv is None:
         raise ValueError("state carries no analytic derivative")
     return RadialState(state.space, state.deriv)
-
-
-def gradient(state: RadialState) -> RadialState:
-    """psi'(r): a radial profile has no angular part, so |grad psi| = |psi'|."""
-    return radial_derivative(state)
-
-
-def radial_part(g: RadialState) -> RadialState:
-    """The radial part of the gradient g, which is all of it for a profile."""
-    return g
-
-
-def spherical_derivative(state: RadialState) -> RadialState:
-    """L psi, which vanishes for a radial profile."""
-    return RadialState(state.space, np.zeros(state.values.shape))
 
 
 def x_dot_grad(state: RadialState) -> RadialState:
