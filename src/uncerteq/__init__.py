@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .complexspace import (ComplexVector, ExtremizerFlags,
                            InternalConsistencyError, cs_equality_residuals,
-                           extremizer_class, random_vector, sgn)
+                           extremizer_class, random_vector)
 from .forms import PairSample, pair_reports
 from .gaussians import GaussianSpec, exact_moments, realize
 from .grids import (GridSpec, StateField, VectorField,

@@ -2,11 +2,11 @@
 
 Everything here is finite-dimensional and pure: vectors with the standard
 sesquilinear product (linear in the first slot, antilinear in the second),
-the unit-modulus sign function, the Cauchy-Schwarz-type equality family and
-the five-part saturation classification.  The family and the classification
-take a whole (N, d) stack of zero-padded pairs at once (the CLI stacks at
-most max(1, STACK_ENTRIES // d) pairs) and report only the worst pair of
-each identity; a single pair is a stack of one and gives the same bits.
+the Cauchy-Schwarz-type equality family and the five-part saturation
+classification.  Both take a whole (N, d) stack of zero-padded pairs at
+once (the CLI stacks at most max(1, STACK_ENTRIES // d) pairs); the family
+reports only the worst pair of each identity, and the classification flags
+every pair.  A single pair is a stack of one and gives the same bits.
 The stacks are validated once and worked on as real and imaginary (d, N)
 planes.  From REDUCE_ROWS pairs the planes are C-contiguous, entry-major,
 and a row sum reduces over the outer axis, which numpy does as N-wide adds
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,14 +40,6 @@ class InternalConsistencyError(RuntimeError):
     The parts are mathematically equivalent clause sets, so a disagreement
     signals a bug in the evaluation, never a property of the input.
     """
-
-
-def sgn(z: complex) -> complex:
-    """Unit-modulus sign of a complex scalar, with sgn(0) = 1."""
-    z = complex(z)
-    if z == 0:
-        return 1.0 + 0.0j
-    return z / abs(z)
 
 
 class ComplexVector:
@@ -228,81 +220,64 @@ class ExtremizerFlags:
 CROSS_CHECK_FACTOR = 8.0
 
 
-def classify_saturation(a: float, b: float, p: complex,
-                        combo_norm: Callable[[complex, complex], float],
-                        tol: float) -> ExtremizerFlags:
-    """Shared five-part classification from norms, product and combinations.
-
-    ``combo_norm(alpha, beta)`` returns ``||alpha*U + beta*V||`` for the pair;
-    :func:`extremizer_rows` forms it from the pair's row of its stack.  Only
-    when the primary clause of a part holds within ``tol`` are its other
-    clauses computed; one beyond ``CROSS_CHECK_FACTOR * tol`` raises
-    :class:`InternalConsistencyError`.
-    """
-    if a == 0.0 or b == 0.0:
-        # Every clause of every part holds trivially.
-        return ExtremizerFlags(True, True, True, True, True)
-
-    ab = a * b
-
-    def scal(lhs: complex, rhs: complex) -> float:
-        return abs(lhs - rhs) / max(abs(lhs), abs(rhs), ab, 1.0)
-
-    def vec(alpha: complex, beta: complex) -> float:
-        return combo_norm(alpha, beta) / max(abs(alpha) * a, abs(beta) * b, 1.0)
-
-    # Per part, the candidate primary clauses (lhs, rhs) in order, each with
-    # the part's other clauses for when it holds.
-    parts = {
-        "real_parallel": [(p.real, s * ab, lambda s=s: [vec(b, -s * a),
-                                                        scal(p, s * ab)])
-                          for s in (1.0, -1.0)],
-        "imag_parallel": [(p.imag, s * ab, lambda s=s: [vec(b, -s * 1j * a),
-                                                        scal(p, s * 1j * ab)])
-                          for s in (1.0, -1.0)],
-        "real_saturated": [(abs(p.real), ab, lambda: [
-            scal(p.imag, 0.0), scal(abs(p), ab),
-            vec(b * b, -p.real), vec(-p.real, a * a)])],
-        "imag_saturated": [(abs(p.imag), ab, lambda: [
-            scal(p.real, 0.0), scal(abs(p), ab),
-            vec(b * b, -1j * p.imag), vec(1j * p.imag, a * a)])],
-        "cs_saturated": [(abs(p), ab, lambda: [
-            vec(b, -sgn(p) * a), vec(b * b, -p), vec(-np.conj(p), a * a)])],
-    }
-    flags = []
-    for name, candidates in parts.items():
-        clauses = next((c for lhs, rhs, c in candidates
-                        if scal(lhs, rhs) <= tol), None)
-        bad = [] if clauses is None else [
-            r for r in clauses() if r > CROSS_CHECK_FACTOR * tol]
-        if bad:
-            raise InternalConsistencyError(
-                f"part {name!r}: primary clause holds but cross-check "
-                f"residuals {bad} exceed {CROSS_CHECK_FACTOR * tol:g}")
-        flags.append(clauses is not None)
-    return ExtremizerFlags(*flags)
-
-
 def extremizer_rows(u, v, tol: float = ALGEBRAIC_TOL) -> np.ndarray:
     """Five-part flags of each row pair, columns as in :class:`ExtremizerFlags`.
 
-    Only a row where a primary clause holds goes through the cross-checks of
-    :func:`classify_saturation`, which may raise InternalConsistencyError.
+    A part holds on a row where its primary clause holds within ``tol``, and
+    every part holds on a row whose u or v is zero.  Only on the other rows
+    where a part holds are its other clauses computed, the combination norms
+    ||alpha u + beta v|| among them; one beyond ``CROSS_CHECK_FACTOR * tol``
+    raises :class:`InternalConsistencyError`.
     """
     u, v = _planes(u, v)
     a, b, p = _norms_and_product(u, v)
-    ab = a * b
-    screen = ab == 0.0
-    # The primary clauses, scal(x, ab); a real (imaginary) multiple of either
-    # sign can fire only where |Re p| (|Im p|) saturates.
-    for x in (np.abs(p.real), np.abs(p.imag), np.hypot(p.real, p.imag)):
-        screen |= np.abs(x - ab) / np.maximum(np.maximum(x, ab), 1.0) <= tol
-    flags = np.zeros((len(ab), 5), dtype=bool)
-    for i in np.flatnonzero(screen):
-        ui, vi = (x[0, :, i] + 1j * x[1, :, i] for x in (u, v))
-        flags[i] = classify_saturation(
-            float(a[i]), float(b[i]), complex(p[i]),
-            lambda al, be: float(np.linalg.norm(al * ui + be * vi)), tol).as_tuple()
+    ab, absp = a * b, np.hypot(p.real, p.imag)
+    zero = (a == 0.0) | (b == 0.0)
+
+    def scal(lhs, rhs, ab):
+        return np.abs(lhs - rhs) / np.maximum(
+            np.maximum(np.abs(lhs), np.abs(rhs)), np.maximum(ab, 1.0))
+
+    # Per part: the left side x of its primary clause, which holds where
+    # scal(x, s ab) <= tol for the first sign s that fits, and its other
+    # clauses from the rows' s, a, b, p, ab and combination norms vec.
+    parts = {
+        "real_parallel": (p.real, (1.0, -1.0), lambda s, a, b, p, ab, vec: [
+            vec(b, -s * a), scal(p, s * ab, ab)]),
+        "imag_parallel": (p.imag, (1.0, -1.0), lambda s, a, b, p, ab, vec: [
+            vec(b, -1j * s * a), scal(p, 1j * s * ab, ab)]),
+        "real_saturated": (np.abs(p.real), (1.0,), lambda s, a, b, p, ab, vec: [
+            scal(p.imag, 0.0, ab), scal(np.abs(p), ab, ab),
+            vec(b * b, -p.real), vec(-p.real, a * a)]),
+        "imag_saturated": (np.abs(p.imag), (1.0,), lambda s, a, b, p, ab, vec: [
+            scal(p.real, 0.0, ab), scal(np.abs(p), ab, ab),
+            vec(b * b, -1j * p.imag), vec(1j * p.imag, a * a)]),
+        "cs_saturated": (absp, (1.0,), lambda s, a, b, p, ab, vec: [
+            vec(b, -np.exp(1j * np.angle(p)) * a),     # sgn p, sgn 0 = 1
+            vec(b * b, -p), vec(-p.conj(), a * a)]),
+    }
+    flags = np.empty((len(ab), 5), dtype=bool)
+    for col, (name, (x, signs, clauses)) in enumerate(parts.items()):
+        fits = [scal(x, s * ab, ab) <= tol for s in signs]
+        flags[:, col] = fits[0] | fits[-1] | zero
+        k = np.flatnonzero(flags[:, col] & ~zero)
+        if k.size == 0:
+            continue
+        (ur, ui), (vr, vi), ak, bk = u[..., k], v[..., k], a[k], b[k]
+
+        def vec(alpha, beta):   # ||alpha u + beta v|| / max(|alpha| a, |beta| b, 1)
+            re = alpha.real * ur - alpha.imag * ui + beta.real * vr - beta.imag * vi
+            im = alpha.real * ui + alpha.imag * ur + beta.real * vi + beta.imag * vr
+            return np.sqrt(_row_sum(re * re + im * im)) / np.maximum(
+                np.maximum(np.abs(alpha) * ak, np.abs(beta) * bk), 1.0)
+
+        s = np.where(fits[0][k], 1.0, -1.0)
+        res = np.array(clauses(s, ak, bk, p[k], ab[k], vec))
+        bad = res[res > CROSS_CHECK_FACTOR * tol]
+        if bad.size:
+            raise InternalConsistencyError(
+                f"part {name!r}: primary clause holds but cross-check "
+                f"residuals {bad.tolist()} exceed {CROSS_CHECK_FACTOR * tol:g}")
     return flags
 
 

@@ -238,18 +238,21 @@ Quadrature = RadialQuadrature | LaguerreQuadrature | LogRadialQuadrature
 RadialState = StateField     # a profile's space is its rule
 
 
-def radial_derivative(state: RadialState) -> RadialState:
-    """psi'(r), the derivative along x/|x|."""
+def _deriv(state: RadialState) -> np.ndarray:
+    """The profile's analytic derivative psi'(r), which it must carry."""
     if state.deriv is None:
         raise ValueError("state carries no analytic derivative")
-    return RadialState(state.space, state.deriv)
+    return state.deriv
+
+
+def radial_derivative(state: RadialState) -> RadialState:
+    """psi'(r), the derivative along x/|x|."""
+    return RadialState(state.space, _deriv(state))
 
 
 def x_dot_grad(state: RadialState) -> RadialState:
     """r * psi'(r), the scaling derivative of a radial profile."""
-    if state.deriv is None:
-        raise ValueError("state carries no analytic derivative")
-    return RadialState(state.space, state.space.r * state.deriv)
+    return RadialState(state.space, state.space.r * _deriv(state))
 
 
 def coulomb(state: RadialState) -> RadialState:
@@ -261,12 +264,8 @@ def coulomb(state: RadialState) -> RadialState:
 
 def radial_derivative_sym(state: RadialState) -> RadialState:
     """-i psi' - i (n-1)/(2r) psi for a radial profile in R^n."""
-    if state.deriv is None:
-        raise ValueError("state carries no analytic derivative")
-    r = state.space.r
-    n = state.space.n
-    return RadialState(state.space,
-                       -1j * (state.deriv + 0.5 * (n - 1) / r * state.values))
+    half = 0.5 * (state.space.n - 1) / state.space.r
+    return RadialState(state.space, -1j * (_deriv(state) + half * state.values))
 
 
 def radial_gaussian(quad: Quadrature, alpha: float = 1.0,

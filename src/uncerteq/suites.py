@@ -75,13 +75,13 @@ def _vector_pairs(cfg, rng):
     """Stacks (u, v) of random pairs, as drawn by random_vector, each of one
     dimension in [2, dim], zero-padded to dim."""
     for count in stacks(cfg.trials, cfg.dim):
-        u, v = np.zeros((2, count, cfg.dim), np.complex128)
-        ur, ui, vr, vi = u.real, u.imag, v.real, v.imag
+        u, v = uv = np.zeros((2, count, cfg.dim), np.complex128)
+        # axes: u or v, pair, entry, real or imaginary part
+        parts = uv.view(np.float64).reshape(2, count, cfg.dim, 2)
         for i in range(count):
             dim = int(rng.integers(2, cfg.dim + 1))
             # random_vector's draws in its order: re u, im u, re v, im v
-            (ur[i, :dim], ui[i, :dim], vr[i, :dim],
-             vi[i, :dim]) = rng.standard_normal((4, dim))
+            parts[:, i, :dim] = rng.standard_normal((2, 2, dim)).transpose(0, 2, 1)
         yield u, v
 
 

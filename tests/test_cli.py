@@ -16,7 +16,7 @@ from uncerteq import cli, complexspace, grids, identities, suites
 from uncerteq.cli import (SuiteConfig, _check_type, main, refinement_study,
                           run_suite, write_refinement_csv)
 from uncerteq.complexspace import (cs_equality_residuals, default_angles,
-                                   extremizer_class, random_vector, sgn)
+                                   extremizer_class, random_vector)
 from uncerteq.forms import PairSample, pair_reports
 from uncerteq.gaussians import GaussianSpec, realize
 from uncerteq.grids import MAX_POINTS, GridSpec
@@ -236,7 +236,7 @@ def _pm_alone(phi, tol):
     ctx = {"grid": phi.space.to_dict()}
     lhs, p, ab = phi.space.n * phi.norm_sq(), xphi.inner(gphi), a * b
     sum_hat = (1.0 / a) * xphi + (1.0 / b) * gphi
-    aligned = (1.0 / a) * xphi - (sgn(p) / b) * gphi
+    aligned = (1.0 / a) * xphi - (p / abs(p) / b) * gphi
     return [compare("pm.trace", lhs, -2.0 * p.real, tol, context=ctx),
             compare("pm.sum_norm", lhs, ab * (2.0 - sum_hat.norm_sq()), tol,
                     context=ctx),

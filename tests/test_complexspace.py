@@ -8,32 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from uncerteq import complexspace
 from uncerteq.complexspace import (ComplexVector, InternalConsistencyError,
-                                   classify_saturation, cs_equality_residuals,
-                                   default_angles, extremizer_class,
-                                   extremizer_rows, phase_family,
-                                   random_vector, sgn)
+                                   cs_equality_residuals, default_angles,
+                                   extremizer_class, extremizer_rows,
+                                   phase_family, random_vector)
 from uncerteq.forms import pair_reports
 
 TOL = 1e-12
-
-
-def test_sgn_at_zero_is_exactly_one():
-    assert sgn(0) == 1.0 + 0.0j
-    assert sgn(0.0 + 0.0j) == 1.0 + 0.0j
-
-
-@given(st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e6,
-                          allow_nan=False, allow_infinity=False))
-def test_sgn_has_unit_modulus(z):
-    s = sgn(z)
-    assert abs(abs(s) - 1.0) <= 1e-15
-    assert abs(s * s.conjugate() - 1.0) <= 1e-15
-
-
-def test_sgn_of_positive_real_is_one():
-    assert sgn(3.5) == 1.0 + 0.0j
-    assert sgn(-2.0) == -1.0 + 0.0j
-    assert abs(sgn(2j) - 1j) <= 1e-15
 
 
 def test_vector_validation():
@@ -178,14 +158,37 @@ def test_modulus_saturation_reconstructs_the_multiple():
 
 
 def test_zero_vector_pair_is_trivially_extremal():
-    flags = classify_saturation(0.0, 1.0, 0.0, lambda a, b: 0.0, TOL)
-    assert flags.as_tuple() == (True, True, True, True, True)
+    rng = np.random.default_rng(4)
+    u, w = random_vector(rng, 5), random_vector(rng, 5)
+    # ||1e-163 u||^2 underflows to 0, so that u counts as zero, though its
+    # product with 1e153 w, about 1e-10, saturates no clause.
+    for pair in ((0.0 * u, u), (u, 0.0 * u), (np.zeros(3), np.zeros(3)),
+                 (1e-163 * u, 1e153 * w)):
+        assert extremizer_class(*pair, tol=TOL).as_tuple() == (True,) * 5
 
 
-def test_inconsistent_combination_norms_raise():
-    # The modulus clause fires, but the fake norm oracle contradicts it.
-    with pytest.raises(InternalConsistencyError):
-        classify_saturation(1.0, 1.0, 1.0 + 0.0j, lambda a, b: 1.0, TOL)
+def test_inconsistent_combination_norms_raise(monkeypatch):
+    # p = ab fires real_parallel on a generic pair, whose combination norm
+    # ||b u - a v|| then contradicts it.
+    rng = np.random.default_rng(9)
+    u, v = random_vector(rng, 6), random_vector(rng, 6)
+    norms_and_product = complexspace._norms_and_product
+
+    def saturated(u, v):
+        a, b, _ = norms_and_product(u, v)
+        return a, b, a * b + 0j
+
+    monkeypatch.setattr(complexspace, "_norms_and_product", saturated)
+    with pytest.raises(InternalConsistencyError, match="real_parallel"):
+        extremizer_rows(u, v, TOL)
+
+
+def _row_sum_shapes(monkeypatch):
+    """The shapes that complexspace._row_sum is called with, as it runs."""
+    row_sum, shapes = complexspace._row_sum, []
+    monkeypatch.setattr(complexspace, "_row_sum",
+                        lambda x: shapes.append(x.shape) or row_sum(x))
+    return shapes
 
 
 @pytest.mark.parametrize("kind, expected, calls", [
@@ -194,19 +197,19 @@ def test_inconsistent_combination_norms_raise():
     # combinations; the two imaginary parts compute none.
     ("real_multiple", (True, False, True, False, True), 6),
 ])
-def test_parts_that_do_not_fire_compute_no_combination(kind, expected, calls):
+def test_parts_that_do_not_fire_compute_no_combination(kind, expected, calls,
+                                                        monkeypatch):
+    # Each combination norm is one row sum, beside the four of the norms and
+    # the product.
     rng = np.random.default_rng(5)
-    u = random_vector(rng, 6)
-    v = random_vector(rng, 6) if kind == "random" else 2.0 * u
-    norms = []
-
-    def combo_norm(alpha, beta):
-        norms.append((alpha, beta))
-        return float(np.linalg.norm(alpha * u.entries + beta * v.entries))
-
-    flags = classify_saturation(u.norm(), v.norm(), u.inner(v), combo_norm, TOL)
-    assert flags.as_tuple() == expected
-    assert len(norms) == calls
+    u = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+    v = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+    if kind == "real_multiple":
+        v[1] = 2.0 * u[1]
+    sums = _row_sum_shapes(monkeypatch)
+    flags = extremizer_rows(u, v, TOL)
+    assert flags.tolist() == [[False] * 5, list(expected), [False] * 5]
+    assert len(sums) == 4 + calls
 
 
 def _stack(rows, width):
@@ -217,29 +220,18 @@ def _stack(rows, width):
     return out
 
 
-def test_saturated_row_of_a_batch_goes_through_the_scalar_classifier(monkeypatch):
+def test_only_the_saturated_row_of_a_batch_is_cross_checked(monkeypatch):
     rng = np.random.default_rng(8)
     us = [random_vector(rng, d) for d in (5, 7, 3)]
     vs = [random_vector(rng, 5), 2.0 * us[1], random_vector(rng, 3)]
     u, v = _stack(us, 8), _stack(vs, 8)
-    seen = []
-
-    def spy(a, b, p, combo_norm, tol):
-        seen.append(combo_norm(1.0, 0.0))
-        return classify_saturation(a, b, p, combo_norm, tol)
-
-    monkeypatch.setattr(complexspace, "classify_saturation", spy)
+    sums = _row_sum_shapes(monkeypatch)
     flags = extremizer_rows(u, v, TOL)
-    # Only the pair (u, 2u) reaches the scalar classifier, with its own rows.
-    assert seen == [pytest.approx(us[1].norm(), rel=1e-15)]
-    assert flags.tolist() == [[False] * 5, list(extremizer_class(us[1], vs[1]).as_tuple()),
+    # Only the pair (u, 2u) reaches the cross-checks: 1 + 2 + 3 combination
+    # norms of its row alone, after the four row sums of the whole stack.
+    assert sums == [(8, 3)] * 4 + [(8, 1)] * 6
+    assert flags.tolist() == [[False] * 5, [True, False, True, False, True],
                               [False] * 5]
-    # A combination norm that contradicts the fired part is caught there.
-    monkeypatch.setattr(complexspace, "classify_saturation",
-                        lambda a, b, p, combo_norm, tol:
-                        classify_saturation(a, b, p, lambda x, y: 1.0, tol))
-    with pytest.raises(InternalConsistencyError):
-        extremizer_rows(u, v, TOL)
 
 
 @pytest.mark.parametrize("row", [np.zeros(4), [1.0, math.nan, 0.0, 0.0],
@@ -295,8 +287,9 @@ def test_batch_rows_give_the_bits_of_single_pairs():
 
 
 def test_batch_flags_match_the_scalar_classifier_row_by_row():
-    # Real, imaginary and generic-phase multiples fire different parts; the
-    # screen must pass each such row on, and leave the random ones out.
+    # Real, imaginary and generic-phase multiples fire different parts; each
+    # row of the batch gets the flags its pair gets alone, and those of its
+    # kind.
     rng = np.random.default_rng(21)
     us = [random_vector(rng, 6) for _ in range(6)]
     lams = [None, 2.0, -0.5j, complex(math.cos(0.7), math.sin(0.7)), -3.0, 0.0]
@@ -304,8 +297,28 @@ def test_batch_flags_match_the_scalar_classifier_row_by_row():
           for u, lam in zip(us, lams)]
     flags = extremizer_rows(_stack(us, 6), _stack(vs, 6), TOL)
     for row, u, v in zip(flags.tolist(), us, vs):
-        ref = classify_saturation(
-            u.norm(), v.norm(), u.inner(v),
-            lambda a, b: float(np.linalg.norm(a * u.entries + b * v.entries)), TOL)
-        assert row == list(ref.as_tuple())
+        assert row == list(extremizer_class(u, v, TOL).as_tuple())
+    assert flags.tolist() == [[False] * 5, [True, False, True, False, True],
+                              [False, True, False, True, True],
+                              [False, False, False, False, True],
+                              [True, False, True, False, True], [True] * 5]
     assert [sum(row) for row in flags.tolist()] == [0, 3, 3, 1, 3, 5]
+
+
+@pytest.mark.parametrize("height", [1, 3, 7])
+def test_mixed_stack_gives_its_flags_without_floating_point_errors(height):
+    # Zero, real, imaginary, unit-phase and random pairs in turn, on both
+    # sides of REDUCE_ROWS; no division, invalid value or overflow on the way.
+    rng = np.random.default_rng(height)
+    u = rng.standard_normal((height, 9)) + 1j * rng.standard_normal((height, 9))
+    v = rng.standard_normal((height, 9)) + 1j * rng.standard_normal((height, 9))
+    lams = [0.0, -2.0, 0.5j, complex(math.cos(2.0), math.sin(2.0)), None]
+    expected = [[True] * 5, [True, False, True, False, True],
+                [False, True, False, True, True],
+                [False, False, False, False, True], [False] * 5]
+    for i in range(height):
+        if lams[i % 5] is not None:
+            v[i] = lams[i % 5] * u[i]
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        flags = extremizer_rows(u, v, TOL)
+    assert flags.tolist() == [expected[i % 5] for i in range(height)]
