@@ -122,24 +122,16 @@ def _radius(grid: GridSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _wavenumbers(grid: GridSpec, half: bool) -> np.ndarray:
-    """Angular wavenumbers of the full spectrum, or of the half one (rfft)."""
-    freq = np.fft.rfftfreq if half else np.fft.fftfreq
-    k = 2.0 * math.pi * freq(grid.N, d=grid.h)
-    k.setflags(write=False)
-    return k
-
-
-@lru_cache(maxsize=8)
 def _symbols(grid: GridSpec, half: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The scheme's multipliers along one axis, i s(k) for the first
-    derivative and s(k)^2 for -Laplacian: s = k (spectral), sin kh / h
-    (central_diff_2) or (8 sin kh - sin 2kh) / (6h) (central_diff_4).  A
-    central difference on a periodic grid is exactly this multiplier.  The
-    Nyquist mode of an even N (entry N/2 of the full and of the half
-    spectrum) has no well-defined sign for an odd derivative, so i s is 0
-    there."""
-    k, h = _wavenumbers(grid, half), grid.h
+    """The scheme's multipliers along one axis of the full spectrum or of the
+    half one (rfft), i s(k) for the first derivative and s(k)^2 for
+    -Laplacian: s = k (spectral), sin kh / h (central_diff_2) or
+    (8 sin kh - sin 2kh) / (6h) (central_diff_4).  A central difference on a
+    periodic grid is exactly this multiplier.  The Nyquist mode of an even N
+    (entry N/2 of both spectra) has no well-defined sign for an odd
+    derivative, so i s is 0 there."""
+    freq = np.fft.rfftfreq if half else np.fft.fftfreq
+    k, h = 2.0 * math.pi * freq(grid.N, d=grid.h), grid.h
     if grid.scheme == "central_diff_2":
         k = np.sin(k * h) / h
     elif grid.scheme == "central_diff_4":
@@ -151,14 +143,6 @@ def _symbols(grid: GridSpec, half: bool) -> tuple[np.ndarray, np.ndarray]:
     for a in table:
         a.setflags(write=False)
     return table
-
-
-def _derivative_symbol(grid: GridSpec, half: bool) -> np.ndarray:
-    return _symbols(grid, half)[0]
-
-
-def _laplacian_symbol(grid: GridSpec, half: bool) -> np.ndarray:
-    return _symbols(grid, half)[1]
 
 
 @lru_cache(maxsize=8)
@@ -226,10 +210,6 @@ class StateField:
                              f"{shape or row}" + ("" if shape else " or a stack of it"))
         _require_finite(data, what)
         return data
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.data
 
     @property
     def _rank(self) -> int:    # the axes of one state
@@ -318,8 +298,9 @@ class VectorField(StateField):
 
 
 def _spectral_axis(grid: GridSpec, values: np.ndarray, axis: int,
-                   symbol, out: np.ndarray | None = None) -> np.ndarray:
-    """Multiply the transform of ``values`` along ``axis`` by ``symbol(grid, half)``.
+                   order: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Multiply the transform of ``values`` along ``axis`` by the symbol of
+    ``_symbols`` of the derivative's ``order``: i s(k) (1) or s(k)^2 (2, -d^2).
 
     Real data take the real-input transform and the half spectrum
     k = 0..N/2; complex data take the full one.  Either way the symbol is
@@ -343,16 +324,16 @@ def _spectral_axis(grid: GridSpec, values: np.ndarray, axis: int,
         src, dst = (np.moveaxis(a, (other, axis), (0, -1)) for a in (values, out))
         for lo in range(0, blocks, step):
             block = src[lo:lo + step].copy()
-            dst[lo:lo + step] = _spectral_axis(grid, block, grid.n - 1, symbol, block)
+            dst[lo:lo + step] = _spectral_axis(grid, block, grid.n - 1, order, block)
         return out
     shape = [1] * grid.n
     shape[axis] = -1
     if np.iscomplexobj(values):
         fk = np.fft.fft(values, axis=axis)
-        fk *= symbol(grid, False).reshape(shape)
+        fk *= _symbols(grid, False)[order - 1].reshape(shape)
         return np.fft.ifft(fk, axis=axis, out=out)
     fk = np.fft.rfft(values, axis=axis)
-    fk *= symbol(grid, True).reshape(shape)
+    fk *= _symbols(grid, True)[order - 1].reshape(shape)
     return np.fft.irfft(fk, n=grid.N, axis=axis, out=out)
 
 
@@ -360,7 +341,7 @@ def gradient(phi: StateField) -> VectorField:
     grid, data = phi.space, phi.data
     comps = np.empty((*data.shape[:-grid.n], grid.n, *grid.shape), data.dtype)
     for axis, comp in enumerate(np.moveaxis(comps, -grid.n - 1, 0)):
-        _spectral_axis(grid, data, axis, _derivative_symbol, comp)
+        _spectral_axis(grid, data, axis, 1, comp)
     return VectorField(grid, comps)
 
 
@@ -379,7 +360,7 @@ def x_dot_grad(phi: StateField) -> StateField:
     out = np.zeros(phi.data.shape, dtype=phi.data.dtype)
     d = np.empty_like(out)
     for axis in range(grid.n):
-        _spectral_axis(grid, phi.data, axis, _derivative_symbol, d)
+        _spectral_axis(grid, phi.data, axis, 1, d)
         out += np.multiply(grid.coord(axis), d, out=d)
     return StateField(grid, out)
 
@@ -394,7 +375,7 @@ def neg_laplacian(phi: StateField) -> StateField:
     grid = phi.space
     out = None
     for axis in range(grid.n):
-        term = _spectral_axis(grid, phi.data, axis, _laplacian_symbol)
+        term = _spectral_axis(grid, phi.data, axis, 2)
         out = term if out is None else np.add(out, term, out=out)
     return StateField(grid, out)
 
@@ -453,13 +434,13 @@ def hardy_terms(phi: StateField, tol: float = 1e-10, name: str = "hardy_terms"):
     grid, c = phi.space, 0.5 * (phi.space.n - 2)
     _require_origin_free(grid)
     coords = [grid.coord(axis) for axis in range(grid.n)]
-    d0 = _spectral_axis(grid, phi.data, 0, _derivative_symbol)
+    d0 = _spectral_axis(grid, phi.data, 0, 1)
     step = max(1, STACK_ENTRIES // grid.N ** (grid.n - 1))
     sums, max_point = np.zeros(5), 0.0
     for lo in range(0, grid.N, step):
         rows = slice(lo, lo + step)
         block, slab = phi.data[rows], [coords[0][rows], *coords[1:]]
-        comps = [d0[rows], *(_spectral_axis(grid, block, axis, _derivative_symbol)
+        comps = [d0[rows], *(_spectral_axis(grid, block, axis, 1)
                              for axis in range(1, grid.n))]
         r = np.sqrt(_sum_sq(slab))
         dr = _radial_part(slab, r, comps)

@@ -27,31 +27,41 @@ GRID_TOL = 1e-8
 _PM_IDS = ("pm.trace", "pm.sum_norm", "pm.expansion", "pm.schrodinger")
 
 
-def _space(state, tol: float | None):
+def _space(state, tol: float | None, grid_only: str | None = None):
     """Whether the state is on a tensor grid (else on a radial rule), its
     dimension, report context and tolerance (``tol``, or the rule's:
-    ALGEBRAIC_TOL on the exact Laguerre rule, else GRID_TOL)."""
+    ALGEBRAIC_TOL on the exact Laguerre rule, else GRID_TOL).  A radial
+    profile given to ``grid_only``, a verifier of grid states, is refused."""
     if not isinstance(state, StateField) or state.vector:
         raise TypeError(f"unsupported state type {type(state).__name__}")
     space = state.space
     if tol is None:
         tol = ALGEBRAIC_TOL if isinstance(space, radial.LaguerreQuadrature) else GRID_TOL
     on_grid = isinstance(space, grids.GridSpec)
+    if grid_only and not on_grid:
+        raise ValueError(f"{grid_only} takes a state on a tensor grid, "
+                         "not a radial profile")
     return on_grid, space.n, {"grid" if on_grid else "radial": space.to_dict()}, tol
+
+
+def _pair(a_phi: StateField, b_phi: StateField, name: str):
+    """||A phi||, ||B phi|| and (A phi | B phi) per row; a zero image is refused."""
+    a = a_phi.norm()
+    b = b_phi.norm()
+    if not (np.all(a) and np.all(b)):
+        raise ValueError(f"degenerate state for the {name} pair")
+    return a, b, a_phi.inner(b_phi)
 
 
 def verify_position_momentum(phi: StateField,
                              tol: float = GRID_TOL) -> list[EqualityReport]:
     """Norm identities tying n ||phi||^2 to the position/momentum pair; on a
     stack each id reports its first worst row."""
+    ctx = _space(phi, tol, "verify_position_momentum")[2]
     xphi = grids.position(phi)
     gphi = grids.gradient(phi)
-    a = xphi.norm()
-    b = gphi.norm()
-    if not (np.all(a) and np.all(b)):
-        raise ValueError("state is degenerate for the position/momentum pair")
+    a, b, p = _pair(xphi, gphi, "position/momentum")
     lhs = phi.space.n * phi.norm_sq()
-    p = xphi.inner(gphi)
     ab = a * b
     absp = np.hypot(p.real, p.imag)         # the bits of Python's abs(p)
     # sgn(p) / b, component by component as Python divides; sgn(0) = 1
@@ -65,16 +75,17 @@ def verify_position_momentum(phi: StateField,
     return worst(list(_PM_IDS), [lhs, lhs, lhs, absp],
                  [-2.0 * p.real, ab * (2.0 - sum_sq), a * a + b * b - xsum_sq,
                   ab * (1.0 - 0.5 * aligned_sq)], tol,
-                 scale=[0.0, 0.0, 0.0, ab], context={"grid": phi.space.to_dict()})
+                 scale=[0.0, 0.0, 0.0, ab], context=ctx)
 
 
-def saturation_flags(phi: StateField, tol: float = 1e-6) -> ExtremizerFlags:
-    """Saturation classes of the momentum/position pair (-i grad phi, x phi),
-    as one pair of flat vectors scaled by the root of the cell weight."""
+def saturation_flags(phi: StateField) -> ExtremizerFlags:
+    """Saturation classes (within 1e-6) of the momentum/position pair
+    (-i grad phi, x phi), as flat vectors scaled by the root of the cell weight."""
+    _space(phi, None, "saturation_flags")
     phi.single("saturation_flags")
     w = math.sqrt(phi.space.weight)
     return extremizer_class(w * grids.momentum(phi).data.ravel(),
-                            w * grids.position(phi).data.ravel(), tol)
+                            w * grids.position(phi).data.ravel(), 1e-6)
 
 
 def verify_dilation_pythagoras(state, tol: float | None = None) -> list[EqualityReport]:
@@ -128,16 +139,12 @@ def verify_dilation_hamiltonian(phi: StateField,
                                 tol: float = GRID_TOL) -> list[EqualityReport]:
     """Identities from the scaling-generator / free-Hamiltonian pair; on a
     stack each id reports its first worst row."""
+    ctx = _space(phi, tol, "verify_dilation_hamiltonian")[2]
     a_phi = grids.dilation_generator(phi)
     b_phi = grids.neg_laplacian(phi)
-    a = a_phi.norm()
-    b = b_phi.norm()
-    if not (np.all(a) and np.all(b)):
-        raise ValueError("degenerate state for the scaling/Hamiltonian pair")
-    ctx = {"grid": phi.space.to_dict()}
+    a, b, p = _pair(a_phi, b_phi, "scaling/Hamiltonian")
     grad_sq = grids.gradient(phi).norm_sq()
     lhs = 2.0 * grad_sq
-    p = a_phi.inner(b_phi)
     combo = (1.0 / a) * a_phi + (1j / b) * b_phi
     return [*worst(["dilham.energy", "dilham.commutator", "dilham.sum_norm"], lhs,
                    [2.0 * b_phi.inner(phi), -2.0 * p.imag,
@@ -162,14 +169,10 @@ def verify_radial_coulomb(state, tol: float | None = None) -> list[EqualityRepor
         raise ValueError("the radial/Coulomb identities require dimension >= 3")
     a_phi = radial.radial_derivative_sym(state)
     b_phi = radial.coulomb(state)
-    a = a_phi.norm()
-    b = b_phi.norm()
-    if not (np.all(a) and np.all(b)):
-        raise ValueError("degenerate state for the radial/Coulomb pair")
+    a, b, p = _pair(a_phi, b_phi, "radial/Coulomb")
     dpsi = radial.radial_derivative(state)
     dr_sq = dpsi.norm_sq()
     b_sq = b * b
-    p = a_phi.inner(b_phi)
     combo = (1.0 / a) * a_phi + (1j / b) * b_phi
     pyth = (2j) * a_phi - b_phi
     shifted = dpsi + (0.5 * (n - 2)) * b_phi
@@ -202,7 +205,8 @@ def _hermite_functions(x: np.ndarray, kmax: int) -> np.ndarray:
     return out
 
 
-# Largest density |h_max_level|^2 the grid may leave at its box edge and at
+_TOP_LEVEL, _TERMS = 8, 3     # a random smooth state: 3 products of h_0..h_8
+# Largest density |h_8|^2 the grid may leave at its box edge and at
 # its Nyquist wavenumber.  dilham.* tracks the Nyquist density, at about 30
 # times it.  On every 1-D grid this accepts (N 24-64 even, L 5-12 in steps
 # of 0.5, seeds 0-9 x 20 states; 126 grids) the worst is dilham.* 1.5e-9
@@ -212,8 +216,8 @@ _EDGE_DENSITY = 5e-11
 
 
 @lru_cache(maxsize=8)
-def _hermite_basis(grid: grids.GridSpec, max_level: int) -> np.ndarray:
-    """Read-only h_0..h_max_level on the grid axis; refuses a grid that cuts
+def _hermite_basis(grid: grids.GridSpec) -> np.ndarray:
+    """Read-only h_0..h_8 on the grid axis; refuses a grid that cuts
     off the top mode in space or frequency.
 
     A Hermite function is its own Fourier transform up to a phase, so the
@@ -221,7 +225,7 @@ def _hermite_basis(grid: grids.GridSpec, max_level: int) -> np.ndarray:
     pi/h of the grid.  lru_cache keeps no refusal, so each call refuses anew.
     """
     edge, nyquist = _hermite_functions(
-        np.array([grid.L, math.pi / grid.h]), max_level)[-1] ** 2
+        np.array([grid.L, math.pi / grid.h]), _TOP_LEVEL)[-1] ** 2
     if edge > _EDGE_DENSITY:
         raise ValueError(
             f"grid too small: the top Hermite mode keeps density {edge:.1e} "
@@ -230,31 +234,30 @@ def _hermite_basis(grid: grids.GridSpec, max_level: int) -> np.ndarray:
         raise ValueError(
             f"grid too coarse: the top Hermite mode keeps density "
             f"{nyquist:.1e} at the Nyquist wavenumber; increase N")
-    basis = _hermite_functions(grid.axis_coords(), max_level)
+    basis = _hermite_functions(grid.axis_coords(), _TOP_LEVEL)
     basis.setflags(write=False)
     return basis
 
 
 def random_smooth_state(grid: grids.GridSpec, rng: np.random.Generator,
-                        max_level: int = 8, terms: int = 3,
                         normalize: bool = True,
                         states: int | None = None) -> StateField:
-    """Random finite Hermite-function mixture: smooth, rapidly decaying; with
+    """Random mixture of products of h_0..h_8: smooth, rapidly decaying; with
     ``states``, a stack of as many, drawn as successive calls draw them.
 
     Every such state lies in the (grid) domain of all the operators here and
-    carries no boundary mass for L a few units beyond sqrt(2*max_level+1).
-    A grid whose box or spacing cuts off the top mode is a ValueError.
+    carries no boundary mass for L a few units beyond sqrt(17), the turning
+    point of h_8.  A grid whose box or spacing cuts off h_8 is a ValueError.
     """
-    basis = _hermite_basis(grid, max_level)
-    decay = 0.7 ** np.arange(max_level + 1)
+    basis = _hermite_basis(grid)
+    decay = 0.7 ** np.arange(_TOP_LEVEL + 1)
     k = 1 if states is None else states
     # Per state and term: re, im of its coefficient; re, im of each axis's.
-    z = rng.standard_normal((k, terms, 2 + 2 * grid.n * (max_level + 1)))
-    axes = z[..., 2:].reshape(k, terms, grid.n, 2, max_level + 1)
+    z = rng.standard_normal((k, _TERMS, 2 + 2 * grid.n * (_TOP_LEVEL + 1)))
+    axes = z[..., 2:].reshape(k, _TERMS, grid.n, 2, _TOP_LEVEL + 1)
     c = (axes[..., 0, :] + 1j * axes[..., 1, :]) * decay
     values = np.zeros((k,) + grid.shape, dtype=np.complex128)
-    for t in range(terms):
+    for t in range(_TERMS):
         term = None
         for axis in range(grid.n):
             # per-row gemv, (k, 9) @ basis would go to gemm with other bits

@@ -258,22 +258,21 @@ def x_dot_grad(state: RadialState) -> RadialState:
 def coulomb(state: RadialState) -> RadialState:
     """psi/r; the derivative (psi'/r - psi/r^2) is propagated when known."""
     r = state.space.r
-    deriv = None if state.deriv is None else state.deriv / r - state.values / r ** 2
-    return RadialState(state.space, state.values / r, deriv)
+    deriv = None if state.deriv is None else state.deriv / r - state.data / r ** 2
+    return RadialState(state.space, state.data / r, deriv)
 
 
 def radial_derivative_sym(state: RadialState) -> RadialState:
     """-i psi' - i (n-1)/(2r) psi for a radial profile in R^n."""
     half = 0.5 * (state.space.n - 1) / state.space.r
-    return RadialState(state.space, -1j * (_deriv(state) + half * state.values))
+    return RadialState(state.space, -1j * (_deriv(state) + half * state.data))
 
 
-def radial_gaussian(quad: Quadrature, alpha: float = 1.0,
-                    amplitude: complex = 1.0) -> RadialState:
-    """amplitude * exp(-alpha r^2 / 2) with analytic derivative."""
-    r, amplitude = quad.r, complex(amplitude)
-    return RadialState(quad, amplitude * np.exp(-0.5 * alpha * r ** 2),
-                       -alpha * r * amplitude * np.exp(-0.5 * alpha * r ** 2))
+def radial_gaussian(quad: Quadrature, alpha: float = 1.0) -> RadialState:
+    """exp(-alpha r^2 / 2), complex128, with analytic derivative."""
+    r = quad.r
+    gauss = np.exp(-0.5 * alpha * r ** 2)
+    return RadialState(quad, gauss + 0j, -alpha * r * gauss + 0j)
 
 
 def gaussian_polynomial(quad: Quadrature, coeffs,
@@ -302,22 +301,19 @@ def gaussian_polynomial(quad: Quadrature, coeffs,
 
 
 def random_radial_state(quad: Quadrature, rng: np.random.Generator,
-                        degree: int = 3, alpha: float = 1.0,
-                        normalize: bool = True,
                         states: int | None = None) -> RadialState:
-    """Random Gaussian-times-even-polynomial profile, optionally normalized;
+    """Random normalized profile p(r^2) exp(-r^2/2), p of degree 3 with
+    complex coefficients, the range a LaguerreQuadrature integrates exactly;
     with ``states``, a stack of as many, drawn as successive calls draw them."""
-    shape = (2, degree + 1) if states is None else (states, 2, degree + 1)
+    shape = (2, 4) if states is None else (states, 2, 4)
     z = rng.standard_normal(shape)
     coeffs = z[..., 0, :] + 1j * z[..., 1, :]
-    coeffs *= 0.5 ** np.arange(degree + 1)
-    state = gaussian_polynomial(quad, coeffs, alpha=alpha)
-    if normalize:
-        nrm = state.norm()
-        if np.any(nrm == 0.0):
-            raise ValueError("degenerate random profile")
-        state = state * (1.0 / nrm)
-    return state
+    coeffs *= 0.5 ** np.arange(4)
+    state = gaussian_polynomial(quad, coeffs)
+    nrm = state.norm()
+    if np.any(nrm == 0.0):
+        raise ValueError("degenerate random profile")
+    return state * (1.0 / nrm)
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:

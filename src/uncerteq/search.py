@@ -105,7 +105,7 @@ def _value_and_gradient(w: float, r2: np.ndarray, phi: np.ndarray,
 def _preconditioner(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """(|x|^2 + sigma)^(-1/2), and 1 / (s^2 + sigma) with s^2 the scheme's
     -Laplacian symbol summed over the axes of the full n-D spectrum."""
-    s = sum(np.ix_(*[grids._laplacian_symbol(grid, False)] * grid.n))
+    s = sum(np.ix_(*[grids._symbols(grid, False)[1]] * grid.n))
     factors = 1.0 / np.sqrt(_radius_sq(grid) + _SIGMA), 1.0 / (s + _SIGMA)
     for a in factors:
         a.setflags(write=False)

@@ -94,7 +94,7 @@ def _radial_stacks(cfg, dims):
             psi = random_radial_state(quad, rng, states=count - (i == 0))
             if i == 0:
                 g = radial_gaussian(quad)
-                psi = RadialState(quad, np.vstack([g.values, psi.values]),
+                psi = RadialState(quad, np.vstack([g.data, psi.data]),
                                   np.vstack([g.deriv, psi.deriv]))
             yield psi
 

@@ -76,8 +76,8 @@ def test_grid_realization_matches_exact_moments(spec):
 def test_global_phase_only_rotates_values():
     base = realize(GaussianSpec("coherent"), GRID)
     rotated = realize(GaussianSpec("coherent", theta=0.9), GRID)
-    np.testing.assert_allclose(rotated.values,
-                               cmath.exp(0.9j) * base.values, rtol=1e-14)
+    np.testing.assert_allclose(rotated.data,
+                               cmath.exp(0.9j) * base.data, rtol=1e-14)
     assert rotated.norm() == pytest.approx(base.norm(), rel=1e-14)
 
 

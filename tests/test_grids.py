@@ -10,9 +10,8 @@ import pytest
 from uncerteq import grids, identities
 from uncerteq.cli import SuiteConfig, run_suite
 from uncerteq.gaussians import GaussianSpec, realize
-from uncerteq.grids import (GridSpec, StateField, VectorField,
-                            _derivative_symbol, _laplacian_symbol, _radius,
-                            _radius_sq, _wavenumbers, coulomb,
+from uncerteq.grids import (GridSpec, StateField, VectorField, _radius,
+                            _radius_sq, _symbols, coulomb,
                             dilation_generator, gradient, lattice_zeta,
                             momentum, neg_laplacian,
                             pointwise_gradient_decomposition, position,
@@ -192,7 +191,7 @@ def test_spectral_derivative_exact_on_grid_modes():
     k = 2.0 * math.pi * 3 / (2 * grid.L)
     phi = StateField.from_callable(grid, lambda x: np.exp(1j * k * x))
     dphi = gradient(phi).data[0]
-    assert np.max(np.abs(dphi - 1j * k * phi.values)) <= 1e-12
+    assert np.max(np.abs(dphi - 1j * k * phi.data)) <= 1e-12
 
 
 def test_momentum_is_minus_i_gradient():
@@ -255,7 +254,7 @@ def test_scaling_derivative_matches_componentwise_sum():
     g = gradient(phi)
     parts = sum(grid.coord(axis) * g.data[axis]
                 for axis in range(grid.n))
-    assert np.max(np.abs(direct.values - parts)) <= 1e-12
+    assert np.max(np.abs(direct.data - parts)) <= 1e-12
 
 
 def test_singular_operators_need_origin_free_grids():
@@ -538,22 +537,17 @@ def test_real_input_path_matches_the_complex_path(n, op):
     assert np.max(np.abs(real_path - complex_path)) <= 1e-13
 
 
-def _unblocked_axis(grid, data, axis, symbol):
+def _unblocked_axis(grid, data, axis, order):
     # One np.fft call along the grid axis itself, over the whole array.
     axis -= grid.n
     shape = [1] * grid.n
     shape[axis] = -1
+    symbol = _symbols(grid, not np.iscomplexobj(data))[order - 1].reshape(shape)
     if np.iscomplexobj(data):
-        fk = np.fft.fft(data, axis=axis) * symbol(grid, False).reshape(shape)
+        fk = np.fft.fft(data, axis=axis) * symbol
         return np.fft.ifft(fk, axis=axis)
-    fk = np.fft.rfft(data, axis=axis) * symbol(grid, True).reshape(shape)
+    fk = np.fft.rfft(data, axis=axis) * symbol
     return np.fft.irfft(fk, n=grid.N, axis=axis)
-
-
-def _ik(grid, half):
-    s = 1j * _wavenumbers(grid, half)
-    s[grid.N // 2] = 0.0
-    return s
 
 
 @pytest.mark.parametrize("n, N", [(2, 512), (3, 36), (4, 18)])
@@ -569,10 +563,10 @@ def test_blocked_transforms_match_whole_array_transforms_to_the_bit(n, N, dtype,
     data = rng.standard_normal((states, 2) + grid.shape)
     data = data[:, 0] if dtype is np.float64 else data[:, 0] + 1j * data[:, 1]
     phi = StateField(grid, data[0] if states == 1 else data)
-    d = [_unblocked_axis(grid, phi.data, axis, _ik) for axis in range(n)]
-    lap = _unblocked_axis(grid, phi.data, 0, _laplacian_symbol)
+    d = [_unblocked_axis(grid, phi.data, axis, 1) for axis in range(n)]
+    lap = _unblocked_axis(grid, phi.data, 0, 2)
     for axis in range(1, n):
-        lap += _unblocked_axis(grid, phi.data, axis, _laplacian_symbol)
+        lap += _unblocked_axis(grid, phi.data, axis, 2)
     xd = np.zeros_like(phi.data)
     for axis in range(n):
         xd += grid.coord(axis) * d[axis]
@@ -585,24 +579,30 @@ def test_nyquist_cosine_has_zero_derivative_on_both_paths():
     grid = GridSpec(n=1, N=32, L=4.0)
     k_nyquist = math.pi / grid.h
     phi = StateField.from_callable(grid, lambda x: np.cos(k_nyquist * x))
-    assert np.max(np.abs(phi.values)) == pytest.approx(1.0)
+    assert np.max(np.abs(phi.data)) == pytest.approx(1.0)
     for state in (phi, 1j * phi):
         assert np.max(np.abs(gradient(state).data)) <= 1e-14
 
 
-def test_cached_wavenumbers_are_read_only_and_unchanged_by_derivatives():
+def test_cached_symbols_are_read_only_and_unchanged_by_derivatives():
+    # The spectral symbols are i k, 0 at the Nyquist mode, and k^2 on the
+    # angular wavenumbers k of the full and the half spectrum.
     grid = GridSpec(n=1, N=32, L=4.0)
     phi = StateField.from_callable(grid, lambda x: np.sin(x))
     for half in (False, True):
-        k = _wavenumbers(grid, half)
-        assert not k.flags.writeable
-        assert _wavenumbers(grid, half) is k
+        table = _symbols(grid, half)
+        assert not any(a.flags.writeable for a in table)
+        assert _symbols(grid, half) is table
     for state in (phi, 1j * phi):
         first = gradient(state).data
         assert np.array_equal(gradient(state).data, first)
     freqs = (np.fft.fftfreq(grid.N, d=grid.h), np.fft.rfftfreq(grid.N, d=grid.h))
     for half, freq in zip((False, True), freqs):
-        assert np.array_equal(_wavenumbers(grid, half), 2.0 * math.pi * freq)
+        k = 2.0 * math.pi * freq
+        d, s = _symbols(grid, half)
+        assert np.array_equal(s, k * k)
+        k[grid.N // 2] = 0.0
+        assert np.array_equal(d, 1j * k)
 
 
 @pytest.mark.parametrize("scheme", ["spectral_periodic", "central_diff_2",
@@ -612,11 +612,11 @@ def test_laplacian_symbol_is_the_schemes_own(scheme):
     # cached symbol is read-only, and its half spectrum is the full one's
     # first N/2 + 1 entries.
     grid = GridSpec(n=1, N=48, L=8.0, offset=0.3, scheme=scheme)
-    s = _laplacian_symbol(grid, False)
-    assert not s.flags.writeable and _laplacian_symbol(grid, False) is s
-    assert np.array_equal(_laplacian_symbol(grid, True), s[:grid.N // 2 + 1])
+    s = _symbols(grid, False)[1]
+    assert not s.flags.writeable and _symbols(grid, False)[1] is s
+    assert np.array_equal(_symbols(grid, True)[1], s[:grid.N // 2 + 1])
     x = grid.axis_coords()
-    for k, s_k in zip(_wavenumbers(grid, False), s):
+    for k, s_k in zip(2.0 * math.pi * np.fft.fftfreq(grid.N, d=grid.h), s):
         mode = StateField(grid, np.exp(1j * k * x))
         assert np.max(np.abs(neg_laplacian(mode).data - s_k * mode.data)) <= 1e-11
 
@@ -657,7 +657,7 @@ def test_central_schemes_are_their_difference_stencils(scheme, n, N, states, dty
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     assert np.max(np.abs(got_lap - lap)) <= 1e-13 * np.max(np.abs(lap))
     for half in (False, True):
-        d = _derivative_symbol(grid, half)
+        d = _symbols(grid, half)[0]
         assert (d[N // 2] == 0.0) == (N % 2 == 0)
 
 

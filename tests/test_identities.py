@@ -45,7 +45,7 @@ def test_random_smooth_state_is_normalized_and_localized():
     rng = np.random.default_rng(2)
     phi = random_smooth_state(GRID, rng)
     assert phi.norm() == pytest.approx(1.0, rel=1e-12)
-    edge = np.abs(phi.values[:4]).max() + np.abs(phi.values[-4:]).max()
+    edge = np.abs(phi.data[:4]).max() + np.abs(phi.data[-4:]).max()
     assert edge <= 1e-12
 
 
@@ -152,12 +152,12 @@ def test_a_stack_reports_the_worst_of_its_rows_verified_alone(verify, n):
     quad = LaguerreQuadrature(n)
     head = radial_gaussian(quad)
     rows = random_radial_state(quad, np.random.default_rng(n), states=40)
-    stack = RadialState(quad, np.vstack([head.values, rows.values]),
+    stack = RadialState(quad, np.vstack([head.data, rows.data]),
                         np.vstack([head.deriv, rows.deriv]))
     as_stacks = [rep for i in range(41) for rep in verify(
-        RadialState(quad, stack.values[i:i + 1], stack.deriv[i:i + 1]))]
+        RadialState(quad, stack.data[i:i + 1], stack.deriv[i:i + 1]))]
     as_profiles = [rep for i in range(41) for rep in verify(
-        RadialState(quad, stack.values[i], stack.deriv[i]))]
+        RadialState(quad, stack.data[i], stack.deriv[i]))]
     reports = verify(stack)
     assert len(reports) == len({rep.identity_id for rep in reports})
     assert _aggregate(reports) == _aggregate(as_stacks) == _aggregate(as_profiles)
@@ -233,11 +233,20 @@ def test_radial_coulomb_on_a_non_radial_grid_state():
 
 
 def test_verifiers_reject_unsupported_state_types():
-    vec = ComplexVector([1.0, 2.0, 3.0])
-    for verify in (verify_dilation_pythagoras, verify_hardy,
-                   verify_radial_coulomb):
-        with pytest.raises(TypeError):
-            verify(vec)
+    # Every verifier takes a scalar StateField, and the grid-only ones refuse
+    # a radial profile, naming the tensor grid.
+    field = grids.position(random_smooth_state(GRID, np.random.default_rng(0)))
+    for verify in (verify_position_momentum, identities.saturation_flags,
+                   verify_dilation_pythagoras, verify_hardy,
+                   verify_dilation_hamiltonian, verify_radial_coulomb):
+        for state in (ComplexVector([1.0, 2.0, 3.0]), field):
+            with pytest.raises(TypeError, match="unsupported state type"):
+                verify(state)
+    for verify in (verify_position_momentum, identities.saturation_flags,
+                   verify_dilation_hamiltonian):
+        with pytest.raises(ValueError, match=f"{verify.__name__} takes a state "
+                                             "on a tensor grid"):
+            verify(radial_gaussian(LaguerreQuadrature(3)))
 
 
 @pytest.mark.parametrize("grid, message", [

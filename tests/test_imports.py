@@ -93,3 +93,57 @@ def test_every_public_function_has_a_caller():
     assert uncalled == TEST_REFERENCES, (
         f"no caller: {sorted(uncalled - TEST_REFERENCES)}; "
         f"called or gone: {sorted(TEST_REFERENCES - uncalled)}")
+
+
+def _optional_parameters():
+    """{function name: (its positional parameters, its parameters with a
+    default)} of each public module-level function of src/."""
+    found = {}
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                optional = positional[len(positional) - len(args.defaults):]
+                optional += [a.arg for a, default in zip(args.kwonlyargs,
+                                                         args.kw_defaults)
+                             if default is not None]
+                found[f"{path.stem}.{node.name}"] = positional, optional
+    return found
+
+
+def _set_parameters(paths, functions):
+    """'module.function.parameter' of each parameter that a call in ``paths``
+    passes, by keyword or by position.  A call is matched by the function's
+    name alone (``f(...)`` or ``m.f(...)``); ``*args`` or ``**kwargs`` in a
+    call passes every parameter it could reach."""
+    by_name = {}
+    for qualified, signature in functions.items():
+        by_name.setdefault(qualified.rsplit(".", 1)[1], []).append(
+            (qualified, signature))
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            for qualified, (positional, optional) in by_name.get(name, []):
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                passed = set(positional if starred else positional[:len(node.args)])
+                for keyword in node.keywords:
+                    passed |= set(optional) if keyword.arg is None else {keyword.arg}
+                found |= {f"{qualified}.{p}" for p in passed & set(optional)}
+    return found
+
+
+def test_every_optional_parameter_is_set_somewhere():
+    # A default that no call in src/ or tests/ overrides is a constant: the
+    # function should say so, not offer it as a parameter.
+    functions = _optional_parameters()
+    optional = {f"{qualified}.{p}" for qualified, (_, params) in functions.items()
+                for p in params}
+    paths = [*SRC.glob("*.py"), *(SRC.parent.parent / "tests").glob("*.py")]
+    never_set = optional - _set_parameters(paths, functions)
+    assert not never_set, f"never passed: {sorted(never_set)}"

@@ -102,7 +102,7 @@ def test_gaussian_derivative_norm_against_closed_form():
 def test_polynomial_profile_derivative_is_consistent():
     quad = RadialQuadrature(3, 30.0, 50000)
     state = gaussian_polynomial(quad, [1.0, -0.5, 0.25j], alpha=1.3)
-    num = np.gradient(state.values, quad.r)
+    num = np.gradient(state.data, quad.r)
     # Interior nodes only; the one-sided ends of np.gradient are cruder.
     interior = slice(5, -5)
     err = np.max(np.abs(num[interior] - state.deriv[interior]))
@@ -122,7 +122,7 @@ def test_state_arithmetic_propagates_derivatives():
 def test_derivative_lost_when_one_operand_lacks_it():
     quad = RadialQuadrature(3, 20.0, 5000)
     a = radial_gaussian(quad)
-    bare = RadialState(quad, a.values)
+    bare = RadialState(quad, a.data)
     assert (a + bare).deriv is None
     for op in (radial_derivative, x_dot_grad, radial_derivative_sym):
         with pytest.raises(ValueError, match="no analytic derivative"):
@@ -133,16 +133,16 @@ def test_scaling_derivative_action():
     quad = RadialQuadrature(3, 20.0, 5000)
     psi = radial_gaussian(quad)
     scaled = x_dot_grad(psi)
-    np.testing.assert_allclose(scaled.values, quad.r * psi.deriv)
+    np.testing.assert_allclose(scaled.data, quad.r * psi.deriv)
 
 
 def test_coulomb_derivative_follows_product_rule():
     quad = RadialQuadrature(3, 20.0, 5000)
     psi = radial_gaussian(quad)
     q = coulomb(psi)
-    np.testing.assert_allclose(q.values, psi.values / quad.r)
+    np.testing.assert_allclose(q.data, psi.data / quad.r)
     np.testing.assert_allclose(
-        q.deriv, psi.deriv / quad.r - psi.values / quad.r ** 2)
+        q.deriv, psi.deriv / quad.r - psi.data / quad.r ** 2)
 
 
 def test_symmetrized_radial_derivative_is_symmetric():
@@ -192,9 +192,9 @@ def test_annulus_vanishes_outside_support():
     quad = RadialQuadrature(3, 100.0, 50000)
     phi = annulus_state(quad, 2.0, 60.0)
     r = quad.r
-    assert np.all(phi.values[r < 2.0] == 0.0)
-    assert np.all(phi.values[r > 60.0] == 0.0)
-    assert np.all(np.abs(phi.values[(r > 2.0 * math.e) & (r < 60.0 / math.e)]
+    assert np.all(phi.data[r < 2.0] == 0.0)
+    assert np.all(phi.data[r > 60.0] == 0.0)
+    assert np.all(np.abs(phi.data[(r > 2.0 * math.e) & (r < 60.0 / math.e)]
                          - r[(r > 2.0 * math.e) & (r < 60.0 / math.e)] ** -1.5)
                   <= 1e-12)
 
@@ -225,12 +225,12 @@ def test_annulus_is_its_full_node_formula_and_zero_off_support(r_outer):
     quad = RadialQuadrature(3, 1100.0, 220000)
     phi = annulus_state(quad, 1.0, r_outer)
     values, deriv = _annulus_on_every_node(quad, 1.0, r_outer)
-    assert phi.values.dtype == phi.deriv.dtype == np.float64
-    assert phi.values.tobytes() == values.tobytes()
+    assert phi.data.dtype == phi.deriv.dtype == np.float64
+    assert phi.data.tobytes() == values.tobytes()
     assert phi.deriv.tobytes() == deriv.tobytes()
     off = (quad.r < 1.0) | (quad.r > r_outer)
     assert off.any()
-    for data in (phi.values, phi.deriv):
+    for data in (phi.data, phi.deriv):
         assert np.all(data[off] == 0.0) and not np.signbit(data[off]).any()
 
 
@@ -300,7 +300,7 @@ def test_annulus_norm_on_the_log_rule_is_its_closed_form(n, r_inner, r_outer,
     exact = sphere_area(n) * (math.log(r_outer / r_inner)
                               - 281.0 / 231.0 * width)
     assert phi.norm_sq() == pytest.approx(exact, rel=1e-13)
-    assert np.all(phi.values > 0.0)     # every node is inside the support
+    assert np.all(phi.data > 0.0)     # every node is inside the support
 
 
 def test_state_keeps_real_data_real():
@@ -308,13 +308,13 @@ def test_state_keeps_real_data_real():
     rng = np.random.default_rng(3)
     real = RadialState(quad, rng.standard_normal(quad.points),
                        np.arange(quad.points))
-    assert real.values.dtype == real.deriv.dtype == np.float64
+    assert real.data.dtype == real.deriv.dtype == np.float64
     mixed = RadialState(quad, np.ones(quad.points) + 0j,
                         np.ones(quad.points, dtype=np.complex64))
-    assert mixed.values.dtype == mixed.deriv.dtype == np.complex128
+    assert mixed.data.dtype == mixed.deriv.dtype == np.complex128
     assert real.norm_sq() == (real * 1.0).norm_sq()   # complex copy
-    assert x_dot_grad(real).values.dtype == np.float64
-    assert radial_derivative_sym(real).values.dtype == np.complex128
+    assert x_dot_grad(real).data.dtype == np.float64
+    assert radial_derivative_sym(real).data.dtype == np.complex128
 
 
 def test_spherical_derivative_of_a_radial_profile_vanishes():
@@ -352,8 +352,8 @@ def test_a_stacked_draw_is_the_successive_single_draws():
     rng_stack, rng_single = np.random.default_rng(5), np.random.default_rng(5)
     stack = random_radial_state(quad, rng_stack, states=6)
     rows = [random_radial_state(quad, rng_single) for _ in range(6)]
-    assert stack.values.shape == (6, quad.points)
-    assert stack.values.tobytes() == np.array([r.values for r in rows]).tobytes()
+    assert stack.data.shape == (6, quad.points)
+    assert stack.data.tobytes() == np.array([r.data for r in rows]).tobytes()
     assert stack.deriv.tobytes() == np.array([r.deriv for r in rows]).tobytes()
     np.testing.assert_array_equal(stack.norm(), [r.norm() for r in rows])
     assert rng_stack.standard_normal() == rng_single.standard_normal()
@@ -364,7 +364,7 @@ def test_per_row_factors_scale_each_row():
     stack = random_radial_state(quad, np.random.default_rng(9), states=3)
     scaled = np.array([2.0, -1j, 0.5]) * stack
     for i, factor in enumerate((2.0, -1j, 0.5)):
-        row = RadialState(quad, stack.values[i], stack.deriv[i]) * factor
-        assert scaled.values[i].tobytes() == row.values.tobytes()
+        row = RadialState(quad, stack.data[i], stack.deriv[i]) * factor
+        assert scaled.data[i].tobytes() == row.data.tobytes()
         assert scaled.deriv[i].tobytes() == row.deriv.tobytes()
     np.testing.assert_allclose(scaled.norm(), [2.0, 1.0, 0.5], rtol=1e-14)

@@ -183,7 +183,7 @@ def test_preconditioner_is_positive_definite(grid):
     # so Re<u, P u> / ||u||^2 lies between 1 / ((max |x|^2 + sigma)(max s + sigma))
     # and 1 / sigma^2.
     w = grid.weight
-    s_max = grid.n * float(np.max(grids._laplacian_symbol(grid, False)))
+    s_max = grid.n * float(np.max(grids._symbols(grid, False)[1]))
     low = 1.0 / ((float(np.max(_radius_sq(grid))) + _SIGMA) * (s_max + _SIGMA))
     for phi, u, _ in _states_and_tangents(grid, 31):
         u_sq = _re_inner(w, u, u)

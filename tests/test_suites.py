@@ -79,7 +79,7 @@ def test_radial_suites_over_several_stacks_match_the_per_state_loop(
     stacked = []
 
     def recording(psi, tol):
-        stacked.append((len(psi.values), verify(psi, tol)))
+        stacked.append((len(psi.data), verify(psi, tol)))
         return stacked[-1][1]
 
     monkeypatch.setattr(identities, verify.__name__, recording)
