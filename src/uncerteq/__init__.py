@@ -13,8 +13,7 @@ from .complexspace import (ComplexVector, ExtremizerFlags,
                            extremizer_class, random_vector)
 from .forms import PairSample, pair_reports
 from .gaussians import GaussianSpec, exact_moments, realize
-from .grids import (GridSpec, StateField, VectorField,
-                    pointwise_gradient_decomposition)
+from .grids import GridSpec, StateField, VectorField
 from .identities import (random_smooth_state, saturation_flags,
                          verify_dilation_hamiltonian,
                          verify_dilation_pythagoras, verify_hardy,

@@ -68,22 +68,16 @@ class ComplexVector:
     __rmul__ = __mul__
 
 
-def random_vector(rng: np.random.Generator, dim: int,
-                  normalize: bool = False) -> ComplexVector:
-    """Rotation-invariant random vector: i.i.d. standard-normal re/im parts."""
+def random_vector(rng: np.random.Generator, dim: int) -> ComplexVector:
+    """Rotation-invariant random vector, not normalized: i.i.d.
+    standard-normal re/im parts."""
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    if normalize:
-        z = z / np.linalg.norm(z)
     return ComplexVector(z)
 
 
-def default_angles(rng: np.random.Generator | None = None,
-                   extra: int = 8) -> list[float]:
-    """Fixed special angles plus uniformly random ones."""
-    angles = list(FIXED_ANGLES)
-    if rng is not None and extra > 0:
-        angles.extend(float(t) for t in rng.uniform(0.0, 2 * math.pi, extra))
-    return angles
+def default_angles(rng: np.random.Generator) -> list[float]:
+    """The fixed special angles, then 8 drawn uniformly from [0, 2 pi)."""
+    return [*FIXED_ANGLES, *map(float, rng.uniform(0.0, 2 * math.pi, 8))]
 
 
 def _stacks(u, v) -> tuple[np.ndarray, np.ndarray]:

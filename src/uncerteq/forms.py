@@ -19,28 +19,12 @@ from .report import EqualityReport, compare, worst  # compare: perfbench reads i
 
 @dataclass(frozen=True)
 class PairSample:
-    """A state seen through a symmetric operator pair: (A phi, B phi).
-
-    ``inner_ab`` is the scalar product (A phi | B phi), a required field;
-    :meth:`from_vectors` computes it from the two vectors.
-    """
+    """A state seen through a symmetric operator pair: (A phi, B phi) and
+    their scalar product ``inner_ab`` = (A phi | B phi)."""
 
     a_phi: Any
     b_phi: Any
     inner_ab: complex
-
-    @classmethod
-    def from_vectors(cls, a_phi, b_phi) -> "PairSample":
-        return cls(a_phi=a_phi, b_phi=b_phi,
-                   inner_ab=complex(a_phi.inner(b_phi)))
-
-    @property
-    def norm_a(self) -> float:
-        return self.a_phi.norm()
-
-    @property
-    def norm_b(self) -> float:
-        return self.b_phi.norm()
 
 
 def pair_reports(a_phi, b_phi, thetas: Sequence[float] = FIXED_ANGLES,

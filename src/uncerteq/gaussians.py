@@ -95,7 +95,8 @@ def exact_moments(spec: GaussianSpec) -> GaussianMoments:
 def _check_grid_adequacy(spec: GaussianSpec, grid: GridSpec) -> None:
     a = -spec.factor.real
     decay = a * spec.lam  # |phi|^2 ~ exp(-decay * r^2)
-    boundary_exponent = decay * grid.L ** 2
+    # L * L is inf past L = 1.3e154, where L ** 2 raises OverflowError.
+    boundary_exponent = decay * (grid.L * grid.L)
     if boundary_exponent < 38.0:
         raise ValueError(
             "grid too small: boundary mass fraction about "

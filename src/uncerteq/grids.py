@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .complexspace import STACK_ENTRIES
-from .report import EqualityReport, compare
+from .report import compare
 
 SCHEMES = ("spectral_periodic", "central_diff_2", "central_diff_4")
 MAX_POINTS = 2 ** 24    # points per grid; also the largest --dim of a vector pair
@@ -464,9 +464,3 @@ def hardy_terms(phi: StateField, tol: float = 1e-10, name: str = "hardy_terms"):
     return terms, compare("grad.pointwise_split", terms[0], split, tol,
                           context={"grid": grid.to_dict(),
                                    "max_pointwise_residual": max_point})
-
-
-def pointwise_gradient_decomposition(phi: StateField,
-                                     tol: float = 1e-10) -> EqualityReport:
-    """The split report of ``hardy_terms``."""
-    return hardy_terms(phi, tol, "pointwise_gradient_decomposition")[1]

@@ -196,7 +196,8 @@ def verify_radial_coulomb(state, tol: float | None = None) -> list[EqualityRepor
 def _hermite_functions(x: np.ndarray, kmax: int) -> np.ndarray:
     """Normalized Hermite functions h_0..h_kmax on the given points."""
     out = np.empty((kmax + 1, x.size))
-    out[0] = math.pi ** -0.25 * np.exp(-0.5 * x ** 2)
+    with np.errstate(over="ignore"):    # x^2 = inf past 1.3e154, where h_k = 0
+        out[0] = math.pi ** -0.25 * np.exp(-0.5 * x ** 2)
     if kmax >= 1:
         out[1] = math.sqrt(2.0) * x * out[0]
     for k in range(2, kmax + 1):
@@ -240,10 +241,10 @@ def _hermite_basis(grid: grids.GridSpec) -> np.ndarray:
 
 
 def random_smooth_state(grid: grids.GridSpec, rng: np.random.Generator,
-                        normalize: bool = True,
                         states: int | None = None) -> StateField:
-    """Random mixture of products of h_0..h_8: smooth, rapidly decaying; with
-    ``states``, a stack of as many, drawn as successive calls draw them.
+    """Random normalized mixture of products of h_0..h_8: smooth, rapidly
+    decaying; with ``states``, a stack of as many, drawn as successive calls
+    draw them.
 
     Every such state lies in the (grid) domain of all the operators here and
     carries no boundary mass for L a few units beyond sqrt(17), the turning
@@ -267,12 +268,10 @@ def random_smooth_state(grid: grids.GridSpec, rng: np.random.Generator,
         coeff = z[:, t, 0] + 1j * z[:, t, 1]
         values = values + coeff.reshape([k] + [1] * grid.n) * term
     phi = StateField(grid, values if states is not None else values[0])
-    if normalize:
-        nrm = phi.norm()
-        if not np.all(nrm):
-            raise ValueError("degenerate random state")
-        phi = phi * (1.0 / nrm)
-    return phi
+    nrm = phi.norm()
+    if not np.all(nrm):
+        raise ValueError("degenerate random state")
+    return phi * (1.0 / nrm)
 
 
 def refinement_study(identity_id: str, grid_specs: list[grids.GridSpec]) -> dict:

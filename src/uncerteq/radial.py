@@ -9,11 +9,12 @@ Three rules carry the radial measure r^{n-1} dr:
   the Gaussian-times-polynomial profiles p(r^2) exp(-r^2/2).  Every integral
   the verifiers take of such profiles is t^(n/2-2) (polynomial in t) e^(-t),
   which the rule integrates exactly.
-* :class:`LogRadialQuadrature`, composite Gauss-Legendre in s = ln(r/r_inner)
-  on the panels of the annulus of :func:`annulus_state`: its two ramps and
-  its plateau.  In s the measure is r^n ds and the annulus is r^(-n/2) w(s),
-  so every integrand of the scaling ratio is a polynomial of degree <= 10
-  in s on each panel, which 8 nodes per panel integrate exactly.
+* :class:`LogRadialQuadrature`, composite Gauss-Legendre in s = ln r on
+  the panels of the annulus 1 <= r <= r_max of :func:`annulus_state`: its
+  two ramps of unit width in s and its plateau.  In s the measure is r^n ds
+  and the annulus is r^(-n/2) w(s), so every integrand of the scaling ratio
+  is a polynomial of degree <= 10 in s on each panel, which 8 nodes per
+  panel integrate exactly.
 * :class:`RadialQuadrature`, the midpoint rule on (0, r_max], for any other
   profile.
 
@@ -182,25 +183,15 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
                          2.0)
 
 
-def _check_annulus(r_inner: float, r_outer: float, width: float) -> None:
-    """Refuse an annulus whose radii or ramp width make no cutoff profile."""
-    if not 0.0 < r_inner < math.inf:
-        raise ValueError("the uncut profile is not square integrable; r_inner "
-                         f"must be finite and positive, got {r_inner}")
-    if not 0.0 < width < math.inf:
-        raise ValueError(f"width must be finite and positive, got {width}")
-    if not math.log(r_outer / r_inner) > 2 * width:
-        raise ValueError("outer radius too small for the cutoff ramps")
-
-
 @dataclass(frozen=True)
 class LogRadialQuadrature(_Rule):
-    """Composite Gauss-Legendre rule in s = ln(r/r_inner) on [r_inner, r_max].
+    """Composite Gauss-Legendre rule in s = ln(r/r_inner) on [r_inner, r_max],
+    the annulus of ``annulus_state(quad)``, with r_inner = 1.
 
     The panels are [0, width], [width, l - width] and [l - width, l] with
-    l = ln(r_max/r_inner): the two ramps and the plateau of
-    ``annulus_state(quad, r_inner, r_max, width)``.  With r^{n-1} dr = r^n ds
-    a Legendre node s_i of weight w_i becomes the radial node r_inner e^(s_i)
+    l = ln(r_max/r_inner) and width = 1: the two ramps and the plateau of
+    the annulus, so r_max must exceed e^2.  With r^{n-1} dr = r^n ds a
+    Legendre node s_i of weight w_i becomes the radial node r_inner e^(s_i)
     with weight |S^{n-1}| w_i r_i^n.  On the annulus r^(-n/2) w(s) the
     integrands |phi|^2 r^n = w^2 and |r phi'|^2 r^n = (w' - (n/2) w)^2 are
     polynomials in s of degree <= 10 on each panel (w is a quintic ramp or
@@ -209,14 +200,15 @@ class LogRadialQuadrature(_Rule):
 
     n: int
     r_max: float
-    r_inner: float = 1.0
-    width: float = 1.0
+    r_inner: ClassVar[float] = 1.0
+    width: ClassVar[float] = 1.0
     panel_points: ClassVar[int] = 8
     points: ClassVar[int] = 3 * panel_points
 
     def __post_init__(self):
         _check_rule(self.n, self.r_max)
-        _check_annulus(self.r_inner, self.r_max, self.width)
+        if not math.log(self.r_max / self.r_inner) > 2 * self.width:
+            raise ValueError("outer radius too small for the cutoff ramps")
 
     def _build(self) -> tuple[np.ndarray, np.ndarray]:
         area = sphere_area(self.n)     # refuses n > MAX_DIMENSION first
@@ -268,22 +260,21 @@ def radial_derivative_sym(state: RadialState) -> RadialState:
     return RadialState(state.space, -1j * (_deriv(state) + half * state.data))
 
 
-def radial_gaussian(quad: Quadrature, alpha: float = 1.0) -> RadialState:
-    """exp(-alpha r^2 / 2), complex128, with analytic derivative."""
+def radial_gaussian(quad: Quadrature) -> RadialState:
+    """exp(-r^2 / 2), complex128, with analytic derivative."""
     r = quad.r
-    gauss = np.exp(-0.5 * alpha * r ** 2)
-    return RadialState(quad, gauss + 0j, -alpha * r * gauss + 0j)
+    gauss = np.exp(-0.5 * r ** 2)
+    return RadialState(quad, gauss + 0j, -r * gauss + 0j)
 
 
-def gaussian_polynomial(quad: Quadrature, coeffs,
-                        alpha: float = 1.0) -> RadialState:
-    """p(r^2) exp(-alpha r^2/2) for polynomial coefficients in r^2, lowest
-    first; a (states, degree + 1) array of them gives a stack.
+def gaussian_polynomial(quad: Quadrature, coeffs) -> RadialState:
+    """p(r^2) exp(-r^2/2) for polynomial coefficients in r^2, lowest first;
+    a (states, degree + 1) array of them gives a stack.
 
-    At alpha = 1 a LaguerreQuadrature integrates the verifiers' products of
-    such states exactly.  The midpoint rule does not: with the measure
-    r^{n-1} the integrand is odd in r for even n, and the rule's error at
-    r = 0 is algebraic in the spacing, not spectral.
+    A LaguerreQuadrature integrates the verifiers' products of such states
+    exactly.  The midpoint rule does not: with the measure r^{n-1} the
+    integrand is odd in r for even n, and the rule's error at r = 0 is
+    algebraic in the spacing, not spectral.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     dc = c[..., 1:] * np.arange(1, c.shape[-1])
@@ -295,9 +286,9 @@ def gaussian_polynomial(quad: Quadrature, coeffs,
             y = y * t + coef[..., k, None]
         return y
 
-    p, gauss = polyval(c), np.exp(-0.5 * alpha * t)
+    p, gauss = polyval(c), np.exp(-0.5 * t)
     dp = polyval(dc) if dc.shape[-1] else 0.0
-    return RadialState(quad, p * gauss, (2.0 * r * dp - alpha * r * p) * gauss)
+    return RadialState(quad, p * gauss, (2.0 * r * dp - r * p) * gauss)
 
 
 def random_radial_state(quad: Quadrature, rng: np.random.Generator,
@@ -328,37 +319,28 @@ def _smoothstep_deriv(t: np.ndarray) -> np.ndarray:
     return 30.0 * tc ** 2 * (1.0 - tc) ** 2
 
 
-def annulus_state(quad: RadialQuadrature | LogRadialQuadrature, r_inner: float,
-                  r_outer: float, width: float = 1.0) -> RadialState:
-    """Smoothed cutoff of the scale-critical profile r^(-n/2).
+def annulus_state(quad: LogRadialQuadrature) -> RadialState:
+    """Smoothed cutoff of the scale-critical profile r^(-n/2) on the annulus
+    [quad.r_inner, quad.r_max] of its rule, which integrates its norms
+    exactly.
 
     The bare r^(-n/2) profile is not square integrable (its mass diverges
-    logarithmically at both ends), so a positive inner radius and finite
-    outer radius are mandatory.  The profile is scale-invariant, so the C^2
-    ramps span the given width in log r; ramps of fixed length in r itself
-    would contribute a derivative cost growing linearly with the outer
-    radius and swamp the logarithmic main term.  Any rule with sorted nodes
-    serves; ``LogRadialQuadrature(n, r_outer, r_inner, width)`` integrates
-    the state's norms exactly.
+    logarithmically at both ends), so it is cut off at a positive inner
+    radius and a finite outer one.  The profile is scale-invariant, so the
+    C^2 ramps span the rule's ``width`` in log r; ramps of fixed length in r
+    itself would contribute a derivative cost growing linearly with the outer
+    radius and swamp the logarithmic main term.
     """
-    _check_annulus(r_inner, r_outer, width)
-    if r_outer > quad.r_max:
-        raise ValueError("outer radius exceeds the quadrature range")
-    half_n = 0.5 * quad.n
-
-    # The window is 0 outside [r_inner, r_outer]; on the plateau both ramps
-    # clip to exactly 1, with derivative 0.
-    lo, hi = np.searchsorted(quad.r, (r_inner, r_outer), side="right")
-    r = quad.r[lo:hi]
-    up_arg = np.log(r / r_inner) / width
-    dn_arg = np.log(r_outer / r) / width
+    half_n, r = 0.5 * quad.n, quad.r
+    # Every node lies inside the annulus; on the plateau both ramps clip to
+    # exactly 1, with derivative 0.
+    up_arg = np.log(r / quad.r_inner) / quad.width
+    dn_arg = np.log(quad.r_max / r) / quad.width
     up, dn = _smoothstep(up_arg), _smoothstep(dn_arg)
     window = up * dn
     dwindow = (_smoothstep_deriv(up_arg) * dn
-               - up * _smoothstep_deriv(dn_arg)) / (width * r)
+               - up * _smoothstep_deriv(dn_arg)) / (quad.width * r)
 
     core = r ** (-half_n)
-    values, deriv = np.zeros(quad.points), np.zeros(quad.points)
-    values[lo:hi] = window * core
-    deriv[lo:hi] = dwindow * core - half_n * window * core / r
-    return RadialState(quad, values, deriv)
+    return RadialState(quad, window * core,
+                       dwindow * core - half_n * window * core / r)

@@ -184,8 +184,10 @@ def _descend(grid: GridSpec, seed: int, opts: SearchOptions,
     -Laplacian are checked fields; every other array feeds the plane step or the
     value and gradient norm, which raise when not finite.
     """
-    w, r2 = grid.weight, _radius_sq(grid)
+    # The start state refuses a grid that cuts off its basis before |x|^2
+    # can overflow on one.
     start = random_smooth_state(grid, np.random.default_rng(seed))
+    w, r2 = grid.weight, _radius_sq(grid)
     phi, lap = start.data, grids.neg_laplacian(start).data
     value, grad, grad_sq, forms = _value_and_gradient(w, r2, phi, lap, product)
     z = _precondition(grid, phi, grad)
@@ -259,17 +261,17 @@ def minimize_product_functional(grid: GridSpec, seed: int,
     return result
 
 
-def probe_nonattainment(quad: RadialQuadrature | LogRadialQuadrature, r_values,
-                        r_inner: float = 1.0, width: float = 1.0) -> list[dict]:
+def probe_nonattainment(quad: RadialQuadrature | LogRadialQuadrature,
+                        r_values) -> list[dict]:
     """Ratio ||x.grad phi||^2 / ((n/2)^2 ||phi||^2) for widening annuli.
 
     The ratio stays strictly above 1 for every finite outer radius and
     decreases toward 1 as the annulus widens, witnessing that the bound is
     approached but never attained.  ``quad`` gives the dimension and the
-    largest outer radius.  Each annulus is integrated on its own
-    ``LogRadialQuadrature``, whose panels are its ramps and plateau, so the
-    ratio is exact up to rounding: with l = ln(R/r_inner),
-    rho(R) = 1 + 80 / (7 n^2 width (l - (281/231) width)).
+    largest outer radius.  Each annulus, from r = 1 to R with ramps of unit
+    width in ln r, is ``annulus_state`` of its own ``LogRadialQuadrature``,
+    whose panels are its ramps and plateau, so the ratio is exact up to
+    rounding: rho(R) = 1 + 80 / (7 n^2 (ln R - 281/231)).
     """
     if quad.n < 3:
         raise ValueError("the probe runs in dimension >= 3")
@@ -277,8 +279,7 @@ def probe_nonattainment(quad: RadialQuadrature | LogRadialQuadrature, r_values,
     for r_outer in map(float, r_values):
         if r_outer > quad.r_max:
             raise ValueError("outer radius exceeds the quadrature range")
-        rule = LogRadialQuadrature(quad.n, r_outer, r_inner, width)
-        phi = annulus_state(rule, r_inner, r_outer, width)
+        phi = annulus_state(LogRadialQuadrature(quad.n, r_outer))
         rows.append({"R": r_outer, "rho": radial_x_dot_grad(phi).norm_sq()
                      / ((0.5 * quad.n) ** 2 * phi.norm_sq())})
     return rows

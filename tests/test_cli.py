@@ -17,7 +17,7 @@ from uncerteq.cli import (SuiteConfig, _check_type, main, refinement_study,
                           run_suite, write_refinement_csv)
 from uncerteq.complexspace import (cs_equality_residuals, default_angles,
                                    extremizer_class, random_vector)
-from uncerteq.forms import PairSample, pair_reports
+from uncerteq.forms import pair_reports
 from uncerteq.gaussians import GaussianSpec, realize
 from uncerteq.grids import MAX_POINTS, GridSpec
 from uncerteq.radial import MAX_DIMENSION
@@ -387,7 +387,16 @@ def test_zero_and_out_of_range_flags_are_usage_errors(argv, capsys):
     (["verify", "hardy", "--n", "2"], "require dimension >= 3, got --n 2"),
     # numpy's "expected non-negative integer" named no flag.
     (["verify", "appendix", "--seed", "-1"], "--seed must be at least 0, got -1"),
+    # L^2 overflows a float beyond 1.3e154: the Gaussian's grid check ended in
+    # an OverflowError (exit 1), and the Hermite guard and |x|^2 warned.
+    (["verify", "hardy", "--L", "1e300"], "grid too coarse"),
+    (["refine", "pm.trace", "--N", "64", "--N", "128", "--N", "256",
+      "--L", "1e300"], "grid too coarse"),
+    (["verify", "dilation", "--L", "1e300"], "grid too coarse"),
+    (["verify", "momentum-position", "--L", "1e300"], "grid too coarse"),
+    (["verify", "search", "--L", "1e300"], "grid too coarse"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_out_of_range_value_names_what_it_breaks(argv, says, capsys):
     assert main(argv) == 2
     assert says in capsys.readouterr().err
@@ -807,8 +816,7 @@ def _oracle(suite, seed, trials, dim):
             continue
         reports += [rep for rep in pair_reports(u, v, angles, tol)
                     if not rep.identity_id.startswith("sr.chain.")]
-        s = PairSample.from_vectors(u, v)
-        product, p = s.norm_a * s.norm_b, s.inner_ab
+        product, p = u.norm() * v.norm(), u.inner(v)
         comm, anti = 2.0 * abs(p.imag), 2.0 * abs(p.real)
         schrodinger, robertson = 0.5 * np.hypot(comm, anti), 0.5 * comm
         reports += [bound("sr.chain.schrodinger", schrodinger, product, tol,

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from uncerteq.complexspace import (cs_equality_residuals, default_angles,
                                    extremizer_class, random_vector)
-from uncerteq.forms import PairSample, pair_reports
+from uncerteq.forms import pair_reports
 
 TOL = 1e-12
 
@@ -30,11 +30,6 @@ def _forms(u, v):
     split = reps["form.product_split"].rhs
     conj = reps["form.product_split_conj"].rhs
     return conj - split, conj + split
-
-
-def test_pair_sample_computes_product():
-    s = PairSample.from_vectors(*_pair(0))
-    assert abs(s.inner_ab - s.a_phi.inner(s.b_phi)) <= 1e-14
 
 
 def test_commutator_diagonal_is_purely_imaginary():
@@ -140,7 +135,7 @@ def test_sr_family_is_the_cauchy_schwarz_family_of_the_images():
     rng = np.random.default_rng(41)
     u = random_vector(rng, 9)
     v = random_vector(rng, 9)
-    angles = default_angles(rng, extra=4)
+    angles = default_angles(rng)
     cs = {r.identity_id: r for r in cs_equality_residuals(u, v, angles)}
     sr = {r.identity_id: r for r in pair_reports(u, v, angles)}
     pairs = [("sr.comm+", "cs.im+", 2.0), ("sr.comm-", "cs.im-", 2.0),

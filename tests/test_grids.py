@@ -13,8 +13,7 @@ from uncerteq.gaussians import GaussianSpec, realize
 from uncerteq.grids import (GridSpec, StateField, VectorField, _radius,
                             _radius_sq, _symbols, coulomb,
                             dilation_generator, gradient, lattice_zeta,
-                            momentum, neg_laplacian,
-                            pointwise_gradient_decomposition, position,
+                            momentum, neg_laplacian, position,
                             spherical_derivative, x_dot_grad)
 from uncerteq.identities import verify_hardy
 from uncerteq.radial import (LaguerreQuadrature, LogRadialQuadrature,
@@ -270,7 +269,7 @@ def test_pointwise_gradient_split():
     grid = GridSpec(n=2, N=64, L=9.0, offset=0.5)
     phi = StateField.from_callable(
         grid, lambda x, y: (x + 1j * y) * np.exp(-0.5 * (x ** 2 + y ** 2)))
-    rep = pointwise_gradient_decomposition(phi, tol=1e-10)
+    rep = grids.hardy_terms(phi, 1e-10)[1]
     assert rep.passed, rep.rel_residual
     assert rep.context["max_pointwise_residual"] <= 1e-10
 
@@ -320,7 +319,7 @@ def test_pointwise_split_transform_count(monkeypatch):
     # and L phi; the angular Gaussian is complex, so it takes the full one.
     phi = _angular_gaussian_3d(N=16)
     points = _count_ffts(monkeypatch)
-    pointwise_gradient_decomposition(phi, tol=1e-6)
+    grids.hardy_terms(phi, 1e-6)
     assert points == {"fft": 3 * 16 ** 3, "ifft": 3 * 16 ** 3, "rfft": 0, "irfft": 0}
 
 
@@ -372,12 +371,12 @@ def _off_centre_state(n, N, phase=False, scheme="spectral_periodic"):
 @pytest.mark.parametrize("n, N", [(3, 16), (4, 12)])
 @pytest.mark.parametrize("phase", [False, True])
 def test_verify_hardy_split_is_the_pointwise_decomposition(n, N, phase):
-    # verify_hardy takes its split from the same slab pass as
-    # pointwise_gradient_decomposition; the two reports agree to the bit.
+    # verify_hardy takes its split from the slab pass of hardy_terms; the
+    # two reports agree to the bit.
     psi = _off_centre_state(n, N, phase)
     split = {r.identity_id: r for r in verify_hardy(psi, 1e-9)}[
         "grad.pointwise_split"]
-    alone = pointwise_gradient_decomposition(psi, 1e-9)
+    alone = grids.hardy_terms(psi, 1e-9)[1]
     assert split.lhs == alone.lhs and split.rhs == alone.rhs
     assert (split.context["max_pointwise_residual"]
             == alone.context["max_pointwise_residual"])
@@ -502,7 +501,7 @@ def test_realize_samples_in_place_and_caches_no_radius():
     assert _radius_sq.cache_info() == calls
 
 
-@pytest.mark.parametrize("fn", [verify_hardy, pointwise_gradient_decomposition])
+@pytest.mark.parametrize("fn", [verify_hardy, grids.hardy_terms])
 def test_hardy_refuses_a_finite_state_whose_squared_derivatives_overflow(fn):
     # Every sample of 1e200 psi and of its derivatives is finite, but
     # |grad psi|^2 overflows; the sums are checked, so the pass refuses the
@@ -728,8 +727,7 @@ def test_real_arithmetic_that_overflows_is_refused():
 _FUNCTIONS = {
     **{name: getattr(grids, name) for name in (
         "gradient", "position", "momentum", "x_dot_grad", "dilation_generator",
-        "neg_laplacian", "coulomb", "spherical_derivative",
-        "pointwise_gradient_decomposition", "hardy_terms")},
+        "neg_laplacian", "coulomb", "spherical_derivative", "hardy_terms")},
     "radial_part": lambda phi: grids.radial_part(gradient(phi)),
     **{name: getattr(identities, name) for name in (
         "verify_position_momentum", "saturation_flags",
@@ -745,8 +743,7 @@ _METHODS = {
     "arithmetic": lambda phi: ((phi * phi.norm() + phi.norm_sq() * phi)
                                - phi / phi.norm() + (1j * phi) / 3.0),
 }
-_REFUSE_A_STACK = {"hardy_terms", "pointwise_gradient_decomposition",
-                   "saturation_flags", "verify_hardy"}
+_REFUSE_A_STACK = {"hardy_terms", "saturation_flags", "verify_hardy"}
 _REFUSE_A_GRID = {"verify_radial_coulomb"}
 _NO_STATE = {"lattice_zeta", "random_smooth_state", "refinement_study"}
 

@@ -227,7 +227,7 @@ def test_radial_coulomb_on_a_non_radial_grid_state():
                                                             + z ** 2)))
     with pytest.raises(ValueError, match="radial rule"):
         verify_radial_coulomb(phi, tol=1e-10)
-    rep = grids.pointwise_gradient_decomposition(phi, tol=1e-10)
+    rep = grids.hardy_terms(phi, 1e-10)[1]
     assert rep.passed, rep.rel_residual
     assert grids.spherical_derivative(phi).norm_sq() >= 1.0
 
@@ -292,16 +292,14 @@ def test_random_smooth_state_accepts_resolved_grids(grid):
 
 @pytest.mark.parametrize("grid", [GridSpec(n=1, N=256, L=12.0),
                                   GridSpec(n=2, N=48, L=9.0, offset=0.5)])
-@pytest.mark.parametrize("normalize", [True, False])
-def test_a_stack_of_random_smooth_states_is_successive_single_draws(grid, normalize):
+def test_a_stack_of_random_smooth_states_is_successive_single_draws(grid):
     # The same draws in the same order, and each row's bits those of its
     # single call; states=1 is one call's state on a leading axis.
     rng, alone = np.random.default_rng(5), np.random.default_rng(5)
-    stack = random_smooth_state(grid, rng, normalize=normalize, states=7)
+    stack = random_smooth_state(grid, rng, states=7)
     assert stack.data.shape == (7, *grid.shape)
     for row in stack.data:
-        assert np.array_equal(
-            row, random_smooth_state(grid, alone, normalize=normalize).data)
+        assert np.array_equal(row, random_smooth_state(grid, alone).data)
     assert rng.standard_normal() == alone.standard_normal()
     one = random_smooth_state(grid, np.random.default_rng(9), states=1)
     assert np.array_equal(one.data[0],

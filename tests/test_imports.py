@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -81,15 +82,48 @@ def _public_functions():
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
 
 
+README = SRC.parent.parent / "README.md"
+ACCEPTANCE = SRC.parent.parent / "tests" / "test_acceptance.py"
+
+
+def _gate_imports():
+    """'module.name' of each name that tests/test_acceptance.py or the
+    README library example imports from the package: ``from uncerteq.m
+    import name``, ``from uncerteq import name`` (resolved through the
+    package's own imports) and ``m.name`` of a module it imports."""
+    init = {alias.asname or alias.name: f"{node.module}.{alias.name}"
+            for node in ast.parse((SRC / "__init__.py").read_text()).body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    (example,) = re.findall(r"## Library example\n\n```python\n(.*?)```",
+                            README.read_text(), re.S)
+    found = set()
+    for tree in (ast.parse(ACCEPTANCE.read_text()), ast.parse(example)):
+        modules = set()
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").startswith("uncerteq")):
+                continue
+            for alias in node.names:
+                if node.module != "uncerteq":
+                    found.add(f"{node.module.split('.')[1]}.{alias.name}")
+                elif (SRC / f"{alias.name}.py").exists():
+                    modules.add(alias.asname or alias.name)
+                else:
+                    found.add(init[alias.name])
+        found |= {f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name) and node.value.id in modules}
+    return found
+
+
 def test_every_public_function_has_a_caller():
-    # A caller in src/ other than the function itself, an export of the
-    # package, or a place on TEST_REFERENCES; a test reference that gains a
-    # caller leaves the list.
-    init = ast.parse((SRC / "__init__.py").read_text())
-    exported = {f"{node.module}.{alias.name}" for node in init.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    # A caller in src/ other than the function itself, an import by the
+    # acceptance gate or the README library example, or a place on
+    # TEST_REFERENCES; a test reference that gains a caller leaves the list.
+    # An export of the package alone is no caller: a function only tests
+    # call is dead code.
     called = set().union(*map(_references, MODULES))
-    uncalled = _public_functions() - called - exported
+    uncalled = _public_functions() - called - _gate_imports()
     assert uncalled == TEST_REFERENCES, (
         f"no caller: {sorted(uncalled - TEST_REFERENCES)}; "
         f"called or gone: {sorted(TEST_REFERENCES - uncalled)}")
@@ -113,23 +147,32 @@ def _optional_parameters():
 
 
 def _set_parameters(paths, functions):
-    """'module.function.parameter' of each parameter that a call in ``paths``
-    passes, by keyword or by position.  A call is matched by the function's
-    name alone (``f(...)`` or ``m.f(...)``); ``*args`` or ``**kwargs`` in a
-    call passes every parameter it could reach."""
+    """'module.function.parameter' of each parameter that code in ``paths``
+    sets: a call passes it by keyword or by position, or the function is
+    passed as a value, which may set any of them.  A call or a value is
+    matched by the function's name alone (``f`` or ``m.f``); ``*args`` or
+    ``**kwargs`` in a call passes every parameter it could reach."""
     by_name = {}
     for qualified, signature in functions.items():
         by_name.setdefault(qualified.rsplit(".", 1)[1], []).append(
             (qualified, signature))
+
+    def name_of(node):
+        return (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else None)
+
     found = set()
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = (func.id if isinstance(func, ast.Name) else
-                    func.attr if isinstance(func, ast.Attribute) else None)
-            for qualified, (positional, optional) in by_name.get(name, []):
+        tree = ast.parse(path.read_text())
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        called = {id(call.func) for call in calls}
+        for node in ast.walk(tree):     # a function read as a value
+            if (id(node) not in called
+                    and isinstance(getattr(node, "ctx", None), ast.Load)):
+                for qualified, (_, optional) in by_name.get(name_of(node), []):
+                    found |= {f"{qualified}.{p}" for p in optional}
+        for node in calls:
+            for qualified, (positional, optional) in by_name.get(name_of(node.func), []):
                 starred = any(isinstance(a, ast.Starred) for a in node.args)
                 passed = set(positional if starred else positional[:len(node.args)])
                 for keyword in node.keywords:
@@ -138,12 +181,18 @@ def _set_parameters(paths, functions):
     return found
 
 
+# Optional parameters that only callers outside src/ set: the command line's
+# argument list, which the console script leaves to sys.argv.
+ENTRY_POINTS = {"cli.main.argv"}
+
+
 def test_every_optional_parameter_is_set_somewhere():
-    # A default that no call in src/ or tests/ overrides is a constant: the
-    # function should say so, not offer it as a parameter.
+    # A default that no code in src/ overrides is a constant: the function
+    # should say so, not offer it as a parameter that only a test sets.
     functions = _optional_parameters()
     optional = {f"{qualified}.{p}" for qualified, (_, params) in functions.items()
                 for p in params}
-    paths = [*SRC.glob("*.py"), *(SRC.parent.parent / "tests").glob("*.py")]
-    never_set = optional - _set_parameters(paths, functions)
-    assert not never_set, f"never passed: {sorted(never_set)}"
+    never_set = optional - _set_parameters(SRC.glob("*.py"), functions)
+    assert never_set == ENTRY_POINTS, (
+        f"never passed in src/: {sorted(never_set - ENTRY_POINTS)}; "
+        f"passed or gone: {sorted(ENTRY_POINTS - never_set)}")

@@ -67,7 +67,8 @@ def test_laguerre_gaussian_norms_against_closed_form(n):
 def test_laguerre_rule_converges_off_its_weight(n):
     # e^{-r^2} squares to e^{-2t}, not e^{-t} times a polynomial, so the rule
     # is not exact here; its norm (pi/2)^{n/2} still converges at 32 nodes.
-    psi = radial_gaussian(LaguerreQuadrature(n), alpha=2.0)
+    quad = LaguerreQuadrature(n)
+    psi = RadialState(quad, np.exp(-quad.r ** 2))
     assert psi.norm_sq() == pytest.approx((0.5 * math.pi) ** (0.5 * n),
                                           rel=1e-13)
 
@@ -101,7 +102,7 @@ def test_gaussian_derivative_norm_against_closed_form():
 
 def test_polynomial_profile_derivative_is_consistent():
     quad = RadialQuadrature(3, 30.0, 50000)
-    state = gaussian_polynomial(quad, [1.0, -0.5, 0.25j], alpha=1.3)
+    state = gaussian_polynomial(quad, [1.0, -0.5, 0.25j])
     num = np.gradient(state.data, quad.r)
     # Interior nodes only; the one-sided ends of np.gradient are cruder.
     interior = slice(5, -5)
@@ -111,8 +112,8 @@ def test_polynomial_profile_derivative_is_consistent():
 
 def test_state_arithmetic_propagates_derivatives():
     quad = RadialQuadrature(3, 20.0, 5000)
-    a = radial_gaussian(quad, alpha=1.0)
-    b = radial_gaussian(quad, alpha=2.0)
+    a = radial_gaussian(quad)
+    b = gaussian_polynomial(quad, [0.5, 1.0])
     s = a + 2.0 * b
     np.testing.assert_allclose(s.deriv, a.deriv + 2.0 * b.deriv)
     d = a - b
@@ -171,32 +172,19 @@ def test_quadrature_mismatch_rejected():
 
 
 def test_annulus_validation():
-    quad = RadialQuadrature(3, 100.0, 20000)
-    with pytest.raises(ValueError):
-        annulus_state(quad, 0.0, 50.0)
-    with pytest.raises(ValueError):
-        annulus_state(quad, 1.0, 5.0)     # log(5) barely under 2 ramps
-    with pytest.raises(ValueError):
-        annulus_state(quad, 1.0, 200.0)   # beyond the quadrature range
+    # The annulus is its rule's: 1 <= r <= r_max with two ramps of unit
+    # width in ln r, so r_max must exceed e^2.
+    for r_max in (5.0, math.exp(2.0)):
+        with pytest.raises(ValueError, match="too small for the cutoff ramps"):
+            annulus_state(LogRadialQuadrature(3, r_max))
 
 
 def test_annulus_mass_grows_logarithmically():
-    quad = RadialQuadrature(3, 1200.0, 300000)
-    m = {R: annulus_state(quad, 1.0, R).norm_sq() for R in (30.0, 900.0)}
-    # The r^{-3} density integrates to ~4 pi log R plus an O(1) ramp term.
+    m = {R: annulus_state(LogRadialQuadrature(3, R)).norm_sq()
+         for R in (30.0, 900.0)}
+    # The r^{-3} density integrates to 4 pi log R less a fixed ramp term.
     growth = (m[900.0] - m[30.0]) / (4.0 * math.pi)
-    assert growth == pytest.approx(math.log(900.0 / 30.0), rel=0.15)
-
-
-def test_annulus_vanishes_outside_support():
-    quad = RadialQuadrature(3, 100.0, 50000)
-    phi = annulus_state(quad, 2.0, 60.0)
-    r = quad.r
-    assert np.all(phi.data[r < 2.0] == 0.0)
-    assert np.all(phi.data[r > 60.0] == 0.0)
-    assert np.all(np.abs(phi.data[(r > 2.0 * math.e) & (r < 60.0 / math.e)]
-                         - r[(r > 2.0 * math.e) & (r < 60.0 / math.e)] ** -1.5)
-                  <= 1e-12)
+    assert growth == pytest.approx(math.log(900.0 / 30.0), rel=1e-13)
 
 
 def _annulus_on_every_node(quad, r_inner, r_outer, width=1.0):
@@ -221,31 +209,18 @@ def _annulus_on_every_node(quad, r_inner, r_outer, width=1.0):
 
 
 @pytest.mark.parametrize("r_outer", [10.0, 100.0, 1000.0])
-def test_annulus_is_its_full_node_formula_and_zero_off_support(r_outer):
-    quad = RadialQuadrature(3, 1100.0, 220000)
-    phi = annulus_state(quad, 1.0, r_outer)
+def test_annulus_is_its_full_node_formula(r_outer):
+    # Every node of the rule lies inside the annulus, where the formula is
+    # the state to the bit.
+    quad = LogRadialQuadrature(3, r_outer)
+    phi = annulus_state(quad)
     values, deriv = _annulus_on_every_node(quad, 1.0, r_outer)
+    assert 1.0 < quad.r.min() and quad.r.max() < r_outer
     assert phi.data.dtype == phi.deriv.dtype == np.float64
     assert phi.data.tobytes() == values.tobytes()
     assert phi.deriv.tobytes() == deriv.tobytes()
-    off = (quad.r < 1.0) | (quad.r > r_outer)
-    assert off.any()
-    for data in (phi.data, phi.deriv):
-        assert np.all(data[off] == 0.0) and not np.signbit(data[off]).any()
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-@pytest.mark.parametrize("quad", [RadialQuadrature(3, 1100.0, 20000),
-                                  LogRadialQuadrature(3, 100.0)],
-                         ids=["midpoint", "log"])
-def test_annulus_refuses_a_width_or_inner_radius_that_is_not_positive(bad,
-                                                                      quad):
-    # A zero or negative width gave a window of 1 everywhere on the support
-    # and a ratio of exactly 1: the bound attained, which it never is.
-    with pytest.raises(ValueError, match="width must be finite and positive"):
-        annulus_state(quad, 1.0, 100.0, width=bad)
-    with pytest.raises(ValueError, match="r_inner must be finite and positive"):
-        annulus_state(quad, bad, 100.0)
+    plateau = (quad.r > math.e) & (quad.r < r_outer / math.e)
+    assert np.array_equal(phi.data[plateau], quad.r[plateau] ** -1.5)
 
 
 def test_log_rule_validation():
@@ -254,12 +229,6 @@ def test_log_rule_validation():
     for bad in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="radius must be finite"):
             LogRadialQuadrature(3, bad)
-    with pytest.raises(ValueError, match="width must be finite"):
-        LogRadialQuadrature(3, 100.0, width=0.0)
-    with pytest.raises(ValueError, match="r_inner must be finite"):
-        LogRadialQuadrature(3, 100.0, r_inner=-1.0)
-    with pytest.raises(ValueError, match="too small for the cutoff ramps"):
-        LogRadialQuadrature(3, 5.0)      # log(5) is under two ramp widths
     # r^n <= r_max^n bounds the weights; 1000^103 overflows a float.
     assert np.isfinite(LogRadialQuadrature(102, 1000.0).weights).all()
     with pytest.raises(ValueError, match="at r_max = 1000: the largest n is 102"):
@@ -276,29 +245,25 @@ def test_gauss_legendre_is_exact_to_degree_2m_minus_1(m):
 
 
 def test_log_rule_nodes_fill_the_annulus_panels():
-    quad = LogRadialQuadrature(4, 300.0, r_inner=2.0, width=0.7)
-    s = np.log(quad.r / 2.0)
-    edges = (0.0, 0.7, math.log(150.0) - 0.7, math.log(150.0))
+    quad = LogRadialQuadrature(4, 300.0)
+    s = np.log(quad.r)
+    edges = (0.0, 1.0, math.log(300.0) - 1.0, math.log(300.0))
     per = quad.panel_points
     assert quad.r.shape == quad.weights.shape == (quad.points,) == (3 * per,)
     for j in range(3):
         panel = s[j * per:(j + 1) * per]
         assert edges[j] < panel.min() and panel.max() < edges[j + 1]
-    # The weights carry |S^3| r^4 ds, so r^-4 integrates to |S^3| ln(R/r_inner).
+    # The weights carry |S^3| r^4 ds, so r^-4 integrates to |S^3| ln R.
     assert np.sum(quad.weights / quad.r ** 4) == pytest.approx(
-        sphere_area(4) * math.log(150.0), rel=1e-14)
+        sphere_area(4) * math.log(300.0), rel=1e-14)
 
 
-@pytest.mark.parametrize("n, r_inner, r_outer, width", [
-    (3, 1.0, 10.0, 1.0), (3, 1.0, 1000.0, 1.0), (4, 1.0, 300.0, 0.7),
-    (4, 2.0, 100.0, 1.0), (5, 1.0, 500.0, 0.7)])
-def test_annulus_norm_on_the_log_rule_is_its_closed_form(n, r_inner, r_outer,
-                                                         width):
+@pytest.mark.parametrize("n, r_outer", [(3, 10.0), (3, 1000.0), (4, 300.0),
+                                        (4, 100.0), (5, 500.0)])
+def test_annulus_norm_on_the_log_rule_is_its_closed_form(n, r_outer):
     # |phi|^2 r^n = w(s)^2, whose ramps integrate to 181/462 of their width.
-    quad = LogRadialQuadrature(n, r_outer, r_inner, width)
-    phi = annulus_state(quad, r_inner, r_outer, width)
-    exact = sphere_area(n) * (math.log(r_outer / r_inner)
-                              - 281.0 / 231.0 * width)
+    phi = annulus_state(LogRadialQuadrature(n, r_outer))
+    exact = sphere_area(n) * (math.log(r_outer) - 281.0 / 231.0)
     assert phi.norm_sq() == pytest.approx(exact, rel=1e-13)
     assert np.all(phi.data > 0.0)     # every node is inside the support
 

@@ -523,34 +523,22 @@ def test_nonattainment_validation():
         probe_nonattainment(quad, (5.0,))  # no room for the cutoff ramps
 
 
-def _rho_closed_form(n, r_outer, r_inner=1.0, width=1.0):
-    """1 + int w'^2 / ((n/2)^2 int w^2) for the annulus window w(s)."""
-    ell = math.log(r_outer / r_inner)
-    return 1.0 + 80.0 / (7.0 * n * n * width * (ell - 281.0 / 231.0 * width))
+def _rho_closed_form(n, r_outer):
+    """1 + int w'^2 / ((n/2)^2 int w^2) for the annulus window w(s) of unit
+    ramp width on s = ln r in [0, ln R]."""
+    return 1.0 + 80.0 / (7.0 * n * n * (math.log(r_outer) - 281.0 / 231.0))
 
 
 # n = 102 is the largest n whose weights r^n stay finite up to r = 1000.
 @pytest.mark.parametrize("n", [3, 4, 5, 102])
-@pytest.mark.parametrize("width", [1.0, 0.7])
 @pytest.mark.parametrize("rule", [lambda n: RadialQuadrature(n, 1100.0, 2),
                                   lambda n: LogRadialQuadrature(n, 1000.0)],
                          ids=["midpoint", "log"])
-def test_nonattainment_ratio_is_its_closed_form(n, width, rule):
+def test_nonattainment_ratio_is_its_closed_form(n, rule):
     radii = (10.0, 100.0, 300.0, 1000.0)
-    for row in probe_nonattainment(rule(n), radii, width=width):
+    for row in probe_nonattainment(rule(n), radii):
         assert row["rho"] == pytest.approx(
-            _rho_closed_form(n, row["R"], width=width), rel=1e-13, abs=0.0)
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
-def test_nonattainment_refuses_a_width_that_is_not_positive(bad):
-    # Width 0 or -1 returned rho = 1.0 at every radius, the bound attained.
-    with pytest.raises(ValueError, match="width must be finite and positive"):
-        probe_nonattainment(RadialQuadrature(3, 1100.0, 20000),
-                            (10, 100, 1000), width=bad)
-    with pytest.raises(ValueError, match="r_inner must be finite and positive"):
-        probe_nonattainment(RadialQuadrature(3, 1100.0, 20000),
-                            (10, 100, 1000), r_inner=bad)
+            _rho_closed_form(n, row["R"]), rel=1e-13, abs=0.0)
 
 
 def test_nonattainment_keeps_to_the_range_of_the_rule_it_is_given():
